@@ -5,6 +5,19 @@ corresponding configuration (dtheta, dx rows, dU matrices).  All evaluators
 are pure functions of immutable inputs; none allocates O(N^2) temporaries --
 the all-to-all sums collapse onto the centroid.
 
+Each formula exists once, in the kernel that :func:`make_rhs` binds.  Binding
+settles everything that does not change during an integration -- the model's
+constants, kappa/N, the coupling flavor and whether Omega or H is shared --
+so the kernel called on every stage runs only array arithmetic, through the
+ufuncs and ``np.dot`` directly rather than their Python wrappers.  The
+public ``*_rhs(cfg)`` functions bind and evaluate in one call.
+
+Bitwise contract: the kernels perform the same floating-point operations in
+the same order as the plain formulas (``x.mean(axis=0)``, ``@`` on 2-d
+operands, ``np.imag``/``np.real``), so trajectories are identical to the last
+bit.  ``tests/test_hotpath_identity.py`` holds those formulas as the oracle;
+a rewrite that changes a single bit of any result is a behaviour change.
+
 Sign convention for the cosine flavor: the coupling is
 cos(theta_j - theta_k + alpha), equivalently cos(theta_k - theta_j - alpha).
 With this convention the functional I * exp(tan(alpha) * sum theta) is
@@ -30,61 +43,95 @@ from .state import (
 
 
 def kuramoto_rhs(cfg: PhaseConfig) -> np.ndarray:
-    return _phase_rhs(cfg.theta, cfg.nu, cfg.kappa, cfg.alpha, cfg.flavor)
-
-
-def _phase_rhs(theta, nu, kappa, alpha, flavor):
-    s = np.exp(1j * theta).sum()
-    if flavor is Flavor.SINE:
-        coupling = np.imag(np.exp(1j * (alpha - theta)) * s)
-    else:
-        coupling = np.real(np.exp(-1j * (alpha + theta)) * s)
-    return nu + (kappa / theta.size) * coupling
+    return make_rhs(cfg)(cfg.theta)
 
 
 def sphere_rhs(cfg: SphereConfig) -> np.ndarray:
-    return _sphere_rhs(cfg.x, cfg.omega, cfg.kappa, cfg.v)
-
-
-def _sphere_rhs(x, omega, kappa, v):
-    # sum_k V x_k = N * V x_c, so the coupling costs one small matvec
-    vxc = v @ x.mean(axis=0)
-    coupling = vxc[None, :] - (x @ vxc)[:, None] * x
-    if omega.ndim == 2:
-        drive = x @ omega.T
-    else:
-        drive = np.einsum("nij,nj->ni", omega, x)
-    return drive + kappa * coupling
+    return make_rhs(cfg)(cfg.x)
 
 
 def lohe_matrix_rhs(cfg: UnitaryConfig) -> np.ndarray:
-    return _unitary_rhs(cfg.u, cfg.h, cfg.kappa, cfg.v)
-
-
-def _unitary_rhs(u, h, kappa, v):
-    # dU_j = -i H_j U_j + (kappa/2N) sum_k (V U_k - U_j (V U_k)^* U_j)
-    # with sum_k V U_k = N * V U_c.
-    vuc = v @ u.mean(axis=0)
-    coupling = vuc[None, :, :] - u @ vuc.conj().T @ u
-    if h.ndim == 2:
-        drive = -1j * np.einsum("ab,jbc->jac", h, u)
-    else:
-        drive = -1j * (h @ u)
-    return drive + (kappa / 2.0) * coupling
+    return make_rhs(cfg)(cfg.u)
 
 
 def make_rhs(cfg: Config):
-    """Bind the parameters of ``cfg`` into a state-array -> tangent function."""
+    """Bind the parameters of ``cfg`` into a state-array -> tangent function.
+
+    The model's constants, its flavor and whether Omega or H is shared are
+    all settled here, once; the returned function runs only the arithmetic.
+    It is meant for states of the configuration's own size N.
+    """
     if isinstance(cfg, PhaseConfig):
-        nu, kappa, alpha, flavor = cfg.nu, cfg.kappa, cfg.alpha, cfg.flavor
-        return lambda theta: _phase_rhs(theta, nu, kappa, alpha, flavor)
+        return _bind_phase(cfg)
     if isinstance(cfg, SphereConfig):
-        omega, kappa, v = cfg.omega, cfg.kappa, cfg.v
-        return lambda x: _sphere_rhs(x, omega, kappa, v)
+        return _bind_sphere(cfg)
     if isinstance(cfg, UnitaryConfig):
-        h, kappa, v = cfg.h, cfg.kappa, cfg.v
-        return lambda u: _unitary_rhs(u, h, kappa, v)
+        return _bind_unitary(cfg)
     raise TypeError(f"not a model configuration: {type(cfg)!r}")
+
+
+def _scalars(dtype, *values) -> list[np.ndarray]:
+    """``values`` as 0-d arrays of ``dtype``, the type a Python scalar takes
+    against a state array: they round the same, without being converted
+    again on every call."""
+    return [np.array(c, dtype=dtype) for c in values]
+
+
+def _bind_phase(cfg: PhaseConfig):
+    nu = cfg.nu
+    alpha, k_n = _scalars(float, cfg.alpha, cfg.kappa / cfg.n)
+    i, minus_i = _scalars(complex, 1j, -1j)
+    exp, add_reduce = np.exp, np.add.reduce
+    if cfg.flavor is Flavor.SINE:
+        def rhs(theta):
+            s = add_reduce(exp(i * theta))
+            return nu + k_n * (exp(i * (alpha - theta)) * s).imag
+    else:
+        def rhs(theta):
+            s = add_reduce(exp(i * theta))
+            return nu + k_n * (exp(minus_i * (alpha + theta)) * s).real
+    return rhs
+
+
+def _bind_sphere(cfg: SphereConfig):
+    v = cfg.v
+    n, kappa = _scalars(float, cfg.n, cfg.kappa)
+    dot, add_reduce = np.dot, np.add.reduce
+    if cfg.shared_omega:
+        omega_t = cfg.omega.T
+
+        def drive(x):
+            return dot(x, omega_t)
+    else:
+        omega = cfg.omega
+
+        def drive(x):
+            return np.einsum("nij,nj->ni", omega, x)
+
+    def rhs(x):
+        # sum_k V x_k = N * V x_c, so the coupling costs one small matvec
+        vxc = dot(v, add_reduce(x, 0) / n)
+        return drive(x) + kappa * (vxc - dot(x, vxc)[:, None] * x)
+    return rhs
+
+
+def _bind_unitary(cfg: UnitaryConfig):
+    h, v = cfg.h, cfg.v
+    n, half_kappa, minus_i = _scalars(complex, cfg.n, cfg.kappa / 2.0, -1j)
+    dot, add_reduce = np.dot, np.add.reduce
+    if cfg.shared_h:
+        def drive(u):
+            return minus_i * np.einsum("ab,jbc->jac", h, u)
+    else:
+        def drive(u):
+            return minus_i * (h @ u)
+
+    def rhs(u):
+        # dU_j = -i H_j U_j + (kappa/2N) sum_k (V U_k - U_j (V U_k)^* U_j)
+        # with sum_k V U_k = N * V U_c.
+        vuc = dot(v, add_reduce(u, 0) / n)
+        return drive(u) + half_kappa * (vuc - u @ vuc.conj().T @ u)
+    return rhs
 
 
 def state_of(cfg: Config) -> np.ndarray:

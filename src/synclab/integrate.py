@@ -6,6 +6,14 @@ drift-vs-dt scaling clean) and the adaptive Dormand-Prince 5(4) pair.
 Projection modes rescale sphere points to unit norm or replace unitaries by
 their polar factor after every step.  A single integration is deterministic
 and single-threaded; identical inputs give bit-identical trajectories.
+
+The fixed-step loop is the hot path at small N, where each numpy call costs
+more in dispatch than in arithmetic.  The RK4 coefficients are made once per
+integration as 0-d arrays of the state's dtype, the row normalization calls
+the ufuncs that ``np.linalg.norm`` runs for real input, and the Newton polar
+factor skips the wrappers around its transpose and maximum.  None of this
+changes an operation or its order, so results stay bitwise identical to the
+plain formulas kept as the oracle in ``tests/test_hotpath_identity.py``.
 """
 
 from __future__ import annotations
@@ -100,10 +108,11 @@ def polar_factor(m: np.ndarray, tol: float = 1e-14, max_iter: int = 50) -> np.nd
     Accepts a single matrix or a stack.
     """
     u = np.array(m, dtype=m.dtype if np.iscomplexobj(m) else float, copy=True)
+    (half,) = dynamics._scalars(u.dtype, 0.5)
+    inv, max_reduce = np.linalg.inv, np.maximum.reduce
     for _ in range(max_iter):
-        inv_star = np.linalg.inv(np.conj(np.swapaxes(u, -1, -2)))
-        nxt = 0.5 * (u + inv_star)
-        delta = np.max(np.abs(nxt - u))
+        nxt = half * (u + inv(u.swapaxes(-1, -2).conj()))
+        delta = max_reduce(abs(nxt - u), None)
         u = nxt
         if delta < tol:
             break
@@ -111,7 +120,8 @@ def polar_factor(m: np.ndarray, tol: float = 1e-14, max_iter: int = 50) -> np.nd
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+    # the operations np.linalg.norm(x, axis=-1, keepdims=True) runs on real x
+    return x / np.sqrt(np.add.reduce(x * x, -1, keepdims=True))
 
 
 def _projector(cfg: Config, mode: Projection):
@@ -147,12 +157,18 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 
 
-def _rk4_step(f, y, h):
+def _rk4_coefficients(h: float, y: np.ndarray) -> list[np.ndarray]:
+    """h/2, h, h/6 and 2 for :func:`_rk4_step`, made once per integration."""
+    return dynamics._scalars(np.result_type(y, 0.5), 0.5 * h, h, h / 6.0, 2.0)
+
+
+def _rk4_step(f, y, coef):
+    half_h, h, sixth_h, two = coef
     k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
+    k2 = f(y + half_h * k1)
+    k3 = f(y + half_h * k2)
     k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y + sixth_h * (k1 + two * k2 + two * k3 + k4)
 
 
 def _dopri5_step(f, y, h):
@@ -192,8 +208,9 @@ def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
         # uniform step h <= dt that divides t_final exactly
         n_steps = max(1, int(math.ceil(t_final / settings.dt - 1e-9)))
         h = t_final / n_steps
+        coef = _rk4_coefficients(h, y)
         for i in range(1, n_steps + 1):
-            y = _rk4_step(rhs, y, h)
+            y = _rk4_step(rhs, y, coef)
             if project is not None:
                 y = project(y)
             if postcheck is not None:
@@ -229,7 +246,14 @@ def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
                 if t > times[-1]:
                     times.append(t)
                     states.append(y.copy())
-        factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
+        if err_norm == 0.0:
+            factor = 5.0
+        elif math.isfinite(err_norm):
+            factor = 0.9 * err_norm ** -0.2
+        else:
+            # a NaN or infinite estimate rejects the step above; shrink it by
+            # the minimum factor, so the loop ends in StepSizeUnderflow
+            factor = 0.2
         h *= min(5.0, max(0.2, factor))
     return times, states
 
@@ -270,9 +294,10 @@ def convergence_order(cfg: Config, scheme: Scheme, t_final: float = 1.0,
     def run(h):
         n = int(round(t_final / h))
         y = np.array(y0, copy=True)
+        coef = _rk4_coefficients(h, y)
         for _ in range(n):
             if scheme is Scheme.RK4:
-                y = _rk4_step(rhs, y, h)
+                y = _rk4_step(rhs, y, coef)
             else:
                 y, _ = _dopri5_step(rhs, y, h)
         return y

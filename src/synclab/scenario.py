@@ -28,14 +28,20 @@ import numpy as np
 import jsonschema
 
 from .errors import ScenarioError, SynclabError
-from .integrate import IntegratorSettings, Projection, Scheme, Trajectory, integrate
+from .integrate import (
+    IntegratorSettings,
+    Projection,
+    Scheme,
+    Trajectory,
+    default_settings,
+    integrate,
+)
 from .invariants import Kind, Observable, drift_report, make_observable
 from .state import (
     Config,
     Flavor,
     PhaseConfig,
     SphereConfig,
-    UnitaryConfig,
     make_phase_config,
     make_sphere_config,
     make_unitary_config,
@@ -136,20 +142,11 @@ def _build_config(model: dict, rng: np.random.Generator) -> Config:
 def _build_settings(doc: dict, cfg: Config) -> IntegratorSettings:
     integ = dict(doc.get("integrator", {}))
     proj = integ.pop("projection", "auto")
-    if proj == "auto":
-        if isinstance(cfg, SphereConfig):
-            projection = Projection.NORMALIZE
-        elif isinstance(cfg, UnitaryConfig):
-            projection = Projection.POLAR
-        else:
-            projection = Projection.NONE
-    else:
-        projection = Projection(proj)
-    scheme = Scheme(integ.pop("scheme", "rk4"))
-    dt = integ.pop("dt", 1e-3)
+    if proj != "auto":
+        integ["projection"] = Projection(proj)
+    integ["scheme"] = Scheme(integ.get("scheme", "rk4"))
     try:
-        return IntegratorSettings(scheme=scheme, dt=dt, projection=projection,
-                                  **integ)
+        return default_settings(cfg, **integ)
     except ValueError as exc:
         raise ScenarioError(f"$.integrator: {exc}") from exc
 

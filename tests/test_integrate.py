@@ -6,6 +6,7 @@ from synclab.integrate import (
     IntegratorSettings,
     Projection,
     Scheme,
+    _integrate_array,
     convergence_order,
     default_settings,
     integrate,
@@ -101,6 +102,24 @@ def test_nonfinite_state_detected():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationError):
             integrate(cfg, IntegratorSettings(dt=1e3, record_every=1), 2e3)
+
+
+def test_dopri5_nan_error_estimate_ends_the_run():
+    # y' = y turns NaN once |y| > 1.5 (at t = ln 1.5): every later error
+    # estimate is NaN, which must shrink the step until it underflows
+    max_calls = 20_000
+    calls = 0
+
+    def rhs(y):
+        nonlocal calls
+        calls += 1
+        if calls > max_calls:
+            pytest.fail(f"DOPRI5 still looping after {max_calls} rhs calls")
+        return np.where(abs(y) > 1.5, np.nan, y)
+
+    settings = IntegratorSettings(scheme=Scheme.DOPRI5, dt=0.5)
+    with pytest.raises(IntegrationError):
+        _integrate_array(rhs, np.array([1.0]), settings, 2.0)
 
 
 def test_dopri5_matches_rk4_on_smooth_flow():
