@@ -12,7 +12,7 @@ from .state import (
     make_unitary_config,
     validate,
 )
-from .integrate import IntegratorSettings, Projection, Scheme, Trajectory, integrate
+from .integrate import IntegratorSettings, Projection, Scheme, Trajectory
 
 __all__ = [
     "Flavor",
@@ -27,7 +27,6 @@ __all__ = [
     "Projection",
     "Scheme",
     "Trajectory",
-    "integrate",
 ]
 
 __version__ = "0.1.0"

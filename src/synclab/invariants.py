@@ -5,12 +5,15 @@ scenario checks and the CLI refer to functionals by those names.  Drift is
 measured relative to max(|value at t=0|, 1e-8) so functionals legitimately
 near zero do not blow up the relative measure; the frustrated circle
 functional is evaluated in log space to avoid overflow of its exponential
-factor on long runs.
+factor on long runs, and the skew-frustration chord product as a sum of
+log-chords, since the product of N(N-1)/2 chords overflows at N in the
+hundreds.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -109,6 +112,32 @@ def _pairwise_distances(x: np.ndarray) -> np.ndarray:
     return np.linalg.norm(diff, axis=-1)
 
 
+@functools.lru_cache(maxsize=8)
+def _triu_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False  # shared by every caller
+    return i, j
+
+
+def _chords(x: np.ndarray) -> np.ndarray:
+    """Chord lengths ||x_i - x_j|| for i < j, in row-major upper-triangle
+    order, without the (N, N, d) difference temporary.
+
+    The squared coordinate differences are added in coordinate order, which
+    is the order numpy's norm sums fewer than 8 coordinates in, so the result
+    equals ``_pairwise_distances(x)[np.triu_indices(n, 1)]`` bit for bit
+    there; from 8 coordinates on numpy sums in pairwise blocks and the last
+    bit may differ.
+    """
+    i, j = _triu_indices(x.shape[0])
+    total = None
+    for col in x.T:
+        diff = col.take(i) - col.take(j)
+        sq = diff * diff
+        total = sq if total is None else total + sq
+    return np.sqrt(total)
+
+
 def sphere_cross_ratio_H(x: np.ndarray, a: int, b: int, c: int, d: int) -> float:
     """Chord-length cross-ratio of four sphere points; conserved by the
     unfrustrated sphere flow with identical rotation matrices."""
@@ -141,33 +170,43 @@ def sphere_squared_diameter(x: np.ndarray) -> float:
     return float(np.sum(_pairwise_distances(np.asarray(x, dtype=float)) ** 2))
 
 
-def skew_frustration_product(x: np.ndarray) -> float:
-    """prod_{i<j} ||x_i - x_j||; conserved by pure skew frustration (a = 0)."""
-    x = np.asarray(x, dtype=float)
-    dist = _pairwise_distances(x)
-    iu = np.triu_indices(x.shape[0], k=1)
-    factors = dist[iu]
+def _nonzero_chords(x: np.ndarray) -> np.ndarray:
+    factors = _chords(x)
     if np.any(factors < DEGENERACY_EPS):
-        i = int(np.argmin(factors))
+        k = int(np.argmin(factors))
+        i, j = _triu_indices(x.shape[0])
         raise ZeroFactor(
-            f"pair {iu[0][i]},{iu[1][i]} coincides within {DEGENERACY_EPS:g}")
-    return float(np.prod(factors))
+            f"pair {i[k]},{j[k]} coincides within {DEGENERACY_EPS:g}")
+    return factors
+
+
+def skew_frustration_product(x: np.ndarray) -> float:
+    """prod_{i<j} ||x_i - x_j||; conserved by pure skew frustration (a = 0).
+
+    Overflows to inf once N is in the hundreds; drift measurement goes
+    through :func:`skew_frustration_log_product` instead.
+    """
+    return float(np.prod(_nonzero_chords(np.asarray(x, dtype=float))))
+
+
+def skew_frustration_log_product(x: np.ndarray) -> float:
+    """sum_{i<j} log ||x_i - x_j||, the logarithm of
+    :func:`skew_frustration_product`, finite at any N."""
+    return float(np.sum(np.log(_nonzero_chords(np.asarray(x, dtype=float)))))
 
 
 def max_pairwise_distance(x: np.ndarray) -> float:
-    return float(np.max(_pairwise_distances(np.asarray(x, dtype=float))))
+    return float(np.max(_chords(np.asarray(x, dtype=float)), initial=0.0))
 
 
 def min_pairwise_distance(x: np.ndarray) -> float:
-    dist = _pairwise_distances(np.asarray(x, dtype=float))
-    iu = np.triu_indices(dist.shape[0], k=1)
-    return float(np.min(dist[iu]))
+    return float(np.min(_chords(np.asarray(x, dtype=float))))
 
 
 def aggregation_diameter(x: np.ndarray) -> float:
     """max_{i,j} (1 - <x_i, x_j>), computed as squared chordal distance / 2
     to avoid cancellation once the ensemble is nearly aggregated."""
-    return float(np.max(_pairwise_distances(np.asarray(x, dtype=float)) ** 2) / 2.0)
+    return float(np.max(_chords(np.asarray(x, dtype=float)) ** 2, initial=0.0) / 2.0)
 
 
 def affine_fit_residual(x: np.ndarray, m: int) -> float:
@@ -332,8 +371,8 @@ def make_observable(name: str, config: Config, indices=None,
         i, j = idx
         ob = Observable(label, Kind.CONSERVED, lambda c, s: float(s[i] @ s[j]))
     elif name == "pair_distance_product":
-        ob = Observable(label, Kind.CONSERVED,
-                        lambda c, s: skew_frustration_product(s))
+        ob = Observable(label, Kind.CONSERVED_LOG,
+                        lambda c, s: skew_frustration_log_product(s))
     elif name == "matrix_D":
         ob = Observable(label, Kind.RECORD, lambda c, s: matrix_diameter(s))
     elif name == "matrix_cross_ratio":
@@ -342,6 +381,10 @@ def make_observable(name: str, config: Config, indices=None,
                         lambda c, s: matrix_cross_ratio_spectrum(s, *idx))
     else:
         raise ValueError(f"unknown functional name {name!r}")
+    if kind is Kind.CONSERVED and ob.kind is Kind.CONSERVED_LOG:
+        raise ValueError(f"observable {name!r} is a logarithm: a relative "
+                         "'conserved' check on it carries no information; "
+                         "use 'conserved-log'")
     if kind is not None:
         ob = Observable(ob.label, kind, ob.fn)
     return ob
@@ -431,16 +474,20 @@ def _drift_one(ob: Observable, values: np.ndarray, tolerance: float) -> DriftRep
 
 def drift_report(traj: Trajectory, observables: list[Observable],
                  tolerance: float = 1e-6) -> list[DriftReport]:
-    """Evaluate every observable at the recorded states and summarize drift.
+    """Summarize the drift of every observable along ``traj``.
 
-    Requires at least two recorded states.  The per-kind semantics of the
-    deviations are documented on :class:`DriftReport`.
+    An observable's series is taken from ``traj.observables`` under its label
+    when one is attached there, and evaluated at the recorded states
+    otherwise.  Requires at least two recorded states.  The per-kind
+    semantics of the deviations are documented on :class:`DriftReport`.
     """
     if len(traj) < 2:
         raise ValueError("drift needs a trajectory with at least two records")
     reports = []
     for ob in observables:
-        values = ob.series(traj)
+        values = traj.observables.get(ob.label)
+        if values is None:
+            values = ob.series(traj)
         reports.append(_drift_one(ob, values, tolerance))
     return reports
 

@@ -186,23 +186,20 @@ def _state_columns(cfg: Config) -> list[str]:
             for r in range(cfg.d) for c in range(cfg.d) for p in ("re", "im")]
 
 
-def _flatten_state(state: np.ndarray) -> list[float]:
-    if np.iscomplexobj(state):
-        flat = state.ravel()
-        out = []
-        for z in flat:
-            out.extend((z.real, z.imag))
-        return out
-    return list(np.asarray(state, dtype=float).ravel())
-
-
 def trajectory_csv(traj: Trajectory) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["t"] + _state_columns(traj.config))
-    for t, s in zip(traj.times, traj.states):
-        w.writerow([_fmt(t)] + [_fmt(v) for v in _flatten_state(s)])
-    return buf.getvalue()
+    """t plus the flattened state per row, complex entries as (re, im).
+
+    Rows end in "\\r\\n", as the csv module writes them.  They are converted
+    one at a time, so Python floats exist for one row at a time.
+    """
+    flat = np.ascontiguousarray(traj.states).reshape(len(traj), -1)
+    if np.iscomplexobj(flat):
+        flat = flat.view(flat.real.dtype)
+    lines = [",".join(["t"] + _state_columns(traj.config))]
+    for t, row in zip(traj.times.tolist(), flat):
+        lines.append(",".join([format(t, ".17g")]
+                              + [format(v, ".17g") for v in row.tolist()]))
+    return "\r\n".join(lines) + "\r\n"
 
 
 def observables_csv(traj: Trajectory, series: dict[str, np.ndarray]) -> str:

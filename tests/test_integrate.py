@@ -1,5 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
+
+import synclab
 
 from synclab.errors import IntegrationError
 from synclab.integrate import (
@@ -165,3 +169,7 @@ def test_polar_factor_restores_unitarity():
     np.testing.assert_allclose(pf @ pf.conj().T, np.eye(3), atol=1e-13)
     # the polar factor is the nearest unitary, so it stays near u
     assert np.linalg.norm(pf - u) < 1e-2
+
+
+def test_package_attribute_is_the_integrate_module():
+    assert importlib.import_module("synclab.integrate") is synclab.integrate

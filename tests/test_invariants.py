@@ -146,6 +146,66 @@ def test_skew_product_zero_factor():
         inv.skew_frustration_product(x)
 
 
+def test_skew_log_product_is_log_of_product():
+    x = random_sphere_config(np.random.default_rng(3), 7, 2).x
+    assert inv.skew_frustration_log_product(x) \
+        == pytest.approx(np.log(inv.skew_frustration_product(x)), rel=1e-14)
+    with pytest.raises(ZeroFactor):
+        inv.skew_frustration_log_product(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 200])
+def test_chords_match_full_distance_matrix(n):
+    rng = np.random.default_rng(n)
+    for dim in range(1, 8):  # numpy's norm sums fewer than 8 terms in order
+        x = rng.standard_normal((n, dim))
+        full = inv._pairwise_distances(x)[np.triu_indices(n, 1)]
+        assert np.array_equal(inv._chords(x), full)
+    x = rng.standard_normal((n, 10))
+    full = inv._pairwise_distances(x)[np.triu_indices(n, 1)]
+    np.testing.assert_allclose(inv._chords(x), full, rtol=4e-16, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 200])
+def test_pairwise_extremes_match_full_distance_matrix(n):
+    # the full-matrix formulas the chord kernel replaced, kept as the oracle
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        for dim in (2, 3, 5):
+            x = random_sphere_config(rng, n, dim - 1).x
+            dist = inv._pairwise_distances(x)
+            assert np.array_equal(inv.max_pairwise_distance(x), np.max(dist))
+            assert np.array_equal(inv.aggregation_diameter(x),
+                                  np.max(dist ** 2) / 2.0)
+            if n > 1:
+                assert np.array_equal(inv.min_pairwise_distance(x),
+                                      np.min(dist[np.triu_indices(n, 1)]))
+
+
+@pytest.mark.parametrize("n", [50, 200])
+@pytest.mark.parametrize("dt, passes", [(1e-3, True), (0.25, False)])
+def test_pair_distance_product_verdict_at_large_n(n, dt, passes):
+    # pure skew frustration conserves the chord product; at these N the
+    # product itself overflows, its log-space form does not
+    rng = np.random.default_rng(11)
+    cfg = random_sphere_config(rng, n, 2, a=0.0, w_scale=1.0)
+    traj = integrate(cfg, default_settings(cfg, dt=dt, record_every=10), 2.0)
+    ob = inv.make_observable("pair_distance_product", cfg)
+    assert ob.kind is inv.Kind.CONSERVED_LOG
+    (report,) = inv.drift_report(traj, [ob], 1e-6)
+    assert np.isfinite(report.v0) and np.isfinite(report.max_rel_dev)
+    assert report.verdict is passes, report
+
+
+@pytest.mark.parametrize("name", ["kuramoto_J", "pair_distance_product"])
+def test_conserved_check_on_log_functional_is_rejected(name):
+    cfg = random_sphere_config(np.random.default_rng(0), 4, 2, a=0.0)
+    with pytest.raises(ValueError, match="conserved-log"):
+        inv.make_observable(name, cfg, kind=inv.Kind.CONSERVED)
+    ob = inv.make_observable(name, cfg, kind=inv.Kind.CONSERVED_LOG)
+    assert ob.kind is inv.Kind.CONSERVED_LOG
+
+
 def test_affine_fit_residual_planar_points():
     rng = np.random.default_rng(2)
     pts = np.c_[rng.standard_normal((6, 2)), np.ones(6)]
@@ -225,6 +285,25 @@ def test_strict_decrease_away_from_equilibrium():
     for i in range(len(dm) - 1):
         if inv.equilibrium_residual(traj.config_at(i)) >= 1e-10:
             assert dm[i + 1] < dm[i]
+
+
+def test_drift_report_uses_attached_series_and_evaluates_otherwise():
+    cfg = make_phase_config([0.1, 0.9, 2.0], kappa=1.0, flavor=Flavor.COSINE)
+    traj = integrate(cfg, IntegratorSettings(dt=1e-2, record_every=10), 1.0)
+    calls = []
+
+    def fn(c, s):
+        calls.append(1)
+        return inv.functional_I(s)
+
+    ob = inv.Observable("I", inv.Kind.CONSERVED, fn)
+    (fresh,) = inv.drift_report(traj, [ob], 1e-6)
+    assert len(calls) == len(traj)
+    traj.observables["I"] = ob.series(traj)
+    calls.clear()
+    (attached,) = inv.drift_report(traj, [ob], 1e-6)
+    assert calls == []
+    assert attached == fresh
 
 
 def test_drift_csv_and_json_roundtrip():

@@ -1,16 +1,28 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from synclab import invariants
 from synclab.cli import main
 from synclab.errors import ScenarioError
+from synclab.integrate import IntegratorSettings, Trajectory, default_settings, integrate
 from synclab.scenario import (
+    _state_columns,
     content_hash,
     decode_complex,
     encode_complex,
     run_scenario,
+    trajectory_csv,
     validate_scenario,
+)
+from synclab.state import (
+    make_sphere_config,
+    random_phase_config,
+    random_sphere_config,
+    random_unitary_config,
 )
 
 
@@ -159,6 +171,81 @@ def test_invalid_initial_state_is_an_error(tmp_path):
     res = run_scenario(doc, tmp_path, quiet=True)
     assert res.exit_code == 1
     assert "non-unitary" in res.error
+
+
+def test_conserved_check_on_log_functional_is_a_scenario_error(tmp_path):
+    doc = _kuramoto_doc("logc", observables=[
+        {"name": "order_R"},
+        {"name": "kuramoto_J", "check": "conserved", "tolerance": 1e-6}])
+    res = run_scenario(doc, tmp_path, quiet=True)
+    assert res.exit_code == 1
+    assert res.error.startswith("$.observables[1]:")
+    assert "conserved-log" in res.error
+
+
+def test_each_functional_is_evaluated_once_per_record(tmp_path, monkeypatch):
+    names = ("skew_frustration_log_product", "sphere_cross_ratio_H",
+             "sphere_order_parameter", "sphere_squared_diameter")
+    calls = {}
+    for name in names:
+        fn = getattr(invariants, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(invariants, name, counted)
+    w = np.random.default_rng(5).standard_normal((3, 3))
+    doc = {
+        "id": "once", "seed": 5, "t_final": 0.5,
+        "model": {"kind": "sphere", "kappa": 1.0, "a": 0.0, "w": (w - w.T).tolist(),
+                  "initial": {"random": {"n": 6, "d": 2}}},
+        "integrator": {"dt": 0.01, "record_every": 5},
+        "observables": [{"name": "pair_distance_product"},
+                        {"name": "sphere_H", "indices": [0, 1, 2, 3]},
+                        {"name": "sphere_rho"},
+                        {"name": "sphere_DM", "check": "record"}],
+    }
+    assert run_scenario(doc, tmp_path, quiet=True).exit_code == 0
+    records = len((tmp_path / "once_trajectory.csv").read_text().splitlines()) - 1
+    assert records == 11
+    assert calls == {name: records for name in names}
+
+
+def _oracle_trajectory_csv(traj):
+    # the csv.writer formulation trajectory_csv replaced, kept as the oracle
+    def flatten(state):
+        if np.iscomplexobj(state):
+            out = []
+            for z in state.ravel():
+                out.extend((z.real, z.imag))
+            return out
+        return list(np.asarray(state, dtype=float).ravel())
+
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["t"] + _state_columns(traj.config))
+    for t, s in zip(traj.times, traj.states):
+        w.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in flatten(s)])
+    return buf.getvalue()
+
+
+def _csv_trajectories():
+    rng = np.random.default_rng(21)
+    for cfg in (random_phase_config(rng, 7, alpha=0.3),
+                random_sphere_config(rng, 6, 3, w_scale=0.5),
+                random_unitary_config(rng, 4, 3)):
+        yield integrate(cfg, default_settings(cfg, dt=0.01, record_every=7), 0.5)
+    cfg = make_sphere_config(np.eye(3), None)
+    special = np.array([[[-0.0, 5e-324, 1e308], [np.nan, np.inf, -np.inf],
+                         [1 / 3, -2.5e-17, 123456789.0]]])
+    yield Trajectory(np.array([0.0]), special, cfg)
+    yield integrate(cfg, IntegratorSettings(dt=0.1), 0.0)
+
+
+def test_trajectory_csv_matches_csv_writer_bytes():
+    for traj in _csv_trajectories():
+        assert trajectory_csv(traj).encode() == _oracle_trajectory_csv(traj).encode()
 
 
 # --- command line -------------------------------------------------------------
