@@ -1,12 +1,13 @@
 """Conserved and monotone functionals of the three flows, with drift reports.
 
-The registry at the bottom names every functional the toolkit certifies;
-scenario checks and the CLI refer to functionals by those names.  Drift is
-measured relative to max(|value at t=0|, 1e-8) so functionals legitimately
-near zero do not blow up the relative measure; the frustrated circle
-functional is evaluated in log space to avoid overflow of its exponential
-factor on long runs, and the skew-frustration chord product as a sum of
-log-chords, since the product of N(N-1)/2 chords overflows at N in the
+The table :data:`OBSERVABLES` names every functional the toolkit certifies,
+with its default check kind and its index count; scenario checks refer to
+functionals by those names, and the scenario schema's name enum lists them.
+Drift is measured relative to max(|value at t=0|, 1e-8) so functionals
+legitimately near zero do not blow up the relative measure; the frustrated
+circle functional is evaluated in log space to avoid overflow of its
+exponential factor on long runs, and the skew-frustration chord product as a
+sum of log-chords, since the product of N(N-1)/2 chords overflows at N in the
 hundreds.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import dynamics
 from .errors import DegenerateDenominator, SingularDifference, ZeroFactor
 from .integrate import Trajectory
-from .state import Config, PhaseConfig, SphereConfig, UnitaryConfig
+from .state import Config, PhaseConfig
 
 REL_FLOOR = 1e-8
 DEGENERACY_EPS = 1e-14
@@ -278,22 +279,6 @@ def spectrum_matching_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# model-dispatching diameter
-
-
-def diameters(cfg: Config) -> float:
-    """The model's diameter functional: phase spread D(Theta), summed squared
-    chord distances D_M(X), or max pairwise Frobenius distance D(U)."""
-    if isinstance(cfg, PhaseConfig):
-        return phase_diameter(cfg.theta)
-    if isinstance(cfg, SphereConfig):
-        return sphere_squared_diameter(cfg.x)
-    if isinstance(cfg, UnitaryConfig):
-        return matrix_diameter(cfg.u)
-    raise TypeError(f"not a model configuration: {type(cfg)!r}")
-
-
-# ---------------------------------------------------------------------------
 # observables and drift reports
 
 
@@ -318,84 +303,72 @@ class Observable:
         return np.array([self.fn(traj.config, s) for s in traj.states])
 
 
-def _indices_label(name: str, idx) -> str:
-    return name + "_" + "_".join(str(i) for i in idx)
+def _alpha(cfg: Config) -> float:
+    return cfg.alpha if isinstance(cfg, PhaseConfig) else 0.0
+
+
+def _dm_kind(cfg: Config) -> Kind:
+    return Kind.NON_INCREASING if cfg.kappa > 0 else Kind.NON_DECREASING
+
+
+# name -> (value on (config, state, indices), default kind or a function of the
+# config giving it, number of indices).  The functionals are looked up when
+# called, not captured, so rebinding a module-level name reaches every
+# observable built on it.
+OBSERVABLES = {
+    "kuramoto_I": (lambda c, s, idx: functional_I(s), Kind.CONSERVED, 0),
+    "kuramoto_J": (lambda c, s, idx: functional_J_alpha_log(s, _alpha(c))[1],
+                   Kind.CONSERVED_LOG, 0),
+    "kuramoto_K": (lambda c, s, idx: cross_ratio_K(s, *idx), Kind.CONSERVED, 4),
+    "order_R": (lambda c, s, idx: order_parameter_R(s)[0], Kind.RECORD, 0),
+    "total_phase": (lambda c, s, idx: float(np.sum(s)), Kind.NON_DECREASING, 0),
+    "phase_diameter": (lambda c, s, idx: phase_diameter(s), Kind.RECORD, 0),
+    "sphere_H": (lambda c, s, idx: sphere_cross_ratio_H(s, *idx), Kind.CONSERVED, 4),
+    "ptolemy": (lambda c, s, idx: ptolemy_residual(s, *idx), Kind.BOUNDED, 4),
+    "sphere_rho": (lambda c, s, idx: sphere_order_parameter(s), Kind.RECORD, 0),
+    "sphere_rho_sq": (lambda c, s, idx: sphere_order_parameter(s) ** 2,
+                      Kind.NON_DECREASING, 0),
+    "sphere_DM": (lambda c, s, idx: sphere_squared_diameter(s), _dm_kind, 0),
+    "pair_inner": (lambda c, s, idx: float(s[idx[0]] @ s[idx[1]]), Kind.CONSERVED, 2),
+    "pair_distance_product": (lambda c, s, idx: skew_frustration_log_product(s),
+                              Kind.CONSERVED_LOG, 0),
+    "matrix_D": (lambda c, s, idx: matrix_diameter(s), Kind.RECORD, 0),
+    "matrix_cross_ratio": (lambda c, s, idx: matrix_cross_ratio_spectrum(s, *idx),
+                           Kind.CONSERVED, 4),
+}
 
 
 def make_observable(name: str, config: Config, indices=None,
                     kind: Kind | None = None) -> Observable:
-    """Look up a registered functional by name.
+    """Build the observable registered under ``name`` in :data:`OBSERVABLES`.
 
     ``indices`` selects the oscillators for cross-ratio-type functionals.
-    An unknown name raises ValueError.
+    ``kind`` overrides the registered kind, except that the two conserved
+    checks are not interchangeable: a log-valued functional takes
+    'conserved-log' and never 'conserved', a linear one never
+    'conserved-log'.  An unknown name or a refused override raises
+    ValueError.
     """
-    label = name if indices is None else _indices_label(name, indices)
-    idx = tuple(indices) if indices is not None else None
-
-    def need_idx(n):
-        if idx is None or len(idx) != n:
-            raise ValueError(f"observable {name!r} needs {n} indices")
-
-    if name == "kuramoto_I":
-        ob = Observable(label, Kind.CONSERVED, lambda c, s: functional_I(s))
-    elif name == "kuramoto_J":
-        alpha = config.alpha if isinstance(config, PhaseConfig) else 0.0
-        ob = Observable(label, Kind.CONSERVED_LOG,
-                        lambda c, s: functional_J_alpha_log(s, alpha)[1])
-    elif name == "kuramoto_K":
-        need_idx(4)
-        ob = Observable(label, Kind.CONSERVED, lambda c, s: cross_ratio_K(s, *idx))
-    elif name == "order_R":
-        ob = Observable(label, Kind.RECORD, lambda c, s: order_parameter_R(s)[0])
-    elif name == "total_phase":
-        ob = Observable(label, Kind.NON_DECREASING, lambda c, s: float(np.sum(s)))
-    elif name == "phase_diameter":
-        ob = Observable(label, Kind.RECORD, lambda c, s: phase_diameter(s))
-    elif name == "sphere_H":
-        need_idx(4)
-        ob = Observable(label, Kind.CONSERVED,
-                        lambda c, s: sphere_cross_ratio_H(s, *idx))
-    elif name == "ptolemy":
-        need_idx(4)
-        ob = Observable(label, Kind.BOUNDED, lambda c, s: ptolemy_residual(s, *idx))
-    elif name == "sphere_rho":
-        ob = Observable(label, Kind.RECORD, lambda c, s: sphere_order_parameter(s))
-    elif name == "sphere_rho_sq":
-        ob = Observable(label, Kind.NON_DECREASING,
-                        lambda c, s: sphere_order_parameter(s) ** 2)
-    elif name == "sphere_DM":
-        default = Kind.NON_INCREASING if config.kappa > 0 else Kind.NON_DECREASING
-        ob = Observable(label, default, lambda c, s: sphere_squared_diameter(s))
-    elif name == "pair_inner":
-        need_idx(2)
-        i, j = idx
-        ob = Observable(label, Kind.CONSERVED, lambda c, s: float(s[i] @ s[j]))
-    elif name == "pair_distance_product":
-        ob = Observable(label, Kind.CONSERVED_LOG,
-                        lambda c, s: skew_frustration_log_product(s))
-    elif name == "matrix_D":
-        ob = Observable(label, Kind.RECORD, lambda c, s: matrix_diameter(s))
-    elif name == "matrix_cross_ratio":
-        need_idx(4)
-        ob = Observable(label, Kind.CONSERVED,
-                        lambda c, s: matrix_cross_ratio_spectrum(s, *idx))
-    else:
+    if name not in OBSERVABLES:
         raise ValueError(f"unknown functional name {name!r}")
-    if kind is Kind.CONSERVED and ob.kind is Kind.CONSERVED_LOG:
+    value, default, n_idx = OBSERVABLES[name]
+    if not isinstance(default, Kind):
+        default = default(config)
+    idx = tuple(indices) if indices is not None else None
+    if n_idx and (idx is None or len(idx) != n_idx):
+        raise ValueError(f"observable {name!r} needs {n_idx} indices")
+    log_valued = default is Kind.CONSERVED_LOG
+    if kind is Kind.CONSERVED and log_valued:
         raise ValueError(f"observable {name!r} is a logarithm: a relative "
                          "'conserved' check on it carries no information; "
                          "use 'conserved-log'")
-    if kind is not None:
-        ob = Observable(ob.label, kind, ob.fn)
-    return ob
-
-
-OBSERVABLE_NAMES = (
-    "kuramoto_I", "kuramoto_J", "kuramoto_K", "order_R", "total_phase",
-    "phase_diameter", "sphere_H", "ptolemy", "sphere_rho", "sphere_rho_sq",
-    "sphere_DM", "pair_inner", "pair_distance_product", "matrix_D",
-    "matrix_cross_ratio",
-)
+    if kind is Kind.CONSERVED_LOG and not log_valued:
+        raise ValueError(f"observable {name!r} is not a logarithm: a "
+                         "'conserved-log' check would read its differences "
+                         "as log differences")
+    label = name if idx is None else name + "_" + "_".join(str(i) for i in idx)
+    return Observable(label, default if kind is None else kind,
+                      lambda c, s: value(c, s, idx))
 
 
 @dataclass

@@ -117,7 +117,7 @@ def _stereo_rhs(state: np.ndarray, kappa: float, n: int) -> np.ndarray:
     w = 1.0 / (1.0 + norm2)
     drift = 2.0 * (w[:, None] * ys).sum(axis=0)       # sum 2 y_j/(1+|y_j|^2)
     radial = 1.0 + np.sum((norm2 - 1.0) * w)
-    inner = (ys @ ys.T * w[None, :]).sum(axis=1)      # sum_j <y_i,y_j>/(1+|y_j|^2)
+    inner = ys @ drift / 2.0                          # sum_j <y_i,y_j>/(1+|y_j|^2)
     dys = (kappa / n) * (drift[None, :] + radial * ys - 2.0 * inner[:, None] * x_n[None, :])
     dx_n = (kappa / n) * drift
     return np.vstack([dys, dx_n[None, :]])

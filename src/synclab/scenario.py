@@ -36,7 +36,13 @@ from .integrate import (
     default_settings,
     integrate,
 )
-from .invariants import Kind, Observable, drift_report, make_observable
+from .invariants import (
+    Kind,
+    Observable,
+    drift_report,
+    drift_reports_to_json,
+    make_observable,
+)
 from .state import (
     Config,
     Flavor,
@@ -281,8 +287,7 @@ def run_scenario(doc: dict, out_dir, seed_override: int | None = None,
         files[f"{sid}_trajectory.csv"] = trajectory_csv(traj)
         obs_csv = observables_csv(traj, series)
         files[f"{sid}_observables.csv"] = obs_csv
-        files[f"{sid}_drift.json"] = json.dumps(
-            [r.to_dict() for r in reports], indent=2) + "\n"
+        files[f"{sid}_drift.json"] = drift_reports_to_json(reports) + "\n"
         if resolved.get("output", {}).get("dat_mirror"):
             files[f"{sid}_observables.dat"] = dat_mirror(obs_csv)
 

@@ -206,6 +206,37 @@ def test_conserved_check_on_log_functional_is_rejected(name):
     assert ob.kind is inv.Kind.CONSERVED_LOG
 
 
+@pytest.mark.parametrize("name", ["kuramoto_I", "total_phase", "order_R", "sphere_DM"])
+def test_conserved_log_check_on_linear_functional_is_rejected(name):
+    # a log-space check on a linear functional would read value differences
+    # as log differences and pass a drift its own 'conserved' check fails
+    cfg = make_phase_config([0.1, 0.9, 2.0, 3.5])
+    with pytest.raises(ValueError, match="not a logarithm"):
+        inv.make_observable(name, cfg, kind=inv.Kind.CONSERVED_LOG)
+
+
+@pytest.mark.parametrize("name, kind, n_idx", [
+    ("kuramoto_I", "conserved", 0), ("kuramoto_J", "conserved-log", 0),
+    ("kuramoto_K", "conserved", 4), ("order_R", "record", 0),
+    ("total_phase", "non-decreasing", 0), ("phase_diameter", "record", 0),
+    ("sphere_H", "conserved", 4), ("ptolemy", "bounded", 4),
+    ("sphere_rho", "record", 0), ("sphere_rho_sq", "non-decreasing", 0),
+    ("sphere_DM", "non-increasing", 0), ("pair_inner", "conserved", 2),
+    ("pair_distance_product", "conserved-log", 0), ("matrix_D", "record", 0),
+    ("matrix_cross_ratio", "conserved", 4),
+])
+def test_registered_kinds_labels_and_index_counts(name, kind, n_idx):
+    cfg = make_phase_config([0.1, 0.9, 2.0, 3.5], kappa=1.0)
+    idx = list(range(n_idx)) or None
+    ob = inv.make_observable(name, cfg, idx)
+    assert ob.kind is inv.Kind(kind)
+    assert ob.label == (name if idx is None else name + "_" + "_".join(map(str, idx)))
+    if n_idx:
+        for bad in (None, list(range(n_idx - 1))):
+            with pytest.raises(ValueError, match=f"needs {n_idx} indices"):
+                inv.make_observable(name, cfg, bad)
+
+
 def test_affine_fit_residual_planar_points():
     rng = np.random.default_rng(2)
     pts = np.c_[rng.standard_normal((6, 2)), np.ones(6)]

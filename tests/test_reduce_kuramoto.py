@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from synclab import reduce_kuramoto as rk
 from synclab.errors import CoincidentPhase
 from synclab.integrate import IntegratorSettings, integrate
-from synclab.state import Flavor, make_phase_config
+from synclab.state import Flavor, make_phase_config, random_phase_config
 
 
 def test_projection_closed_forms():
@@ -133,6 +133,50 @@ def test_reconstruct_rejects_mismatched_grids():
     red = rk.integrate_fg(data, IntegratorSettings(dt=1e-2), 0.5)
     with pytest.raises(ValueError):
         rk.reconstruct_and_compare(full, red)
+
+
+def _oracle_affine_identity_residual(full, reduced):
+    # the (N-1)^4 formulation reconstruct_and_compare replaced, kept as the oracle
+    data = reduced.data
+    lead = data.perm[: data.x0.size]
+    x0 = data.x0
+    diffs0 = x0[:, None] - x0[None, :]
+    worst = 0.0
+    for theta in full.states:
+        xt = np.array([rk.stereo_project_phase(theta[j], theta[-1]) for j in lead])
+        if xt.size >= 2:
+            diffs_t = xt[:, None] - xt[None, :]
+            lhs = diffs_t[:, :, None, None] * diffs0[None, None, :, :]
+            rhs = diffs0[:, :, None, None] * diffs_t[None, None, :, :]
+            scale = max(1.0, float(np.max(np.abs(lhs))))
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
+    return worst
+
+
+def _full_and_reduced(n, seed, t_final):
+    cfg = random_phase_config(np.random.default_rng(seed), n, kappa=1.0, alpha=0.4)
+    data = rk.project_phase_config(cfg)
+    full_cfg = make_phase_config(cfg.theta[data.perm], cfg.nu[data.perm],
+                                 cfg.kappa, data.alpha, Flavor.SINE)
+    settings = IntegratorSettings(dt=1e-2, record_every=10)
+    return (integrate(full_cfg, settings, t_final),
+            rk.integrate_fg(data, settings, t_final))
+
+
+@pytest.mark.parametrize("n", [2, 5, 30])
+def test_affine_identity_residual_matches_four_index_formula(n):
+    for seed in range(3):
+        full, red = _full_and_reduced(n, seed, 1.0)
+        got = rk.reconstruct_and_compare(full, red).affine_identity_residual
+        assert abs(got - _oracle_affine_identity_residual(full, red)) <= 1e-15
+
+
+def test_reconstruct_and_compare_at_n100():
+    # the four-index formulation needed 0.77 GB per array here
+    full, red = _full_and_reduced(100, 0, 0.2)
+    report = rk.reconstruct_and_compare(full, red)
+    assert np.isfinite(report.max_error)
+    assert 0.0 <= report.affine_identity_residual < 1e-10
 
 
 def test_appendix_bounds_hold_on_random_runs():

@@ -4,7 +4,7 @@ import pytest
 from synclab import reduce_sphere as rs
 from synclab.errors import CoincidentPoint
 from synclab.integrate import IntegratorSettings
-from synclab.state import make_sphere_config
+from synclab.state import make_sphere_config, random_sphere_config
 
 
 def test_project_antipodal_maps_to_origin():
@@ -189,3 +189,30 @@ def test_aggregation_pure_skew_is_unconditioned_and_fails():
     assert not res.hypothesis_ok
     assert res.verdict == "Unconditioned"
     assert not res.aggregated
+
+
+def _gram_stereo_rhs(state, kappa, n):
+    # the (N-1)^2 Gram-matrix formulation of inner, kept as the oracle
+    ys = state[:-1]
+    x_n = state[-1]
+    norm2 = np.sum(ys * ys, axis=1)
+    w = 1.0 / (1.0 + norm2)
+    drift = 2.0 * (w[:, None] * ys).sum(axis=0)
+    radial = 1.0 + np.sum((norm2 - 1.0) * w)
+    inner = (ys @ ys.T * w[None, :]).sum(axis=1)
+    dys = (kappa / n) * (drift[None, :] + radial * ys - 2.0 * inner[:, None] * x_n[None, :])
+    return np.vstack([dys, (kappa / n) * drift[None, :]])
+
+
+@pytest.mark.parametrize("n", [5, 24, 100])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_stereo_rhs_matches_gram_formula(n, d):
+    for seed in range(5):
+        cfg = random_sphere_config(np.random.default_rng(seed), n, d, kappa=1.3)
+        data = rs.project_sphere_config(cfg)
+        state = np.vstack([data.y0, data.x_n0[None, :]])
+        got = rs._stereo_rhs(state, cfg.kappa, n)
+        want = _gram_stereo_rhs(state, cfg.kappa, n)
+        # relative to the largest entry: single entries cancel to near zero
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)))

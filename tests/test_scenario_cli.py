@@ -183,6 +183,47 @@ def test_conserved_check_on_log_functional_is_a_scenario_error(tmp_path):
     assert "conserved-log" in res.error
 
 
+def test_conserved_log_check_on_linear_functional_is_a_scenario_error(tmp_path):
+    # |I| is about 2e-5 on this run: the registered relative check fails at
+    # drift 2e-5, while differences of I read as log differences would pass
+    doc = {"id": "linlog", "seed": 3, "t_final": 5.0,
+           "model": {"kind": "kuramoto", "kappa": 1.0, "flavor": "cosine",
+                     "initial": {"random": {"n": 20}}},
+           "integrator": {"dt": 0.5},
+           "observables": [{"name": "kuramoto_I", "tolerance": 1e-6}]}
+    res = run_scenario(doc, tmp_path, quiet=True)
+    assert res.exit_code == 2 and res.failed_checks == ["kuramoto_I"]
+    doc["observables"][0]["check"] = "conserved-log"
+    res = run_scenario(doc, tmp_path, quiet=True)
+    assert res.exit_code == 1
+    assert res.error.startswith("$.observables[0]:")
+    assert "not a logarithm" in res.error
+
+
+def test_schema_enums_match_the_python_enums():
+    from importlib import resources
+
+    from synclab.integrate import Projection, Scheme
+    from synclab.invariants import OBSERVABLES, Kind
+    from synclab.state import Flavor
+
+    def schema(name):
+        with resources.files("synclab").joinpath(name).open() as fh:
+            return json.load(fh)
+
+    props = schema("scenario.schema.json")["properties"]
+    observable = props["observables"]["items"]["properties"]
+    assert observable["name"]["enum"] == list(OBSERVABLES)
+    kinds = [k.value for k in Kind]
+    assert observable["check"]["enum"] == kinds
+    report = schema("report.schema.json")["$defs"]["driftReport"]["items"]
+    assert report["properties"]["kind"]["enum"] == kinds
+    integrator = props["integrator"]["properties"]
+    assert integrator["scheme"]["enum"] == [s.value for s in Scheme]
+    assert integrator["projection"]["enum"] == [p.value for p in Projection] + ["auto"]
+    assert props["model"]["properties"]["flavor"]["enum"] == [f.value for f in Flavor]
+
+
 def test_each_functional_is_evaluated_once_per_record(tmp_path, monkeypatch):
     names = ("skew_frustration_log_product", "sphere_cross_ratio_H",
              "sphere_order_parameter", "sphere_squared_diameter")
