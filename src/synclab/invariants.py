@@ -1,8 +1,9 @@
 """Conserved and monotone functionals of the three flows, with drift reports.
 
 The table :data:`OBSERVABLES` names every functional the toolkit certifies,
-with its default check kind and its index count; scenario checks refer to
-functionals by those names, and the scenario schema's name enum lists them.
+with its default check kind, its index count and the model it is defined
+on; scenario checks refer to functionals by those names, and the scenario
+schema's name enum lists them.
 Drift is measured relative to max(|value at t=0|, 1e-8) so functionals
 legitimately near zero do not blow up the relative measure; the frustrated
 circle functional is evaluated in log space to avoid overflow of its
@@ -24,7 +25,7 @@ import numpy as np
 from . import dynamics
 from .errors import DegenerateDenominator, SingularDifference, ZeroFactor
 from .integrate import Trajectory
-from .state import Config, PhaseConfig
+from .state import Config, PhaseConfig, SphereConfig, UnitaryConfig
 
 REL_FLOOR = 1e-8
 DEGENERACY_EPS = 1e-14
@@ -311,30 +312,37 @@ def _dm_kind(cfg: Config) -> Kind:
     return Kind.NON_INCREASING if cfg.kappa > 0 else Kind.NON_DECREASING
 
 
+# the scenario schema's model.kind of each configuration class
+_MODEL_KIND = {PhaseConfig: "kuramoto", SphereConfig: "sphere", UnitaryConfig: "matrix"}
+
 # name -> (value on (config, state, indices), default kind or a function of the
-# config giving it, number of indices).  The functionals are looked up when
-# called, not captured, so rebinding a module-level name reaches every
-# observable built on it.
+# config giving it, number of indices, model kind).  The functionals are
+# looked up when called, not captured, so rebinding a module-level name
+# reaches every observable built on it.
 OBSERVABLES = {
-    "kuramoto_I": (lambda c, s, idx: functional_I(s), Kind.CONSERVED, 0),
+    "kuramoto_I": (lambda c, s, idx: functional_I(s), Kind.CONSERVED, 0, "kuramoto"),
     "kuramoto_J": (lambda c, s, idx: functional_J_alpha_log(s, _alpha(c))[1],
-                   Kind.CONSERVED_LOG, 0),
-    "kuramoto_K": (lambda c, s, idx: cross_ratio_K(s, *idx), Kind.CONSERVED, 4),
-    "order_R": (lambda c, s, idx: order_parameter_R(s)[0], Kind.RECORD, 0),
-    "total_phase": (lambda c, s, idx: float(np.sum(s)), Kind.NON_DECREASING, 0),
-    "phase_diameter": (lambda c, s, idx: phase_diameter(s), Kind.RECORD, 0),
-    "sphere_H": (lambda c, s, idx: sphere_cross_ratio_H(s, *idx), Kind.CONSERVED, 4),
-    "ptolemy": (lambda c, s, idx: ptolemy_residual(s, *idx), Kind.BOUNDED, 4),
-    "sphere_rho": (lambda c, s, idx: sphere_order_parameter(s), Kind.RECORD, 0),
+                   Kind.CONSERVED_LOG, 0, "kuramoto"),
+    "kuramoto_K": (lambda c, s, idx: cross_ratio_K(s, *idx), Kind.CONSERVED, 4,
+                   "kuramoto"),
+    "order_R": (lambda c, s, idx: order_parameter_R(s)[0], Kind.RECORD, 0, "kuramoto"),
+    "total_phase": (lambda c, s, idx: float(np.sum(s)), Kind.NON_DECREASING, 0,
+                    "kuramoto"),
+    "phase_diameter": (lambda c, s, idx: phase_diameter(s), Kind.RECORD, 0, "kuramoto"),
+    "sphere_H": (lambda c, s, idx: sphere_cross_ratio_H(s, *idx), Kind.CONSERVED, 4,
+                 "sphere"),
+    "ptolemy": (lambda c, s, idx: ptolemy_residual(s, *idx), Kind.BOUNDED, 4, "sphere"),
+    "sphere_rho": (lambda c, s, idx: sphere_order_parameter(s), Kind.RECORD, 0, "sphere"),
     "sphere_rho_sq": (lambda c, s, idx: sphere_order_parameter(s) ** 2,
-                      Kind.NON_DECREASING, 0),
-    "sphere_DM": (lambda c, s, idx: sphere_squared_diameter(s), _dm_kind, 0),
-    "pair_inner": (lambda c, s, idx: float(s[idx[0]] @ s[idx[1]]), Kind.CONSERVED, 2),
+                      Kind.NON_DECREASING, 0, "sphere"),
+    "sphere_DM": (lambda c, s, idx: sphere_squared_diameter(s), _dm_kind, 0, "sphere"),
+    "pair_inner": (lambda c, s, idx: float(s[idx[0]] @ s[idx[1]]), Kind.CONSERVED, 2,
+                   "sphere"),
     "pair_distance_product": (lambda c, s, idx: skew_frustration_log_product(s),
-                              Kind.CONSERVED_LOG, 0),
-    "matrix_D": (lambda c, s, idx: matrix_diameter(s), Kind.RECORD, 0),
+                              Kind.CONSERVED_LOG, 0, "sphere"),
+    "matrix_D": (lambda c, s, idx: matrix_diameter(s), Kind.RECORD, 0, "matrix"),
     "matrix_cross_ratio": (lambda c, s, idx: matrix_cross_ratio_spectrum(s, *idx),
-                           Kind.CONSERVED, 4),
+                           Kind.CONSERVED, 4, "matrix"),
 }
 
 
@@ -342,21 +350,30 @@ def make_observable(name: str, config: Config, indices=None,
                     kind: Kind | None = None) -> Observable:
     """Build the observable registered under ``name`` in :data:`OBSERVABLES`.
 
-    ``indices`` selects the oscillators for cross-ratio-type functionals.
-    ``kind`` overrides the registered kind, except that the two conserved
-    checks are not interchangeable: a log-valued functional takes
-    'conserved-log' and never 'conserved', a linear one never
-    'conserved-log'.  An unknown name or a refused override raises
-    ValueError.
+    ``indices`` selects the oscillators for cross-ratio-type functionals:
+    exactly the registered number of distinct indices in [0, N), and none
+    for the other functionals.  ``kind`` overrides the registered kind,
+    except that the two conserved checks are not interchangeable: a
+    log-valued functional takes 'conserved-log' and never 'conserved', a
+    linear one never 'conserved-log'.  ``config`` must belong to the
+    functional's model.  An unknown name, a bad index list, a refused
+    override or a foreign model raises ValueError.
     """
     if name not in OBSERVABLES:
         raise ValueError(f"unknown functional name {name!r}")
-    value, default, n_idx = OBSERVABLES[name]
+    value, default, n_idx, model = OBSERVABLES[name]
     if not isinstance(default, Kind):
         default = default(config)
     idx = tuple(indices) if indices is not None else None
+    if not n_idx and idx is not None:
+        raise ValueError(f"observable {name!r} takes no indices")
     if n_idx and (idx is None or len(idx) != n_idx):
         raise ValueError(f"observable {name!r} needs {n_idx} indices")
+    if idx is not None and not all(0 <= i < config.n for i in idx):
+        raise ValueError(f"observable {name!r}: indices {list(idx)} must lie in "
+                         f"[0, {config.n})")
+    if idx is not None and len(set(idx)) != len(idx):
+        raise ValueError(f"observable {name!r} needs distinct indices, got {list(idx)}")
     log_valued = default is Kind.CONSERVED_LOG
     if kind is Kind.CONSERVED and log_valued:
         raise ValueError(f"observable {name!r} is a logarithm: a relative "
@@ -366,6 +383,9 @@ def make_observable(name: str, config: Config, indices=None,
         raise ValueError(f"observable {name!r} is not a logarithm: a "
                          "'conserved-log' check would read its differences "
                          "as log differences")
+    if _MODEL_KIND[type(config)] != model:
+        raise ValueError(f"observable {name!r} is a functional of the {model} "
+                         f"model, not of the {_MODEL_KIND[type(config)]} model")
     label = name if idx is None else name + "_" + "_".join(str(i) for i in idx)
     return Observable(label, default if kind is None else kind,
                       lambda c, s: value(c, s, idx))

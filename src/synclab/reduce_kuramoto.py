@@ -25,26 +25,33 @@ from .state import Flavor, PhaseConfig, make_phase_config
 COINCIDENCE_TOL = 1e-12
 
 
-def _wrapped_difference(beta: float) -> float:
-    """beta reduced to (-pi, pi]."""
-    return float(np.mod(beta + np.pi, 2.0 * np.pi) - np.pi)
+def _coincident(beta: np.ndarray) -> np.ndarray:
+    """Whether beta = 0 mod 2pi within 1e-12, elementwise."""
+    return np.abs(np.mod(beta + np.pi, 2.0 * np.pi) - np.pi) < COINCIDENCE_TOL
 
 
-def stereo_project_phase(theta_j: float, theta_n: float) -> float:
-    """Stereographic coordinate x = (1+cos b)/sin b = sin b/(1-cos b).
+def project_phases(theta: np.ndarray, theta_n: np.ndarray) -> np.ndarray:
+    """The chart x = (1+cos b)/sin b = sin b/(1-cos b), b = theta - theta_n,
+    elementwise under broadcasting.
 
     The two closed forms are selected by comparing |1 - cos b| with |sin b|:
     the first is stable near b = +-pi/2, the second near b = pi.  Raises
-    CoincidentPhase when theta_j = theta_n mod 2pi within 1e-12 (the map has
-    a pole there).
+    CoincidentPhase when some b = 0 mod 2pi within 1e-12 (the map has a pole
+    there).
     """
-    beta = theta_j - theta_n
-    if abs(_wrapped_difference(beta)) < COINCIDENCE_TOL:
-        raise CoincidentPhase(f"phase difference {beta!r} is a projection pole")
+    beta = np.asarray(theta, dtype=float) - theta_n
+    pole = _coincident(beta)
+    if np.any(pole):
+        raise CoincidentPhase(f"phase difference {np.extract(pole, beta)[0]!r} "
+                              "is a projection pole")
     c, s = np.cos(beta), np.sin(beta)
-    if abs(1.0 - c) > abs(s):
-        return float(s / (1.0 - c))
-    return float((1.0 + c) / s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(1.0 - c) > np.abs(s), s / (1.0 - c), (1.0 + c) / s)
+
+
+def stereo_project_phase(theta_j: float, theta_n: float) -> float:
+    """The chart at one phase; see :func:`project_phases`."""
+    return float(project_phases(theta_j, theta_n))
 
 
 @dataclass(frozen=True)
@@ -87,15 +94,12 @@ def project_phase_config(cfg: PhaseConfig) -> ProjectedPhaseData:
     """
     if np.ptp(cfg.nu) != 0.0:
         raise ValueError("the stereographic reduction requires identical frequencies")
-    theta = cfg.theta
-    n = theta.size
-    ref = theta[-1]
-    coincident = [j for j in range(n - 1)
-                  if abs(_wrapped_difference(theta[j] - ref)) < COINCIDENCE_TOL]
-    leading = [j for j in range(n - 1) if j not in coincident]
-    perm = np.array(leading + coincident + [n - 1])
-    x0 = np.array([stereo_project_phase(theta[j], ref) for j in leading])
-    return ProjectedPhaseData(x0=x0, m=len(coincident) + 1, kappa=cfg.kappa,
+    theta, ref = cfg.theta, cfg.theta[-1]
+    coincident = _coincident(theta[:-1] - ref)
+    leading = np.flatnonzero(~coincident)
+    perm = np.concatenate([leading, np.flatnonzero(coincident), [theta.size - 1]])
+    return ProjectedPhaseData(x0=project_phases(theta[leading], ref),
+                              m=int(coincident.sum()) + 1, kappa=cfg.kappa,
                               alpha=as_sine_alpha(cfg), perm=perm,
                               theta_ref0=float(ref))
 
@@ -173,38 +177,30 @@ def reconstruct_and_compare(full: Trajectory,
     if len(full.times) != len(reduced.times) or \
             float(np.max(np.abs(np.array(full.times) - reduced.times))) > 1e-12:
         raise ValueError("full and reduced trajectories use different time grids")
-    lead = data.perm[: data.x0.size]
-    max_err = 0.0
-    max_identity = 0.0
     x0 = data.x0
+    x = project_phases(full.states[:, data.perm[: x0.size]], full.states[:, -1:])
+    recon = reduced.g[:, None] + reduced.f[:, None] * x0
+    max_err = float(np.max(np.abs(recon - x), initial=0.0))
+    max_identity = 0.0
     diffs0 = x0[:, None] - x0[None, :]
-    for idx in range(len(reduced.times)):
-        theta = full.states[idx]
-        ref = theta[-1]
-        xt = np.array([stereo_project_phase(theta[j], ref) for j in lead])
-        recon = reduced.g[idx] + reduced.f[idx] * x0
-        max_err = max(max_err, float(np.max(np.abs(recon - xt))) if xt.size else 0.0)
-        if xt.size >= 2:
-            # lhs - rhs at (i, j, k, l) is v_ijk - v_ijl, so its largest
-            # magnitude over (k, l) is the range of v_ijk over k, and the
-            # largest |lhs| is ptp(xt) ptp(x0): N^3 work, not N^4
-            diffs_t = xt[:, None] - xt[None, :]
-            v = diffs_t[:, :, None] * x0 - diffs0[:, :, None] * xt
-            scale = max(1.0, float(np.ptp(xt) * np.ptp(x0)))
-            max_identity = max(max_identity, float(np.max(np.ptp(v, axis=2))) / scale)
+    for xt in x if x0.size >= 2 else ():
+        # lhs - rhs at (i, j, k, l) is v_ijk - v_ijl, so its largest
+        # magnitude over (k, l) is the range of v_ijk over k, and the
+        # largest |lhs| is ptp(xt) ptp(x0): N^3 work, not N^4
+        v = (xt[:, None] - xt[None, :])[:, :, None] * x0 - diffs0[:, :, None] * xt
+        scale = max(1.0, float(np.ptp(xt) * np.ptp(x0)))
+        max_identity = max(max_identity, float(np.max(np.ptp(v, axis=2))) / scale)
     return PhaseReductionReport(max_error=max_err,
                                 affine_identity_residual=max_identity)
 
 
 def co_integrate(cfg: PhaseConfig, settings: IntegratorSettings,
                  t_final: float) -> PhaseReductionReport:
-    """Integrate the full flow and the reduced flow on the same grid and
-    compare.  The full system is integrated on the rearranged ordering so
-    the reference oscillator sits last."""
+    """Integrate the full flow, as the equivalent sine flow in the caller's
+    ordering, and the reduced flow on the same grid and compare."""
     data = project_phase_config(cfg)
-    full_cfg = make_phase_config(cfg.theta[data.perm], cfg.nu[data.perm],
-                                 cfg.kappa, data.alpha, Flavor.SINE)
-    full = integrate(full_cfg, settings, t_final)
+    full = integrate(make_phase_config(cfg.theta, cfg.nu, cfg.kappa, data.alpha,
+                                       Flavor.SINE), settings, t_final)
     reduced = integrate_fg(data, settings, t_final)
     return reconstruct_and_compare(full, reduced)
 

@@ -17,12 +17,11 @@ m = 1 at the reference).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from dataclasses import replace as _replace
 
 import numpy as np
 
 from .errors import CoincidentPoint, IntegrationError, PassedThroughProjectionPoint
-from dataclasses import replace as _replace
-
 from .integrate import (
     IntegratorSettings,
     Projection,
@@ -30,22 +29,34 @@ from .integrate import (
     integrate,
     polar_factor,
 )
+from .invariants import aggregation_diameter, max_pairwise_distance, min_pairwise_distance
 from .state import SphereConfig
 
 COINCIDENCE_TOL = 1e-12
 BLOWUP_LIMIT = 1e12
 
 
-def sphere_stereo_project(x_j: np.ndarray, x_n: np.ndarray) -> np.ndarray:
-    """y = x_N + 2 (x_j - x_N)/||x_j - x_N||^2, a point of the hyperplane
-    orthogonal to x_N.  Raises CoincidentPoint at the projection pole."""
-    x_j = np.asarray(x_j, dtype=float)
-    x_n = np.asarray(x_n, dtype=float)
-    diff = x_j - x_n
-    d2 = float(diff @ diff)
-    if d2 < COINCIDENCE_TOL ** 2:
+def project_all(x: np.ndarray) -> np.ndarray:
+    """The chart: y_j = x_N + 2 (x_j - x_N)/||x_j - x_N||^2 for the rows
+    x[..., :-1, :], relative to the reference x[..., -1, :], with an optional
+    leading record axis.  Each y_j lies in the hyperplane orthogonal to x_N.
+    Raises CoincidentPoint at the projection pole.
+
+    The squared norms are stacked 1 x 1 products, which round like the dot
+    product of one row with itself.
+    """
+    x = np.asarray(x, dtype=float)
+    x_n = x[..., -1:, :]
+    diff = x[..., :-1, :] - x_n
+    d2 = (diff[..., None, :] @ diff[..., :, None])[..., 0]
+    if np.any(d2 < COINCIDENCE_TOL ** 2):
         raise CoincidentPoint("cannot project the reference point itself")
     return x_n + (2.0 / d2) * diff
+
+
+def sphere_stereo_project(x_j: np.ndarray, x_n: np.ndarray) -> np.ndarray:
+    """The chart at one point x_j; see :func:`project_all`."""
+    return project_all(np.stack([x_j, x_n]))[0]
 
 
 def sphere_stereo_invert(y_j: np.ndarray, x_n: np.ndarray) -> np.ndarray:
@@ -57,12 +68,6 @@ def sphere_stereo_invert(y_j: np.ndarray, x_n: np.ndarray) -> np.ndarray:
         raise ValueError("y must be orthogonal to the reference point")
     n2 = float(y_j @ y_j)
     return (2.0 * y_j + (n2 - 1.0) * x_n) / (1.0 + n2)
-
-
-def project_all(x: np.ndarray) -> np.ndarray:
-    """Project rows x[0..N-2] relative to the reference x[N-1]."""
-    x = np.asarray(x, dtype=float)
-    return np.array([sphere_stereo_project(xi, x[-1]) for xi in x[:-1]])
 
 
 @dataclass(frozen=True)
@@ -84,13 +89,12 @@ class ProjectedSphereData:
 
 
 def project_sphere_config(cfg: SphereConfig) -> ProjectedSphereData:
-    """Requires pairwise-distinct points (the reduction is restricted to
-    multiplicity one at the reference) and V = I, Omega = 0."""
+    """Requires at least two pairwise-distinct points (the reduction is
+    restricted to multiplicity one at the reference) and V = I, Omega = 0."""
     x = cfg.x
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    iu = np.triu_indices(x.shape[0], k=1)
-    if np.any(dist[iu] < COINCIDENCE_TOL):
+    if x.shape[0] < 2:
+        raise ValueError("the sphere reduction needs at least two points")
+    if min_pairwise_distance(x) < COINCIDENCE_TOL:
         raise CoincidentPoint("initial sphere points must be pairwise distinct")
     if cfg.a != 1.0 or np.any(cfg.w != 0.0) or np.any(cfg.omega != 0.0):
         raise ValueError("the sphere reduction is certified for V = I, Omega = 0 only")
@@ -166,8 +170,8 @@ class ReducedSphereTrajectory:
     data: ProjectedSphereData
 
 
-def _abm_rhs(state: np.ndarray, data: ProjectedSphereData,
-             update_m: bool) -> np.ndarray:
+def _abm_rhs(state: np.ndarray, data: ProjectedSphereData) -> np.ndarray:
+    """(a', b', M') at state (a, b, M); (a', b') do not involve M."""
     dim = data.dim
     a = state[0]
     b = state[1:1 + dim]
@@ -180,46 +184,42 @@ def _abm_rhs(state: np.ndarray, data: ProjectedSphereData,
     out = np.empty_like(state)
     out[0] = da
     out[1:1 + dim] = db
-    if update_m:
-        m = state[1 + dim:].reshape(dim, dim)
-        z = (kappa / n) * 2.0 * (w[:, None] * yk).sum(axis=0)
-        ell = np.outer(z, data.x_n0) - np.outer(data.x_n0, z)
-        out[1 + dim:] = (m @ ell).ravel()
-    else:
-        out[1 + dim:] = 0.0
+    m = state[1 + dim:].reshape(dim, dim)
+    z = (kappa / n) * 2.0 * (w[:, None] * yk).sum(axis=0)
+    ell = np.outer(z, data.x_n0) - np.outer(data.x_n0, z)
+    out[1 + dim:] = (m @ ell).ravel()
+    return out
+
+
+def _abm_project(state: np.ndarray, data: ProjectedSphereData) -> np.ndarray:
+    """b onto the hyperplane orthogonal to x_N(0), M onto its polar factor."""
+    dim = data.dim
+    out = state.copy()
+    b = out[1:1 + dim]
+    out[1:1 + dim] = b - (b @ data.x_n0) * data.x_n0
+    out[1 + dim:] = polar_factor(out[1 + dim:].reshape(dim, dim)).ravel()
     return out
 
 
 def integrate_abM(data: ProjectedSphereData, settings: IntegratorSettings,
-                  t_final: float, update_m: bool = True) -> ReducedSphereTrajectory:
+                  t_final: float) -> ReducedSphereTrajectory:
     """Integrate the (a, b, M) system from (1, 0, I).
 
     M is re-orthogonalized through its polar factor after every step (drift
     in M would contaminate reconstruction comparisons) and b is re-projected
-    onto the hyperplane orthogonal to x_N(0).  The (a, b) equations do not
-    involve M, so ``update_m=False`` freezes M at the identity without
-    changing them.  A nonpositive a signals integrator failure: the exact
-    flow keeps a > 0.
+    onto the hyperplane orthogonal to x_N(0).  A nonpositive a signals
+    integrator failure: the exact flow keeps a > 0.
     """
     dim = data.dim
     state0 = np.concatenate([[1.0], np.zeros(dim), np.eye(dim).ravel()])
-
-    def project(state):
-        out = state.copy()
-        b = out[1:1 + dim]
-        out[1:1 + dim] = b - (b @ data.x_n0) * data.x_n0
-        if update_m:
-            m = out[1 + dim:].reshape(dim, dim)
-            out[1 + dim:] = polar_factor(m).ravel()
-        return out
 
     def postcheck(state):
         if state[0] <= 0.0:
             raise IntegrationError("scaling factor a lost positivity")
 
     times, states = _integrate_array(
-        lambda s: _abm_rhs(s, data, update_m), state0, settings, t_final,
-        project=project, postcheck=postcheck)
+        lambda s: _abm_rhs(s, data), state0, settings, t_final,
+        project=lambda s: _abm_project(s, data), postcheck=postcheck)
     states = np.array(states)
     return ReducedSphereTrajectory(
         times=np.array(times), a=states[:, 0], b=states[:, 1:1 + dim],
@@ -278,38 +278,34 @@ def reduction_chain_report(cfg: SphereConfig, settings: IntegratorSettings,
                      t_final)
     stereo = integrate_stereo_full(data, settings, t_final)
     reduced = integrate_abM(data, settings, t_final)
-    y_abm, xn_abm = reconstruct_abM(reduced)
 
-    err_fs = err_sa = err_fa = 0.0
-    for idx in range(len(full.times)):
-        xs = full.states[idx]
-        y_full = project_all(xs)
-        err_fs = max(err_fs, float(np.max(np.abs(y_full - stereo.y[idx]))),
-                     float(np.max(np.abs(xs[-1] - stereo.x_n[idx]))))
-        err_sa = max(err_sa, float(np.max(np.abs(stereo.y[idx] - y_abm[idx]))),
-                     float(np.max(np.abs(stereo.x_n[idx] - xn_abm[idx]))))
-        err_fa = max(err_fa, float(np.max(np.abs(y_full - y_abm[idx]))),
-                     float(np.max(np.abs(xs[-1] - xn_abm[idx]))))
+    # (y, x_N) of each system on the whole record grid
+    by_full = (project_all(full.states), full.states[:, -1])
+    by_stereo = (stereo.y, stereo.x_n)
+    by_abm = reconstruct_abM(reduced)
+    err_fs, err_sa, err_fa = (
+        max(0.0, *(float(np.max(np.abs(u - v))) for u, v in zip(p, q)))
+        for p, q in ((by_full, by_stereo), (by_stereo, by_abm), (by_full, by_abm)))
 
-    eye = np.eye(data.dim)
     m_orth = float(np.max(np.linalg.norm(
-        np.swapaxes(reduced.m, 1, 2) @ reduced.m - eye, axis=(1, 2))))
+        np.swapaxes(reduced.m, 1, 2) @ reduced.m - np.eye(data.dim), axis=(1, 2))))
     b_orth = float(np.max(np.abs(reduced.b @ data.x_n0)))
 
-    # difference inner products scale by a(t)^2: <y_i-y_j, y_k-y_l>(t)
+    # difference inner products scale by a(t)^2: <y_i-y_j, y_k-y_l>(t) against
+    # a^2 <y_i-y_j, y_k-y_l>(0), each quadruple normalised by max(1, |lhs|),
+    # in one (N-1)^3 block of stacked dots per i; the rows with i = j or
+    # k = l are exact zeros on both sides
+    diffs = lambda y: y[:, None, :] - y[None, :, :]
     law = 0.0
-    nm1 = data.n - 1
-    if nm1 >= 2:
-        quads = [(i, j, k, l) for i in range(nm1) for j in range(nm1)
-                 for k in range(nm1) for l in range(nm1) if i != j and k != l]
-        d0 = {(i, j): data.y0[i] - data.y0[j] for i in range(nm1) for j in range(nm1)}
-        base = {q: float(d0[(q[0], q[1])] @ d0[(q[2], q[3])]) for q in quads}
-        for idx in (len(full.times) - 1, len(full.times) // 2):
-            yt = stereo.y[idx]
-            a2 = reduced.a[idx] ** 2
-            for q in quads:
-                lhs = float((yt[q[0]] - yt[q[1]]) @ (yt[q[2]] - yt[q[3]]))
-                law = max(law, abs(lhs - a2 * base[q]) / max(1.0, abs(lhs)))
+    checked = [(reduced.a[idx] ** 2, diffs(stereo.y[idx]))
+               for idx in (len(full.times) - 1, len(full.times) // 2)]
+    d0 = diffs(data.y0)
+    for i in range(data.n - 1):
+        base = d0[i][:, None, None, None, :] @ d0[..., None]
+        for a2, dt in checked:
+            lhs = dt[i][:, None, None, None, :] @ dt[..., None]
+            law = max(law, float(np.max(np.abs(lhs - a2 * base)
+                                        / np.maximum(1.0, np.abs(lhs)))))
 
     rho_dev = 0.0
     for idx in range(len(full.times)):
@@ -359,8 +355,6 @@ def sphere_aggregation_check(cfg: SphereConfig, t_final: float,
     Gronwall envelope rate 2 kappa (a - ||W||_op): the measured decay must
     reach at least half of it.
     """
-    from .invariants import aggregation_diameter, max_pairwise_distance
-
     if settings is None:
         settings = IntegratorSettings(dt=1e-3, record_every=25)
     settings = _replace(settings, projection=Projection.NORMALIZE)

@@ -15,8 +15,15 @@ import numpy as np
 
 from . import equilibria, reduce_kuramoto, reduce_sphere
 from .integrate import IntegratorSettings
+from .invariants import matrix_diameter
 from .scenario import run_scenario
-from .state import Flavor, make_phase_config, make_sphere_config, make_unitary_config
+from .state import (
+    Flavor,
+    make_phase_config,
+    make_sphere_config,
+    make_unitary_config,
+    random_unitary,
+)
 
 
 @dataclass
@@ -188,11 +195,9 @@ def _equilibria_pack(out_dir, quiet):
     rng = np.random.default_rng(5)
     for n in (3, 4):
         rep = equilibria.symmetric_standard_rep(n)
-        from .state import random_unitary
         v = random_unitary(rng, n - 1)
         cfg = equilibria.config_from_rep(rep, v=v)
         ok, res = equilibria.is_equilibrium(cfg)
-        from .invariants import matrix_diameter
         diam_ok = abs(matrix_diameter(rep.matrices) - np.sqrt(2 * n)) < 1e-10
         results.append(CheckResult(
             f"S_{n} standard rep equilibrium (random V), D = sqrt(2n)",

@@ -11,6 +11,7 @@ from synclab.state import (
     make_phase_config,
     random_sphere_config,
     random_unitary,
+    random_unitary_config,
 )
 
 
@@ -197,9 +198,17 @@ def test_pair_distance_product_verdict_at_large_n(n, dt, passes):
     assert report.verdict is passes, report
 
 
+def _config_of_model(name, n=4):
+    # a configuration of the model the observable is registered on
+    rng = np.random.default_rng(0)
+    return {"kuramoto": make_phase_config(np.linspace(0.1, 3.5, n), kappa=1.0),
+            "sphere": random_sphere_config(rng, n, 2, a=0.0),
+            "matrix": random_unitary_config(rng, n, 2)}[inv.OBSERVABLES[name][3]]
+
+
 @pytest.mark.parametrize("name", ["kuramoto_J", "pair_distance_product"])
 def test_conserved_check_on_log_functional_is_rejected(name):
-    cfg = random_sphere_config(np.random.default_rng(0), 4, 2, a=0.0)
+    cfg = _config_of_model(name)
     with pytest.raises(ValueError, match="conserved-log"):
         inv.make_observable(name, cfg, kind=inv.Kind.CONSERVED)
     ob = inv.make_observable(name, cfg, kind=inv.Kind.CONSERVED_LOG)
@@ -226,7 +235,7 @@ def test_conserved_log_check_on_linear_functional_is_rejected(name):
     ("matrix_cross_ratio", "conserved", 4),
 ])
 def test_registered_kinds_labels_and_index_counts(name, kind, n_idx):
-    cfg = make_phase_config([0.1, 0.9, 2.0, 3.5], kappa=1.0)
+    cfg = _config_of_model(name)
     idx = list(range(n_idx)) or None
     ob = inv.make_observable(name, cfg, idx)
     assert ob.kind is inv.Kind(kind)
@@ -235,6 +244,35 @@ def test_registered_kinds_labels_and_index_counts(name, kind, n_idx):
         for bad in (None, list(range(n_idx - 1))):
             with pytest.raises(ValueError, match=f"needs {n_idx} indices"):
                 inv.make_observable(name, cfg, bad)
+
+
+@pytest.mark.parametrize("name", list(inv.OBSERVABLES))
+def test_observable_of_another_model_is_rejected(name):
+    _, _, n_idx, model = inv.OBSERVABLES[name]
+    idx = list(range(n_idx)) or None
+    for other in ("kuramoto_I", "sphere_rho", "matrix_D"):
+        cfg = _config_of_model(other)
+        if inv.OBSERVABLES[other][3] == model:
+            inv.make_observable(name, cfg, idx)
+        else:
+            with pytest.raises(ValueError, match=f"a functional of the {model} model"):
+                inv.make_observable(name, cfg, idx)
+
+
+@pytest.mark.parametrize("name, indices, message", [
+    ("kuramoto_I", [0, 1], "takes no indices"),
+    ("sphere_rho", [0, 1], "takes no indices"),
+    ("kuramoto_K", [0, 1, 2, 10], r"must lie in \[0, 6\)"),
+    ("kuramoto_K", [0, 1, 2, -1], r"must lie in \[0, 6\)"),
+    ("kuramoto_K", [0, 1, 2, 2], "distinct indices"),
+    ("ptolemy", [0, 0, 1, 2], "distinct indices"),
+    ("pair_inner", [1, 1], "distinct indices"),
+    ("matrix_cross_ratio", [0, 0, 1, 2], "distinct indices"),
+])
+def test_index_rules(name, indices, message):
+    cfg = _config_of_model(name, n=6)
+    with pytest.raises(ValueError, match=message):
+        inv.make_observable(name, cfg, indices)
 
 
 def test_affine_fit_residual_planar_points():

@@ -27,6 +27,39 @@ def test_projection_is_half_angle_cotangent(beta):
         1.0 / np.tan(beta / 2.0), rel=1e-9, abs=1e-9)
 
 
+def _oracle_chart(theta_j, theta_n):
+    # the scalar chart the array form replaced, kept as the oracle
+    beta = theta_j - theta_n
+    if abs(float(np.mod(beta + np.pi, 2.0 * np.pi) - np.pi)) < rk.COINCIDENCE_TOL:
+        raise CoincidentPhase(f"phase difference {beta!r} is a projection pole")
+    c, s = np.cos(beta), np.sin(beta)
+    if abs(1.0 - c) > abs(s):
+        return float(s / (1.0 - c))
+    return float((1.0 + c) / s)
+
+
+def test_array_chart_matches_scalar_formula_bit_for_bit():
+    rng = np.random.default_rng(3)
+    ref = rng.uniform(-10.0, 10.0, 40)
+    # random phases, and phases next to the branch switch at +-pi/2 and at pi
+    edges = np.array([np.pi / 2, -np.pi / 2, np.pi, -np.pi, 3 * np.pi / 2])
+    theta = np.concatenate([rng.uniform(-20.0, 20.0, (40, 200)),
+                            ref[:, None] + edges + rng.uniform(-1e-9, 1e-9, (40, 5)),
+                            ref[:, None] + np.nextafter(edges, 0.0)], axis=1)
+    got = rk.project_phases(theta, ref[:, None])
+    want = np.array([[_oracle_chart(t, r) for t in row] for row, r in zip(theta, ref)])
+    assert np.array_equal(got, want)
+    assert all(rk.stereo_project_phase(t, ref[0]) == w for t, w in zip(theta[0], want[0]))
+    cfg = make_phase_config(np.append(theta[0], ref[0]))
+    assert np.array_equal(rk.project_phase_config(cfg).x0, want[0])
+
+
+def test_array_chart_rejects_any_coincident_phase():
+    with pytest.raises(CoincidentPhase):
+        rk.project_phases(np.array([[0.5, 1.0], [2.0, 0.3 + 4 * np.pi]]),
+                          np.array([[0.1], [0.3]]))
+
+
 def test_ab_all_coincident_empty_sum():
     a, b = rk.ab_coefficients(np.array([]), m=4, kappa=1.0, alpha=0.0)
     assert a == pytest.approx(0.0)
@@ -79,6 +112,17 @@ def test_projection_bookkeeping_with_multiplicity():
     assert data.m == 3  # indices 1 and 2 coincide with the reference 0.5
     assert data.x0.size == 2
     assert list(data.perm) == [0, 3, 1, 2, 4]
+
+
+@pytest.mark.parametrize("alpha, flavor", [(0.4, Flavor.SINE), (1.1, Flavor.COSINE)])
+def test_co_integrate_with_oscillators_coincident_with_the_reference(alpha, flavor):
+    # oscillators 1 and 2 coincide with the reference; the full flow runs in
+    # the caller's order, which is the order reconstruction reads it in
+    theta = np.array([1.0, 0.5, 0.5 + 2 * np.pi, 2.2, 0.5])
+    cfg = make_phase_config(theta, 0.0, 1.0, alpha, flavor)
+    report = rk.co_integrate(cfg, IntegratorSettings(dt=1e-3, record_every=10), 3.0)
+    assert report.max_error < 1e-10
+    assert report.affine_identity_residual < 1e-10
 
 
 def test_project_rejects_heterogeneous_frequencies():
@@ -169,6 +213,25 @@ def test_affine_identity_residual_matches_four_index_formula(n):
         full, red = _full_and_reduced(n, seed, 1.0)
         got = rk.reconstruct_and_compare(full, red).affine_identity_residual
         assert abs(got - _oracle_affine_identity_residual(full, red)) <= 1e-15
+
+
+def _oracle_max_error(full, reduced):
+    # the per-record reconstruction loop, kept as the oracle
+    lead = reduced.data.perm[: reduced.data.x0.size]
+    worst = 0.0
+    for idx, theta in enumerate(full.states):
+        xt = np.array([_oracle_chart(theta[j], theta[-1]) for j in lead])
+        recon = reduced.g[idx] + reduced.f[idx] * reduced.data.x0
+        worst = max(worst, float(np.max(np.abs(recon - xt))) if xt.size else 0.0)
+    return worst
+
+
+@pytest.mark.parametrize("n", [2, 5, 30])
+def test_reconstruction_error_matches_per_record_loop(n):
+    for seed in range(3):
+        full, red = _full_and_reduced(n, seed, 1.0)
+        got = rk.reconstruct_and_compare(full, red).max_error
+        assert got == _oracle_max_error(full, red)
 
 
 def test_reconstruct_and_compare_at_n100():

@@ -1,9 +1,12 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from synclab import reduce_sphere as rs
 from synclab.errors import CoincidentPoint
-from synclab.integrate import IntegratorSettings
+from synclab.integrate import IntegratorSettings, Projection, integrate, polar_factor
 from synclab.state import make_sphere_config, random_sphere_config
 
 
@@ -66,6 +69,11 @@ def test_project_config_requires_distinct_points():
         rs.project_sphere_config(frustrated)
 
 
+def test_project_config_needs_two_points():
+    with pytest.raises(ValueError, match="at least two points"):
+        rs.project_sphere_config(make_sphere_config(np.array([[0.0, 0.0, 1.0]])))
+
+
 def test_zero_coupling_trajectories_are_constant():
     rng = np.random.default_rng(1)
     cfg = make_sphere_config(rng.standard_normal((4, 3)), kappa=0.0)
@@ -100,16 +108,21 @@ def test_two_particle_pendulum_oracle():
     np.testing.assert_allclose(norms, np.exp(kappa * red.times), rtol=1e-9)
 
 
-def test_hierarchy_ab_does_not_depend_on_m():
+def test_hierarchy_ab_entries_do_not_depend_on_m():
+    # the rhs and the projection give the same (a, b) entries for any
+    # orthogonal M, so the (a, b) equations decouple from M
     rng = np.random.default_rng(2)
-    cfg = make_sphere_config(rng.standard_normal((5, 3)), kappa=1.0)
-    data = rs.project_sphere_config(cfg)
-    with_m = rs.integrate_abM(data, IntegratorSettings(dt=1e-2), 1.0)
-    without_m = rs.integrate_abM(data, IntegratorSettings(dt=1e-2), 1.0,
-                                 update_m=False)
-    assert np.array_equal(with_m.a, without_m.a)
-    assert np.array_equal(with_m.b, without_m.b)
-    np.testing.assert_allclose(without_m.m, np.broadcast_to(np.eye(3), without_m.m.shape), atol=1e-15)
+    for dim in (2, 3, 4):
+        cfg = make_sphere_config(rng.standard_normal((5, dim)), kappa=1.3)
+        data = rs.project_sphere_config(cfg)
+        ab = np.concatenate([[rng.uniform(0.5, 2.0)], rng.standard_normal(dim)])
+        at_identity = np.concatenate([ab, np.eye(dim).ravel()])
+        for _ in range(5):
+            m = polar_factor(rng.standard_normal((dim, dim)))
+            state = np.concatenate([ab, m.ravel()])
+            for fn in (rs._abm_rhs, rs._abm_project):
+                assert np.array_equal(fn(state, data)[:1 + dim],
+                                      fn(at_identity, data)[:1 + dim])
 
 
 def test_reduction_chain_consistency():
@@ -216,3 +229,97 @@ def test_stereo_rhs_matches_gram_formula(n, d):
         # relative to the largest entry: single entries cancel to near zero
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-13 * np.max(np.abs(want)))
+
+
+def _oracle_stereo_project(x_j, x_n):
+    # the per-point chart reduction_chain_report used before the array form
+    diff = x_j - x_n
+    d2 = float(diff @ diff)
+    return x_n + (2.0 / d2) * diff
+
+
+def _oracle_chain_report(cfg, settings, t_final):
+    # the per-record and per-quadruple loops of the earlier
+    # reduction_chain_report, kept as the oracle
+    data = rs.project_sphere_config(cfg)
+    full = integrate(cfg, dataclasses.replace(settings, projection=Projection.NORMALIZE),
+                     t_final)
+    stereo = rs.integrate_stereo_full(data, settings, t_final)
+    reduced = rs.integrate_abM(data, settings, t_final)
+    y_abm, xn_abm = rs.reconstruct_abM(reduced)
+    err_fs = err_sa = err_fa = 0.0
+    for idx in range(len(full.times)):
+        xs = full.states[idx]
+        y_full = np.array([_oracle_stereo_project(xi, xs[-1]) for xi in xs[:-1]])
+        err_fs = max(err_fs, float(np.max(np.abs(y_full - stereo.y[idx]))),
+                     float(np.max(np.abs(xs[-1] - stereo.x_n[idx]))))
+        err_sa = max(err_sa, float(np.max(np.abs(stereo.y[idx] - y_abm[idx]))),
+                     float(np.max(np.abs(stereo.x_n[idx] - xn_abm[idx]))))
+        err_fa = max(err_fa, float(np.max(np.abs(y_full - y_abm[idx]))),
+                     float(np.max(np.abs(xs[-1] - xn_abm[idx]))))
+    eye = np.eye(data.dim)
+    m_orth = float(np.max(np.linalg.norm(
+        np.swapaxes(reduced.m, 1, 2) @ reduced.m - eye, axis=(1, 2))))
+    b_orth = float(np.max(np.abs(reduced.b @ data.x_n0)))
+    law = 0.0
+    nm1 = data.n - 1
+    if nm1 >= 2:
+        quads = [(i, j, k, l) for i in range(nm1) for j in range(nm1)
+                 for k in range(nm1) for l in range(nm1) if i != j and k != l]
+        d0 = {(i, j): data.y0[i] - data.y0[j] for i in range(nm1) for j in range(nm1)}
+        base = {q: float(d0[(q[0], q[1])] @ d0[(q[2], q[3])]) for q in quads}
+        for idx in (len(full.times) - 1, len(full.times) // 2):
+            yt = stereo.y[idx]
+            a2 = reduced.a[idx] ** 2
+            for q in quads:
+                lhs = float((yt[q[0]] - yt[q[1]]) @ (yt[q[2]] - yt[q[3]]))
+                law = max(law, abs(lhs - a2 * base[q]) / max(1.0, abs(lhs)))
+    rho_dev = 0.0
+    for idx in range(len(full.times)):
+        from_points = float(np.linalg.norm(full.states[idx].mean(axis=0))) ** 2
+        from_reduced = rs.rho_squared_reduced(reduced.a[idx], reduced.b[idx], data)
+        rho_dev = max(rho_dev, abs(from_points - from_reduced))
+    return rs.SphereReductionReport(
+        full_vs_stereo=err_fs, stereo_vs_abm=err_sa, full_vs_abm=err_fa,
+        m_orthogonality=m_orth, a_min=float(reduced.a.min()),
+        b_orthogonality=b_orth, inner_product_law_residual=law,
+        rho_consistency=rho_dev)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 12])
+def test_reduction_chain_report_matches_loop_oracle(n):
+    for seed, d, kappa in ((0, 2, 1.0), (1, 3, -0.7)):
+        cfg = random_sphere_config(np.random.default_rng(100 * n + seed), n, d,
+                                   kappa=kappa)
+        settings = IntegratorSettings(dt=1e-2, record_every=7)
+        got = rs.reduction_chain_report(cfg, settings, 1.0)
+        want = _oracle_chain_report(cfg, settings, 1.0)
+        for field in dataclasses.fields(want):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+def test_project_all_matches_per_point_chart():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((6, 7, 4))
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    got = rs.project_all(x)
+    assert got.shape == (6, 6, 4)
+    for t in range(6):
+        want = np.array([_oracle_stereo_project(xi, x[t, -1]) for xi in x[t, :-1]])
+        assert np.array_equal(got[t], want)
+        assert np.array_equal(rs.project_all(x[t]), want)
+        assert np.array_equal(rs.sphere_stereo_project(x[t, 0], x[t, -1]), want[0])
+
+
+def test_reduction_chain_report_memory_at_n60():
+    # the per-quadruple list of the loop formulation needed gigabytes at N=100
+    cfg = random_sphere_config(np.random.default_rng(0), 60, 2)
+    tracemalloc.start()
+    try:
+        rep = rs.reduction_chain_report(cfg, IntegratorSettings(dt=1e-3, record_every=30),
+                                        0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6, peak
+    assert rep.three_way_max < 1e-10 and rep.inner_product_law_residual < 1e-10

@@ -200,6 +200,42 @@ def test_conserved_log_check_on_linear_functional_is_a_scenario_error(tmp_path):
     assert "not a logarithm" in res.error
 
 
+_MODELS = {
+    "kuramoto": {"kind": "kuramoto", "kappa": 1.0, "initial": {"random": {"n": 6}}},
+    "sphere": {"kind": "sphere", "kappa": 1.0, "initial": {"random": {"n": 6, "d": 2}}},
+    "matrix": {"kind": "matrix", "kappa": 1.0, "initial": {"random": {"n": 6, "d": 2}}},
+}
+
+
+@pytest.mark.parametrize("model, observable, message", [
+    # functionals of another model
+    ("kuramoto", {"name": "matrix_D"}, "functional of the matrix model"),
+    ("kuramoto", {"name": "sphere_H", "indices": [0, 1, 2, 3]},
+     "functional of the sphere model"),
+    ("kuramoto", {"name": "sphere_rho"}, "functional of the sphere model"),
+    ("matrix", {"name": "order_R"}, "functional of the kuramoto model"),
+    # index lists
+    ("kuramoto", {"name": "kuramoto_I", "indices": [0, 1]}, "takes no indices"),
+    ("kuramoto", {"name": "kuramoto_K", "indices": [0, 1, 2, 10]}, "must lie in"),
+    ("kuramoto", {"name": "kuramoto_K", "indices": [0, 1, 2, 2]}, "distinct indices"),
+    ("sphere", {"name": "ptolemy", "indices": [0, 0, 1, 2]}, "distinct indices"),
+    ("sphere", {"name": "pair_inner", "indices": [1, 1]}, "distinct indices"),
+    ("matrix", {"name": "matrix_cross_ratio", "indices": [0, 0, 1, 2]},
+     "distinct indices"),
+])
+def test_bad_observable_is_a_scenario_error(tmp_path, model, observable, message):
+    doc = {"id": "bad", "seed": 1, "t_final": 1.0, "model": _MODELS[model],
+           "integrator": {"dt": 0.25},
+           "observables": [{"name": "total_phase" if model == "kuramoto"
+                            else "sphere_rho" if model == "sphere" else "matrix_D"},
+                           observable]}
+    res = run_scenario(doc, tmp_path, quiet=True)
+    assert res.exit_code == 1
+    assert res.error.startswith("$.observables[1]:")
+    assert message in res.error
+    assert not list(tmp_path.iterdir())
+
+
 def test_schema_enums_match_the_python_enums():
     from importlib import resources
 
