@@ -6,6 +6,9 @@ drift-vs-dt scaling clean) and the adaptive Dormand-Prince 5(4) pair.
 Projection modes rescale sphere points to unit norm or replace unitaries by
 their polar factor after every step.  A single integration is deterministic
 and single-threaded; identical inputs give bit-identical trajectories.
+RK4 knows its record count before it starts and writes each record in place
+into one preallocated array, so a trajectory is held once, not as a list of
+copies restacked at the end.
 
 The fixed-step loop is the hot path at small N, where each numpy call costs
 more in dispatch than in arithmetic.  The RK4 coefficients are made once per
@@ -195,33 +198,50 @@ def _check_finite(y):
 
 def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
                      t_final: float, project=None, postcheck=None):
-    """Core driver on a raw state array.  Returns (times list, states list)."""
+    """Core integration loop on a raw state array.
+
+    Returns ``(times, states)`` as arrays: ``times`` of shape (n,) and
+    ``states`` of shape (n,) + y0.shape, row i the state at ``times[i]``.
+    After each step the state is projected and post-checked; a state is
+    checked finite before it is recorded.
+    """
     y = np.array(y0, copy=True)
-    times = [0.0]
-    states = [y.copy()]
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
     if t_final == 0.0:
-        return times, states
+        return np.zeros(1), y[np.newaxis]
 
     if settings.scheme is Scheme.RK4:
         # uniform step h <= dt that divides t_final exactly
         n_steps = max(1, int(math.ceil(t_final / settings.dt - 1e-9)))
         h = t_final / n_steps
         coef = _rk4_coefficients(h, y)
+        every = settings.record_every
+        n_records = 1 + n_steps // every + (n_steps % every != 0)
+        times = np.empty(n_records)
+        # each step returns the coefficients' dtype: y0's, promoted to float
+        states = np.empty((n_records,) + y.shape, coef[0].dtype)
+        times[0] = 0.0
+        states[0] = y
+        j = 1
         for i in range(1, n_steps + 1):
             y = _rk4_step(rhs, y, coef)
             if project is not None:
                 y = project(y)
             if postcheck is not None:
                 postcheck(y)
-            if i % settings.record_every == 0 or i == n_steps:
+            if i % every == 0 or i == n_steps:
                 _check_finite(y)
-                times.append(i * h)
-                states.append(y.copy())
+                times[j] = i * h
+                states[j] = y
+                j += 1
         return times, states
 
-    # DOPRI5 with standard error-per-step control
+    # DOPRI5 with standard error-per-step control; the record count is not
+    # known in advance, so records are listed and stacked once at the end.
+    # No step writes into an array it was given, so no record needs a copy.
+    times = [0.0]
+    states = [y]
     t = 0.0
     h = min(settings.dt, t_final)
     accepted = 0
@@ -245,7 +265,7 @@ def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
                 # avoid duplicate record when the stride lands on the end
                 if t > times[-1]:
                     times.append(t)
-                    states.append(y.copy())
+                    states.append(y)
         if err_norm == 0.0:
             factor = 5.0
         elif math.isfinite(err_norm):
@@ -255,7 +275,7 @@ def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
             # the minimum factor, so the loop ends in StepSizeUnderflow
             factor = 0.2
         h *= min(5.0, max(0.2, factor))
-    return times, states
+    return np.array(times), np.array(states)
 
 
 def integrate(cfg: Config, settings: IntegratorSettings, t_final: float) -> Trajectory:
@@ -264,7 +284,7 @@ def integrate(cfg: Config, settings: IntegratorSettings, t_final: float) -> Traj
     project = _projector(cfg, settings.projection)
     times, states = _integrate_array(rhs, dynamics.state_of(cfg), settings,
                                      t_final, project=project)
-    return Trajectory(times=np.array(times), states=np.array(states), config=cfg)
+    return Trajectory(times=times, states=states, config=cfg)
 
 
 # ---------------------------------------------------------------------------

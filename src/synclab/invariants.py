@@ -5,11 +5,12 @@ with its default check kind, its index count and the model it is defined
 on; scenario checks refer to functionals by those names, and the scenario
 schema's name enum lists them.
 Drift is measured relative to max(|value at t=0|, 1e-8) so functionals
-legitimately near zero do not blow up the relative measure; the frustrated
-circle functional is evaluated in log space to avoid overflow of its
-exponential factor on long runs, and the skew-frustration chord product as a
-sum of log-chords, since the product of N(N-1)/2 chords overflows at N in the
-hundreds.
+legitimately near zero do not blow up the relative measure, and a conserved
+check whose value at t=0 lies below 1e-8 fails, so an underflowed functional
+cannot pass vacuously; the frustrated circle functional is evaluated in log
+space to avoid overflow of its exponential factor on long runs, and the
+skew-frustration chord product as a sum of log-chords, since the product of
+N(N-1)/2 chords overflows at N in the hundreds.
 """
 
 from __future__ import annotations
@@ -396,12 +397,14 @@ class DriftReport:
     """Deviation summary of one functional along one trajectory.
 
     For conserved functionals the deviations are against the t=0 value (the
-    relative one normalized by max(|v0|, 1e-8)); for log-space functionals
-    max_abs_dev is the max |delta log| and max_rel_dev = |expm1(delta log)|;
-    for monotone functionals the deviations quantify the largest
-    wrong-direction step; for bounded functionals they are the largest
-    absolute value attained.  verdict is True iff the deviation relevant to
-    the kind stays within ``tolerance``.
+    relative one normalized by max(|v0|, 1e-8)), and the verdict is False
+    whenever |v0| (the largest |eigenvalue| for a spectrum) is below 1e-8,
+    since a relative drift of a vanishing value certifies nothing; for
+    log-space functionals max_abs_dev is the max |delta log| and
+    max_rel_dev = |expm1(delta log)|; for monotone functionals the
+    deviations quantify the largest wrong-direction step; for bounded
+    functionals they are the largest absolute value attained.  verdict is
+    True iff the deviation relevant to the kind stays within ``tolerance``.
     """
 
     name: str
@@ -435,13 +438,15 @@ def _drift_one(ob: Observable, values: np.ndarray, tolerance: float) -> DriftRep
         if values.ndim > 1:  # eigenvalue multisets: match, do not track branches
             devs = np.array([spectrum_matching_distance(values[0], v)
                              for v in values])
-            scale = max(float(np.max(np.abs(v0))), REL_FLOOR)
+            size = float(np.max(np.abs(v0)))
         else:
             devs = np.abs(values - v0)
-            scale = max(abs(float(np.real_if_close(v0))), REL_FLOOR)
+            size = abs(float(np.real_if_close(v0)))
         max_abs = float(devs.max())
-        max_rel = max_abs / scale
-        ok = max_rel < tolerance
+        max_rel = max_abs / max(size, REL_FLOOR)
+        # below the floor deviations are measured against 1e-8, not against
+        # the value, so a functional that underflowed would pass at any step
+        ok = size >= REL_FLOOR and max_rel < tolerance
     elif ob.kind is Kind.CONSERVED_LOG:
         dlog = np.abs(values - v0)
         max_abs = float(dlog.max())

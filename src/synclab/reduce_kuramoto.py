@@ -147,8 +147,6 @@ def integrate_fg(data: ProjectedPhaseData, settings: IntegratorSettings,
         return np.array([b * fg[0], a + b * fg[1]])
 
     times, states = _integrate_array(rhs, np.array([1.0, 0.0]), settings, t_final)
-    times = np.array(times)
-    states = np.array(states)
     f, g = states[:, 0], states[:, 1]
     envelope = np.exp(abs(kappa) * times)
     if np.any(np.abs(f) > envelope * 1.1) or np.any(np.abs(g) > (envelope - 1.0) * 1.1 + 1e-9):

@@ -152,8 +152,7 @@ def integrate_stereo_full(data: ProjectedSphereData, settings: IntegratorSetting
     times, states = _integrate_array(
         lambda s: _stereo_rhs(s, kappa, n), state0, settings, t_final,
         project=project, postcheck=postcheck)
-    states = np.array(states)
-    return StereoTrajectory(times=np.array(times), y=states[:, :-1],
+    return StereoTrajectory(times=times, y=states[:, :-1],
                             x_n=states[:, -1], data=data)
 
 
@@ -220,9 +219,8 @@ def integrate_abM(data: ProjectedSphereData, settings: IntegratorSettings,
     times, states = _integrate_array(
         lambda s: _abm_rhs(s, data), state0, settings, t_final,
         project=lambda s: _abm_project(s, data), postcheck=postcheck)
-    states = np.array(states)
     return ReducedSphereTrajectory(
-        times=np.array(times), a=states[:, 0], b=states[:, 1:1 + dim],
+        times=times, a=states[:, 0], b=states[:, 1:1 + dim],
         m=states[:, 1 + dim:].reshape(-1, dim, dim), data=data)
 
 

@@ -1,9 +1,12 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import synclab
+from synclab import reduce_kuramoto as rk
+from synclab import reduce_sphere as rs
 
 from synclab.errors import IntegrationError
 from synclab.integrate import (
@@ -19,6 +22,7 @@ from synclab.integrate import (
 from synclab.state import (
     make_phase_config,
     make_sphere_config,
+    random_phase_config,
     random_sphere_config,
     random_unitary_config,
     validate,
@@ -173,3 +177,144 @@ def test_polar_factor_restores_unitarity():
 
 def test_package_attribute_is_the_integrate_module():
     assert importlib.import_module("synclab.integrate") is synclab.integrate
+
+
+# ---------------------------------------------------------------------------
+# in-place recording
+
+
+def _integrate_lists(rhs, y0, settings, t_final, project=None, postcheck=None):
+    """Oracle for ``_integrate_array``: the list-append recording loop it
+    replaced, which appends a copy of every record and stacks both lists at
+    the end."""
+    integ = synclab.integrate
+    y = np.array(y0, copy=True)
+    times = [0.0]
+    states = [y.copy()]
+    if t_final == 0.0:
+        return np.array(times), np.array(states)
+    if settings.scheme is Scheme.RK4:
+        n_steps = max(1, int(np.ceil(t_final / settings.dt - 1e-9)))
+        h = t_final / n_steps
+        coef = integ._rk4_coefficients(h, y)
+        for i in range(1, n_steps + 1):
+            y = integ._rk4_step(rhs, y, coef)
+            if project is not None:
+                y = project(y)
+            if postcheck is not None:
+                postcheck(y)
+            if i % settings.record_every == 0 or i == n_steps:
+                integ._check_finite(y)
+                times.append(i * h)
+                states.append(y.copy())
+        return np.array(times), np.array(states)
+    t = 0.0
+    h = min(settings.dt, t_final)
+    accepted = 0
+    while t < t_final:
+        h = min(h, t_final - t)
+        if h < 16 * np.finfo(float).eps * max(1.0, abs(t)):
+            raise integ.StepSizeUnderflow(f"step size underflow at t = {t:.6g}")
+        y_new, err = integ._dopri5_step(rhs, y, h)
+        sc = settings.atol + settings.rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err_norm = np.sqrt(np.mean(np.abs(err / sc) ** 2))
+        if err_norm <= 1.0:
+            t += h
+            y = y_new
+            if project is not None:
+                y = project(y)
+            if postcheck is not None:
+                postcheck(y)
+            accepted += 1
+            if accepted % settings.record_every == 0 or t >= t_final:
+                integ._check_finite(y)
+                if t > times[-1]:
+                    times.append(t)
+                    states.append(y.copy())
+        if err_norm == 0.0:
+            factor = 5.0
+        elif np.isfinite(err_norm):
+            factor = 0.9 * err_norm ** -0.2
+        else:
+            factor = 0.2
+        h *= min(5.0, max(0.2, factor))
+    return np.array(times), np.array(states)
+
+
+def _phase(rng):
+    return random_phase_config(rng, 5, alpha=0.3)
+
+
+def _sphere(rng):
+    return random_sphere_config(rng, 5, 2, omega_scale=0.5)
+
+
+def _unitary(rng):
+    return random_unitary_config(rng, 3, 2, h_scale=0.5)
+
+
+def _integrate_case(make, t_final, **overrides):
+    def run(rng):
+        cfg = make(rng)
+        integrate(cfg, default_settings(cfg, **overrides), t_final)
+    return run
+
+
+_REDUCED = IntegratorSettings(dt=1e-2, record_every=3)
+
+RECORD_CASES = {
+    # 100 RK4 steps
+    "rk4-stride-divides": _integrate_case(_phase, 1.0, dt=1e-2, record_every=10),
+    "rk4-stride-remainder": _integrate_case(_phase, 1.0, dt=1e-2, record_every=7),
+    "rk4-stride-past-end": _integrate_case(_phase, 1.0, dt=1e-2, record_every=1000),
+    "zero-horizon": _integrate_case(_phase, 0.0),
+    "sphere-normalize": _integrate_case(_sphere, 0.5, dt=1e-2, record_every=3),
+    "unitary-polar": _integrate_case(_unitary, 0.5, dt=1e-2, record_every=3),
+    "dopri5": _integrate_case(_sphere, 1.0, scheme=Scheme.DOPRI5, dt=1e-2,
+                              record_every=2),
+    "fg": lambda rng: rk.integrate_fg(
+        rk.project_phase_config(_phase(rng)), _REDUCED, 0.5),
+    "stereographic": lambda rng: rs.integrate_stereo_full(
+        rs.project_sphere_config(random_sphere_config(rng, 5, 2)), _REDUCED, 0.5),
+    "abM": lambda rng: rs.integrate_abM(
+        rs.project_sphere_config(random_sphere_config(rng, 5, 2)), _REDUCED, 0.5),
+    # an integer state: the records take the float dtype of every later step
+    "integer-state": lambda rng: synclab.integrate._integrate_array(
+        lambda y: -y, np.array([1, 2]), IntegratorSettings(dt=0.1), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_CASES))
+def test_records_match_the_list_append_oracle(case, monkeypatch):
+    # every _integrate_array call the case makes, through integrate() or a
+    # reduction's own integrator, is checked against the oracle on the same
+    # arguments
+    real = _integrate_array
+    calls = []
+
+    def checked(rhs, y0, settings, t_final, project=None, postcheck=None):
+        times, states = real(rhs, y0, settings, t_final, project, postcheck)
+        t_ref, s_ref = _integrate_lists(rhs, y0, settings, t_final, project, postcheck)
+        assert times.dtype == t_ref.dtype and states.dtype == s_ref.dtype
+        assert np.array_equal(times, t_ref) and np.array_equal(states, s_ref)
+        calls.append(len(times))
+        return times, states
+
+    for mod in (synclab.integrate, rk, rs):
+        monkeypatch.setattr(mod, "_integrate_array", checked)
+    RECORD_CASES[case](np.random.default_rng(4))
+    assert calls
+
+
+def test_recording_holds_the_trajectory_once():
+    # a list of per-record copies restacked at the end peaks near 3x the
+    # records; written in place they are held once
+    cfg = random_sphere_config(np.random.default_rng(0), 8, 2)
+    settings = default_settings(cfg, record_every=1)
+    tracemalloc.start()
+    try:
+        traj = integrate(cfg, settings, 5.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * traj.states.nbytes + 64 * 1024

@@ -9,6 +9,7 @@ from synclab.integrate import IntegratorSettings, default_settings, integrate
 from synclab.state import (
     Flavor,
     make_phase_config,
+    random_phase_config,
     random_sphere_config,
     random_unitary,
     random_unitary_config,
@@ -325,6 +326,32 @@ def test_drift_report_constant_trajectory():
     reports = inv.drift_report(traj, obs, 1e-12)
     assert all(r.verdict for r in reports)
     assert all(r.max_abs_dev == 0.0 for r in reports)
+
+
+def test_conserved_check_fails_on_an_underflowed_functional():
+    # at N=200, I is a product of 200 sines far below the 1e-8 floor: its
+    # relative drift is noise against the floor, while J (equal to I at
+    # alpha=0, in log space) shows the coarse step's real drift
+    cfg = random_phase_config(np.random.default_rng(3), 200, flavor=Flavor.COSINE)
+    traj = integrate(cfg, IntegratorSettings(dt=0.5, record_every=1), 5.0)
+    obs = [inv.make_observable(name, cfg) for name in ("kuramoto_I", "kuramoto_J")]
+    report_i, report_j = inv.drift_report(traj, obs, 1e-6)
+    assert abs(report_i.v0) < inv.REL_FLOOR
+    assert report_i.max_rel_dev < 1e-6
+    assert not report_i.verdict
+    assert not report_j.verdict
+
+
+@pytest.mark.parametrize("values", [
+    np.full(3, 5e-9),
+    np.full((3, 2), 5e-9 + 1e-9j),
+], ids=["scalar", "spectrum"])
+def test_conserved_check_below_the_floor_fails_even_when_constant(values):
+    ob = inv.Observable("v", inv.Kind.CONSERVED, lambda c, s: None)
+    report = inv._drift_one(ob, values, 1e-6)
+    assert report.max_abs_dev == 0.0
+    assert not report.verdict
+    assert inv._drift_one(ob, values * 1e3, 1e-6).verdict
 
 
 def test_drift_report_unknown_name():
