@@ -142,8 +142,12 @@ def _chords(x: np.ndarray) -> np.ndarray:
 
 
 def sphere_cross_ratio_H(x: np.ndarray, a: int, b: int, c: int, d: int) -> float:
-    """Chord-length cross-ratio of four sphere points; conserved by the
-    unfrustrated sphere flow with identical rotation matrices."""
+    """Chord-length cross-ratio of four sphere points.
+
+    Conserved by the sphere flow for any frustration V = aI + W (W skew)
+    when all particles share one rotation generator Omega: with a = 0.6 and
+    W != 0, H_0123 drifts 2.0e-9 at dt 1e-2 and 1.3e-10 at dt 5e-3, RK4's
+    order.  Not conserved with per-particle Omega, where it drifts 2.08."""
     x = np.asarray(x, dtype=float)
     if len({a, b, c, d}) != 4:
         raise ValueError("cross-ratio indices must be distinct")

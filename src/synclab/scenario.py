@@ -3,9 +3,11 @@
 A scenario is a JSON object validated against ``scenario.schema.json``
 (shipped with the package).  Running one produces four artifacts in the
 output directory: a trajectory CSV (t plus flattened state columns), an
-observables CSV, a drift-report JSON, and a run manifest JSON.  All numbers
-are printed with 17 significant digits, so two runs of the same scenario
-produce byte-identical files.
+observables CSV, a drift-report JSON, and a run manifest JSON.  The CSVs (and
+the optional ``.dat`` mirror of the observables) are written one row at a
+time, straight to their files.  All numbers are printed with 17 significant
+digits, so two runs of the same scenario produce byte-identical files; the
+only exception is the manifest's ``duration_seconds``, the run's wall time.
 
 Random initial data comes from numpy's seeded PCG64 generator; the seed and
 generator name are recorded in the manifest.  There is no unseeded
@@ -14,7 +16,6 @@ randomness anywhere.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
@@ -179,10 +180,6 @@ def content_hash(resolved: dict) -> str:
 # artifact writers
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _state_columns(cfg: Config) -> list[str]:
     if isinstance(cfg, PhaseConfig):
         return [f"theta_{j}" for j in range(cfg.n)]
@@ -192,47 +189,57 @@ def _state_columns(cfg: Config) -> list[str]:
             for r in range(cfg.d) for c in range(cfg.d) for p in ("re", "im")]
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    """t plus the flattened state per row, complex entries as (re, im).
+# (header prefix, field separator, line end) of each table format: the CSVs
+# end lines in "\r\n" as the csv module writes them; the gnuplot mirror has
+# its header as a comment and whitespace-separated fields
+_CSV = ("", ",", "\r\n")
+_DAT = ("# ", " ", "\n")
 
-    Rows end in "\\r\\n", as the csv module writes them.  They are converted
-    one at a time, so Python floats exist for one row at a time.
-    """
+
+def _write_table(fh, fmt, times: np.ndarray, labels: list[str],
+                 table: np.ndarray) -> None:
+    """Write a header of labels, then one line per record: t and that row of
+    the table, every number as "%.17g".  Each line is formatted and written
+    before the next, so Python floats exist for one row at a time."""
+    prefix, sep, end = fmt
+    fh.write(prefix + sep.join(labels) + end)
+    tmpl = sep.join(["%.17g"] * len(labels)) + end
+    for t, row in zip(times.tolist(), table):
+        fh.write(tmpl % (t, *row.tolist()))
+
+
+def _trajectory_table(traj: Trajectory) -> tuple[list[str], np.ndarray]:
+    """Column labels and the flattened states, complex entries as (re, im);
+    a view of ``traj.states``, not a copy."""
     flat = np.ascontiguousarray(traj.states).reshape(len(traj), -1)
     if np.iscomplexobj(flat):
         flat = flat.view(flat.real.dtype)
-    lines = [",".join(["t"] + _state_columns(traj.config))]
-    for t, row in zip(traj.times.tolist(), flat):
-        lines.append(",".join([format(t, ".17g")]
-                              + [format(v, ".17g") for v in row.tolist()]))
-    return "\r\n".join(lines) + "\r\n"
+    return ["t"] + _state_columns(traj.config), flat
 
 
-def observables_csv(traj: Trajectory, series: dict[str, np.ndarray]) -> str:
-    cols = []
+def _observables_table(traj: Trajectory,
+                       series: dict[str, np.ndarray]) -> tuple[list[str], np.ndarray]:
+    """Column labels and values of the observable series; an eigenvalue
+    multiset expands to ``_evK_re``/``_evK_im`` column pairs."""
+    labels, cols = ["t"], []
     for label, values in series.items():
         if values.ndim == 1 and not np.iscomplexobj(values):
-            cols.append((label, values))
+            labels.append(label)
+            cols.append(values)
         else:
             vals = np.atleast_2d(values.T).T
             for k in range(vals.shape[1]):
-                cols.append((f"{label}_ev{k}_re", vals[:, k].real))
-                cols.append((f"{label}_ev{k}_im", vals[:, k].imag))
+                labels += [f"{label}_ev{k}_re", f"{label}_ev{k}_im"]
+                cols += [vals[:, k].real, vals[:, k].imag]
+    return labels, np.column_stack(cols) if cols else np.empty((len(traj), 0))
+
+
+def trajectory_csv(traj: Trajectory) -> str:
+    """t plus the flattened state per row, complex entries as (re, im), as
+    ``run_scenario`` writes it to ``<id>_trajectory.csv``."""
     buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["t"] + [c[0] for c in cols])
-    for i, t in enumerate(traj.times):
-        w.writerow([_fmt(t)] + [_fmt(c[1][i]) for c in cols])
+    _write_table(buf, _CSV, traj.times, *_trajectory_table(traj))
     return buf.getvalue()
-
-
-def dat_mirror(csv_text: str) -> str:
-    """Gnuplot-friendly mirror: header as comment, whitespace-separated."""
-    lines = csv_text.splitlines()
-    out = ["# " + " ".join(lines[0].split(","))]
-    for line in lines[1:]:
-        out.append(" ".join(line.split(",")))
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -283,24 +290,26 @@ def run_scenario(doc: dict, out_dir, seed_override: int | None = None,
         duration = time.perf_counter() - start
 
         out_dir.mkdir(parents=True, exist_ok=True)
-        files = {}
-        files[f"{sid}_trajectory.csv"] = trajectory_csv(traj)
-        obs_csv = observables_csv(traj, series)
-        files[f"{sid}_observables.csv"] = obs_csv
-        files[f"{sid}_drift.json"] = drift_reports_to_json(reports) + "\n"
+        obs_table = _observables_table(traj, series)
+        tables = {f"{sid}_trajectory.csv": (_CSV, _trajectory_table(traj)),
+                  f"{sid}_observables.csv": (_CSV, obs_table)}
         if resolved.get("output", {}).get("dat_mirror"):
-            files[f"{sid}_observables.dat"] = dat_mirror(obs_csv)
+            tables[f"{sid}_observables.dat"] = (_DAT, obs_table)
+        for name, (fmt, table) in tables.items():
+            with (out_dir / name).open("w") as fh:
+                _write_table(fh, fmt, traj.times, *table)
+        texts = {f"{sid}_drift.json": drift_reports_to_json(reports) + "\n"}
 
         manifest = {
             "scenario_id": sid,
             "content_hash": content_hash(resolved),
             "prng": {"name": PRNG_NAME, "seed": seed},
             "resolved": resolved,
-            "outputs": sorted(files) + [f"{sid}_manifest.json"],
+            "outputs": sorted([*tables, *texts]) + [f"{sid}_manifest.json"],
             "duration_seconds": duration,
         }
-        files[f"{sid}_manifest.json"] = json.dumps(manifest, indent=2) + "\n"
-        for name, text in files.items():
+        texts[f"{sid}_manifest.json"] = json.dumps(manifest, indent=2) + "\n"
+        for name, text in texts.items():
             (out_dir / name).write_text(text)
 
         failed = [r.name for r in reports if not r.verdict]

@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from synclab import invariants
+from synclab import invariants, scenario
 from synclab.cli import main
 from synclab.errors import ScenarioError
 from synclab.integrate import IntegratorSettings, Trajectory, default_settings, integrate
@@ -116,15 +117,124 @@ def test_seed_override_changes_initial_data(tmp_path):
     assert a != b
 
 
-def test_dat_mirror(tmp_path):
+# The string writers run_scenario used before it streamed its tables to the
+# files, kept verbatim as the oracle for the bytes of every table artifact.
+
+
+def _text_trajectory_csv(traj):
+    flat = np.ascontiguousarray(traj.states).reshape(len(traj), -1)
+    if np.iscomplexobj(flat):
+        flat = flat.view(flat.real.dtype)
+    lines = [",".join(["t"] + _state_columns(traj.config))]
+    for t, row in zip(traj.times.tolist(), flat):
+        lines.append(",".join([format(t, ".17g")]
+                              + [format(v, ".17g") for v in row.tolist()]))
+    return "\r\n".join(lines) + "\r\n"
+
+
+def _text_observables_csv(traj, series):
+    cols = []
+    for label, values in series.items():
+        if values.ndim == 1 and not np.iscomplexobj(values):
+            cols.append((label, values))
+        else:
+            vals = np.atleast_2d(values.T).T
+            for k in range(vals.shape[1]):
+                cols.append((f"{label}_ev{k}_re", vals[:, k].real))
+                cols.append((f"{label}_ev{k}_im", vals[:, k].imag))
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["t"] + [c[0] for c in cols])
+    for i, t in enumerate(traj.times):
+        w.writerow([f"{t:.17g}"] + [f"{c[1][i]:.17g}" for c in cols])
+    return buf.getvalue()
+
+
+def _text_dat_mirror(csv_text):
+    lines = csv_text.splitlines()
+    out = ["# " + " ".join(lines[0].split(","))]
+    for line in lines[1:]:
+        out.append(" ".join(line.split(",")))
+    return "\n".join(out) + "\n"
+
+
+def _run_against_oracle(doc, out_dir, monkeypatch, traj=None):
+    """Run ``doc`` and compare each table artifact with the oracle's text as
+    ``Path.write_text`` writes it.  ``traj``, if given, replaces the
+    integration's result (keeping the config ``run_scenario`` built)."""
+    seen = []
+
+    def integrate_and_keep(cfg, settings, t_final):
+        out = integrate(cfg, settings, t_final) if traj is None else \
+            Trajectory(traj.times, traj.states, cfg)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(scenario, "integrate", integrate_and_keep)
+    res = run_scenario(doc, out_dir, quiet=True)
+    (ran,) = seen
+    obs = _text_observables_csv(ran, ran.observables)
+    expected = {"trajectory.csv": _text_trajectory_csv(ran), "observables.csv": obs}
+    if doc.get("output", {}).get("dat_mirror"):
+        expected["observables.dat"] = _text_dat_mirror(obs)
+    oracle = out_dir / "oracle"
+    oracle.mkdir()
+    for suffix, text in expected.items():
+        (oracle / suffix).write_text(text)
+        assert (out_dir / f"{doc['id']}_{suffix}").read_bytes() == \
+            (oracle / suffix).read_bytes(), suffix
+    return res
+
+
+def test_dat_mirror(tmp_path, monkeypatch):
     doc = _kuramoto_doc("m", output={"dat_mirror": True})
-    run_scenario(doc, tmp_path, quiet=True)
+    assert _run_against_oracle(doc, tmp_path, monkeypatch).exit_code == 0
     dat = (tmp_path / "m_observables.dat").read_text()
     assert dat.startswith("# t kuramoto_I")
     assert "," not in dat
 
 
-def test_sphere_and_matrix_scenarios(tmp_path):
+def test_special_values_stream_byte_identical(tmp_path, monkeypatch):
+    special = np.array([[[-0.0, 5e-324, 1e308], [np.nan, np.inf, -np.inf],
+                         [1 / 3, -2.5e-17, 123456789.0]]])
+    doc = {"id": "spec", "t_final": 0.0,
+           "model": {"kind": "sphere", "initial": {"x": np.eye(3).tolist()}},
+           "observables": [{"name": "sphere_rho"},
+                           {"name": "pair_inner", "indices": [0, 1]}],
+           "output": {"dat_mirror": True}}
+    traj = Trajectory(np.array([-0.0]), special, None)
+    assert _run_against_oracle(doc, tmp_path, monkeypatch, traj).exit_code == 0
+    rows = (tmp_path / "spec_trajectory.csv").read_text().splitlines()
+    assert rows[1] == "-0,-0,4.9406564584124654e-324,1e+308,nan,inf,-inf," \
+        "0.33333333333333331,-2.4999999999999999e-17,123456789"
+
+
+def test_run_scenario_streams_its_tables(tmp_path):
+    # the N=200 large-n document: the trajectory text is about five times
+    # the size of the states, so holding it whole would exceed the bound
+    w = np.random.default_rng(1000).standard_normal((3, 3))
+    doc = {"id": "big", "seed": 1000, "t_final": 2.0,
+           "model": {"kind": "sphere", "kappa": 1.0, "a": 0.0, "w": (w - w.T).tolist(),
+                     "initial": {"random": {"n": 200, "d": 2}}},
+           "integrator": {"dt": 1e-3, "record_every": 10},
+           "observables": [{"name": "pair_distance_product", "tolerance": 1e-6},
+                           {"name": "sphere_H", "indices": [0, 50, 100, 150],
+                            "tolerance": 1e-6},
+                           {"name": "sphere_rho"}],
+           "output": {"dat_mirror": True}}
+    states = 201 * 200 * 3 * 8  # bytes of the recorded states: 201 records
+    tracemalloc.start()
+    try:
+        res = run_scenario(doc, tmp_path, quiet=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 0
+    assert len((tmp_path / "big_trajectory.csv").read_text().splitlines()) == 1 + 201
+    assert peak < 3 * states, f"traced peak {peak} B for {states} B of states"
+
+
+def test_sphere_and_matrix_scenarios(tmp_path, monkeypatch):
     sphere = {
         "id": "sph", "seed": 3, "t_final": 1.0,
         "model": {"kind": "sphere", "kappa": 1.0,
@@ -132,8 +242,9 @@ def test_sphere_and_matrix_scenarios(tmp_path):
         "integrator": {"dt": 0.002, "record_every": 10},
         "observables": [{"name": "sphere_DM", "tolerance": 1e-9},
                         {"name": "sphere_rho_sq", "tolerance": 1e-9}],
+        "output": {"dat_mirror": True},
     }
-    assert run_scenario(sphere, tmp_path, quiet=True).exit_code == 0
+    assert _run_against_oracle(sphere, tmp_path / "s", monkeypatch).exit_code == 0
     matrix = {
         "id": "mat", "seed": 4, "t_final": 1.0,
         "model": {"kind": "matrix", "kappa": 1.0,
@@ -143,9 +254,10 @@ def test_sphere_and_matrix_scenarios(tmp_path):
             {"name": "matrix_cross_ratio", "indices": [0, 1, 2, 3],
              "tolerance": 1e-5},
             {"name": "matrix_D"}],
+        "output": {"dat_mirror": True},
     }
-    assert run_scenario(matrix, tmp_path, quiet=True).exit_code == 0
-    obs = (tmp_path / "mat_observables.csv").read_text().splitlines()[0]
+    assert _run_against_oracle(matrix, tmp_path / "m", monkeypatch).exit_code == 0
+    obs = (tmp_path / "m" / "mat_observables.csv").read_text().splitlines()[0]
     assert "matrix_cross_ratio_0_1_2_3_ev0_re" in obs
 
 
