@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dynamics
-from .integrate import IntegratorSettings, Projection, integrate
+from .integrate import IntegratorSettings, Projection, integrate_functional
 from .invariants import matrix_diameter
 from .state import UnitaryConfig, make_unitary_config
 
@@ -164,6 +164,8 @@ def matrix_aggregation_check(cfg: UnitaryConfig, t_final: float,
         dD/dt <= -(kappa/2)(2 - 3||V - I||_F) D + (kappa/2) D^3
 
     is checked on consecutive recorded diameters with the given slack.
+    The run keeps the diameter at each record point and the current state,
+    never the trajectory: its memory grows with the record count alone.
     """
     if not cfg.shared_h:
         raise ValueError("aggregation certification needs identical Hamiltonians")
@@ -175,9 +177,8 @@ def matrix_aggregation_check(cfg: UnitaryConfig, t_final: float,
     d0 = matrix_diameter(cfg.u)
     hypothesis = v_dist < 2.0 / 3.0 and d0 < np.sqrt(2.0 - 3.0 * v_dist)
 
-    traj = integrate(cfg, settings, t_final)
-    diam = np.array([matrix_diameter(s) for s in traj.states])
-    dts = np.diff(traj.times)
+    times, diam, _ = integrate_functional(cfg, settings, t_final, matrix_diameter)
+    dts = np.diff(times)
     fwd = np.diff(diam) / dts
     bound = (-(cfg.kappa / 2.0) * (2.0 - 3.0 * v_dist) * diam[:-1]
              + (cfg.kappa / 2.0) * diam[:-1] ** 3)

@@ -8,7 +8,9 @@ their polar factor after every step.  A single integration is deterministic
 and single-threaded; identical inputs give bit-identical trajectories.
 RK4 knows its record count before it starts and writes each record in place
 into one preallocated array, so a trajectory is held once, not as a list of
-copies restacked at the end.
+copies restacked at the end.  A certificate whose verdict needs one number
+per record asks :func:`integrate_functional` for that number instead of the
+state, so what it holds grows with the record count alone.
 
 The fixed-step loop is the hot path at small N, where each numpy call costs
 more in dispatch than in arithmetic.  The RK4 coefficients are made once per
@@ -197,19 +199,22 @@ def _check_finite(y):
 
 
 def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
-                     t_final: float, project=None, postcheck=None):
+                     t_final: float, project=None, postcheck=None, record=None):
     """Core integration loop on a raw state array.
 
     Returns ``(times, states)`` as arrays: ``times`` of shape (n,) and
     ``states`` of shape (n,) + y0.shape, row i the state at ``times[i]``.
     After each step the state is projected and post-checked; a state is
-    checked finite before it is recorded.
+    checked finite before it is recorded.  With ``record``, row i is
+    ``record(state)`` instead of the state, and the loop holds no state
+    but the current one.
     """
     y = np.array(y0, copy=True)
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
+    first = y if record is None else record(y)
     if t_final == 0.0:
-        return np.zeros(1), y[np.newaxis]
+        return np.zeros(1), np.asarray(first)[np.newaxis]
 
     if settings.scheme is Scheme.RK4:
         # uniform step h <= dt that divides t_final exactly
@@ -219,10 +224,11 @@ def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
         every = settings.record_every
         n_records = 1 + n_steps // every + (n_steps % every != 0)
         times = np.empty(n_records)
-        # each step returns the coefficients' dtype: y0's, promoted to float
-        states = np.empty((n_records,) + y.shape, coef[0].dtype)
+        # each step returns the coefficients' dtype, y0's promoted to float;
+        # a functional's records take its own dtype, promoted the same way
+        states = np.empty((n_records,) + np.shape(first), np.result_type(first, 0.5))
         times[0] = 0.0
-        states[0] = y
+        states[0] = first
         j = 1
         for i in range(1, n_steps + 1):
             y = _rk4_step(rhs, y, coef)
@@ -233,7 +239,7 @@ def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
             if i % every == 0 or i == n_steps:
                 _check_finite(y)
                 times[j] = i * h
-                states[j] = y
+                states[j] = y if record is None else record(y)
                 j += 1
         return times, states
 
@@ -241,7 +247,7 @@ def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
     # known in advance, so records are listed and stacked once at the end.
     # No step writes into an array it was given, so no record needs a copy.
     times = [0.0]
-    states = [y]
+    states = [first]
     t = 0.0
     h = min(settings.dt, t_final)
     accepted = 0
@@ -265,7 +271,7 @@ def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
                 # avoid duplicate record when the stride lands on the end
                 if t > times[-1]:
                     times.append(t)
-                    states.append(y)
+                    states.append(y if record is None else record(y))
         if err_norm == 0.0:
             factor = 5.0
         elif math.isfinite(err_norm):
@@ -285,6 +291,31 @@ def integrate(cfg: Config, settings: IntegratorSettings, t_final: float) -> Traj
     times, states = _integrate_array(rhs, dynamics.state_of(cfg), settings,
                                      t_final, project=project)
     return Trajectory(times=times, states=states, config=cfg)
+
+
+def integrate_functional(cfg: Config, settings: IntegratorSettings, t_final: float,
+                         functional) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integrate like :func:`integrate`, keeping ``functional(state)`` at
+    each record point in place of the state.
+
+    Returns ``(times, values, final_state)``: row i of ``values`` is the
+    functional at ``times[i]``, computed on exactly the state
+    :func:`integrate` would record there.  Only the last state is kept, so
+    the memory of a run grows with its record count and the functional's
+    size, not with the state's.
+    """
+    final = None
+
+    def record(y):
+        nonlocal final
+        final = y
+        return functional(y)
+
+    rhs = dynamics.make_rhs(cfg)
+    project = _projector(cfg, settings.projection)
+    times, values = _integrate_array(rhs, dynamics.state_of(cfg), settings,
+                                     t_final, project=project, record=record)
+    return times, values, final
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -256,32 +255,58 @@ def matrix_cross_ratio_spectrum(u: np.ndarray, i: int, j: int, k: int,
     return np.array(sorted(ev, key=lambda z: (z.real, z.imag)))
 
 
-def spectrum_matching_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Distance between two eigenvalue multisets: the min-max matching over
-    permutations (exact up to size 6, greedy beyond).
+def _has_perfect_matching(allowed: np.ndarray) -> bool:
+    """Whether the square boolean matrix ``allowed`` pairs every row with its
+    own column: Kuhn's augmenting paths, at most n^3 steps."""
+    n = allowed.shape[0]
+    adjacent = [np.flatnonzero(row).tolist() for row in allowed]
+    owner = [-1] * n                     # column -> the row it is paired with
 
-    A plain lexicographic sort is unstable when two eigenvalues share a real
-    part (complex-conjugate pairs), so multiset comparison is used whenever a
+    def augment(i, seen):
+        for j in adjacent[i]:
+            if not seen[j]:
+                seen[j] = True
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, [False] * n) for i in range(n))
+
+
+def spectrum_matching_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Distance between two eigenvalue multisets: the bottleneck matching,
+    min over one-to-one pairings of the largest |a_i - b_p(i)|, exact at
+    every size.
+
+    The value is one of the n^2 distances |a_i - b_j|, the same float a
+    search over all n! pairings returns; a bisection over their sorted
+    values finds the smallest that still admits a perfect pairing.  A plain
+    lexicographic sort is unstable when two eigenvalues share a real part
+    (complex-conjugate pairs), so multiset comparison is used whenever a
     spectrum is compared across time.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError("spectra have different sizes")
-    n = a.size
-    if n <= 6:
-        best = np.inf
-        for perm in itertools.permutations(range(n)):
-            cand = max(abs(a[i] - b[p]) for i, p in enumerate(perm))
-            best = min(best, cand)
-        return float(best)
-    remaining = list(range(n))
-    worst = 0.0
-    for i in range(n):
-        jbest = min(remaining, key=lambda j: abs(a[i] - b[j]))
-        worst = max(worst, abs(a[i] - b[jbest]))
-        remaining.remove(jbest)
-    return float(worst)
+    if a.size == 0:
+        return 0.0
+    # scalar abs, not the array ufunc: the vectorized complex abs may round
+    # the last bit differently, and the matching must not move the value
+    dist = np.array([[abs(x - y) for y in b.ravel()] for x in a.ravel()])
+    levels = np.unique(dist)
+    # each row and each column needs a pair, so no level below the largest
+    # row or column minimum admits a pairing; the largest level always does
+    floor = max(dist.min(axis=0).max(), dist.min(axis=1).max())
+    lo, hi = int(np.searchsorted(levels, floor)), levels.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _has_perfect_matching(dist <= levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(levels[lo])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentPhase, IntegrationError
-from .integrate import IntegratorSettings, Trajectory, _integrate_array, integrate
+from .integrate import (
+    IntegratorSettings,
+    Trajectory,
+    _integrate_array,
+    integrate,
+    integrate_functional,
+)
 from .invariants import order_parameter_R
 from .state import Flavor, PhaseConfig, make_phase_config
 
@@ -223,7 +229,8 @@ def dichotomy_check(theta0: np.ndarray, alpha: float, kappa: float,
     Branch SyncR1 requires alpha in (0, pi/2) with initial diameter below
     2 alpha; branch IncoherenceR0 requires alpha in (-pi/2, 0) with pairwise
     distinct phases.  A violated precondition is reported but the run still
-    proceeds (Inconclusive is then an admissible outcome).
+    proceeds (Inconclusive is then an admissible outcome).  The run keeps the
+    total phase at each record point and the final state, not the trajectory.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if settings is None:
@@ -237,10 +244,9 @@ def dichotomy_check(theta0: np.ndarray, alpha: float, kappa: float,
         distinct = len(np.unique(np.round(wrapped, 12))) == theta0.size
         precondition_ok = -np.pi / 2 < alpha < 0 and distinct
     cfg = make_phase_config(theta0, 0.0, kappa, alpha, Flavor.COSINE)
-    traj = integrate(cfg, settings, t_final)
-    sums = traj.states.sum(axis=1)
+    _, sums, final = integrate_functional(cfg, settings, t_final, np.sum)
     monotone = bool(np.all(np.diff(sums) >= -1e-9))
-    r_final, _ = order_parameter_R(traj.final_state)
+    r_final, _ = order_parameter_R(final)
     if r_final > 1.0 - eps:
         verdict = "SyncR1"
     elif r_final < eps:

@@ -265,12 +265,16 @@ def run_scenario(doc: dict, out_dir, seed_override: int | None = None,
     out_dir = Path(out_dir)
     sid = doc.get("id", "scenario")
     try:
-        validate_scenario(doc)
-        resolved = json.loads(json.dumps(doc))  # deep copy, JSON-canonical types
+        try:  # deep copy, JSON-canonical types
+            resolved = json.loads(json.dumps(doc))
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"$: not a JSON document ({exc})") from exc
         if seed_override is not None:
             resolved["seed"] = seed_override
         if dt_override is not None:
             resolved.setdefault("integrator", {})["dt"] = dt_override
+        # the document that runs, overrides included, is the one validated
+        validate_scenario(resolved)
         seed = resolved.get("seed")
         rng = np.random.default_rng(seed)
         cfg = _build_config(resolved["model"], rng)
@@ -279,14 +283,19 @@ def run_scenario(doc: dict, out_dir, seed_override: int | None = None,
             raise ScenarioError(f"$.model: configuration invalid: {'; '.join(bad)}")
         settings = _build_settings(resolved, cfg)
         checks = _build_observables(resolved, cfg)
+        t_final = float(resolved["t_final"])
+        judged = [ob.label for ob, _ in checks if ob.kind is not Kind.RECORD]
+        if judged and t_final == 0.0:
+            raise ScenarioError(f"$.t_final: the {judged[0]} check needs t_final > 0; "
+                                "a run of one record has no drift to judge")
 
         start = time.perf_counter()
-        traj = integrate(cfg, settings, float(resolved["t_final"]))
+        traj = integrate(cfg, settings, t_final)
         series = {ob.label: ob.series(traj) for ob, _ in checks}
         traj.observables = series
         reports = []
-        for ob, tol in checks:
-            reports.extend(drift_report(traj, [ob], tol) if len(traj) > 1 else [])
+        if len(traj) > 1:  # else every observable is a record: no verdicts
+            reports = [r for ob, tol in checks for r in drift_report(traj, [ob], tol)]
         duration = time.perf_counter() - start
 
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -313,6 +315,48 @@ def test_spectrum_matching_handles_conjugate_pairs():
     a = np.array([0.5 - 0.3j, 0.5 + 0.3j])
     b = np.array([0.5 + 0.3j, 0.5 - 0.3j])  # same multiset, swapped order
     assert inv.spectrum_matching_distance(a, b) < 1e-15
+
+
+def _matching_by_permutations(a, b):
+    # the min-max over all n! pairings, kept as the oracle
+    best = np.inf
+    for perm in itertools.permutations(range(a.size)):
+        best = min(best, max(abs(a[i] - b[p]) for i, p in enumerate(perm)))
+    return float(best)
+
+
+def test_spectrum_matching_equals_the_permutation_search_up_to_six():
+    rng = np.random.default_rng(12)
+    for trial in range(600):
+        n = 1 + trial % 6
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if trial % 3 == 0:      # a perturbed reordering, as along a run
+            b = a[rng.permutation(n)] + 1e-3 * rng.standard_normal(n)
+        elif trial % 3 == 1:    # coarse values: many tied distances
+            a = np.round(a, 1)
+            b = np.round(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1)
+        else:
+            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        # the same float, so the cross-ratio drift artifacts keep their bytes
+        assert inv.spectrum_matching_distance(a, b) == _matching_by_permutations(a, b)
+
+
+def test_spectrum_matching_is_exact_beyond_six():
+    # a greedy match pairs 0 with 0.2 and leaves 0.3 to -0.5: 0.8
+    a = np.array([0.0, 0.3, 10, 20, 30, 40, 50])
+    b = np.array([0.2, -0.5, 10, 20, 30, 40, 50])
+    assert inv.spectrum_matching_distance(a, b) == 0.5
+    rng = np.random.default_rng(13)
+    for n in (7, 10, 16):
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        perm = rng.permutation(n)
+        b = a[perm] + 1e-6 * rng.standard_normal(n)
+        # pairing each a_i with its own shifted copy is optimal here
+        own = max(abs(a[p] - b[k]) for k, p in enumerate(perm))
+        assert inv.spectrum_matching_distance(a, b) == own
+    # a NaN eigenvalue gives a NaN distance, which fails any tolerance
+    assert np.isnan(inv.spectrum_matching_distance(np.array([1.0, np.nan]),
+                                                   np.array([1.0, 2.0])))
 
 
 # --- drift reports ---------------------------------------------------------------

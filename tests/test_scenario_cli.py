@@ -70,6 +70,21 @@ def test_zero_horizon_single_row(tmp_path):
     assert rows[0].startswith("t,theta_0")
 
 
+def test_checks_at_zero_horizon_are_a_scenario_error(tmp_path):
+    # one record has no drift: the requested verdict must not vanish into an
+    # empty drift report and exit 0
+    doc = _kuramoto_doc("zero-checks", t_final=0)
+    doc["model"]["initial"] = {"random": {"n": 6}}
+    res = run_scenario(doc, tmp_path, quiet=True)
+    assert res.exit_code == 1
+    assert res.error.startswith("$.t_final: the kuramoto_I check")
+    assert not (tmp_path / "zero-checks_drift.json").exists()
+    # observables without a verdict are still recorded at the one record
+    doc["observables"] = [{"name": "order_R"}]
+    assert run_scenario(doc, tmp_path, quiet=True).exit_code == 0
+    assert json.loads((tmp_path / "zero-checks_drift.json").read_text()) == []
+
+
 def test_successful_run_writes_all_artifacts(tmp_path):
     res = run_scenario(_kuramoto_doc("good"), tmp_path, quiet=True)
     assert res.exit_code == 0
@@ -199,8 +214,9 @@ def test_special_values_stream_byte_identical(tmp_path, monkeypatch):
                          [1 / 3, -2.5e-17, 123456789.0]]])
     doc = {"id": "spec", "t_final": 0.0,
            "model": {"kind": "sphere", "initial": {"x": np.eye(3).tolist()}},
+           # one record carries no verdict, so both observables are records
            "observables": [{"name": "sphere_rho"},
-                           {"name": "pair_inner", "indices": [0, 1]}],
+                           {"name": "pair_inner", "indices": [0, 1], "check": "record"}],
            "output": {"dat_mirror": True}}
     traj = Trajectory(np.array([-0.0]), special, None)
     assert _run_against_oracle(doc, tmp_path, monkeypatch, traj).exit_code == 0
@@ -456,6 +472,21 @@ def test_cli_dt_override_causes_failure_exit(tmp_path):
     code = main(["--scenario", str(path), "--out", str(tmp_path / "out"),
                  "--dt", "0.5", "--quiet"])
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, value, pointer", [
+    ("--seed", "-1", "$.seed: "),
+    ("--dt", "-0.01", "$.integrator.dt: "),
+    ("--dt", "0", "$.integrator.dt: "),
+])
+def test_cli_overrides_are_validated(tmp_path, capsys, flag, value, pointer):
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(_kuramoto_doc("override")))
+    code = main(["--scenario", str(path), "--out", str(tmp_path / "out"),
+                 flag, value, "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {pointer}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_malformed_scenario_exits_1(tmp_path):
