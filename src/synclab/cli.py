@@ -70,7 +70,7 @@ def main(argv=None) -> int:
         return res.exit_code
 
     try:
-        results = run_suite(args.suite, out_dir, quiet=args.quiet)
+        results = run_suite(args.suite, out_dir)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,6 +20,10 @@ from .integrate import IntegratorSettings, Projection, integrate_functional
 from .invariants import matrix_diameter
 from .state import UnitaryConfig, make_unitary_config
 
+EQUILIBRIUM_TOL = 1e-10
+RICCATI_SLACK = 1e-3
+AGGREGATED_DIAMETER = 1e-4
+
 
 @dataclass(frozen=True)
 class FiniteGroupRep:
@@ -116,16 +120,16 @@ def config_from_rep(rep: FiniteGroupRep, kappa: float = 1.0,
     return make_unitary_config(rep.matrices, h=None, kappa=kappa, v=v)
 
 
-def is_equilibrium(cfg: UnitaryConfig, tol: float | None = None) -> tuple[bool, float]:
+def is_equilibrium(cfg: UnitaryConfig) -> tuple[bool, float]:
     """Residual max_j ||dU_j||_F of the zero-Hamiltonian flow.
 
-    The default tolerance 1e-10 is scaled by sqrt(d N) so larger ensembles
-    are not penalized for accumulating roundoff.  Requires H = 0.
+    The residual is compared with ``EQUILIBRIUM_TOL`` (1e-10) scaled by
+    sqrt(d N), so larger ensembles are not penalized for accumulating
+    roundoff.  Requires H = 0.
     """
     if np.any(cfg.h != 0):
         raise ValueError("equilibrium certification applies to H = 0")
-    if tol is None:
-        tol = 1e-10 * max(1.0, np.sqrt(cfg.d * cfg.n))
+    tol = EQUILIBRIUM_TOL * max(1.0, np.sqrt(cfg.d * cfg.n))
     du = dynamics.lohe_matrix_rhs(cfg)
     residual = float(np.max(np.linalg.norm(du, axis=(1, 2))))
     return residual < tol, residual
@@ -153,9 +157,8 @@ class MatrixAggregationResult:
 
 
 def matrix_aggregation_check(cfg: UnitaryConfig, t_final: float,
-                             settings: IntegratorSettings | None = None,
-                             slack: float = 1e-3,
-                             diameter_threshold: float = 1e-4) -> MatrixAggregationResult:
+                             settings: IntegratorSettings | None = None
+                             ) -> MatrixAggregationResult:
     """Run the identical-Hamiltonian matrix flow and certify aggregation.
 
     Hypothesis: ||V - I||_F < 2/3 and D(U(0)) < sqrt(2 - 3 ||V - I||_F).
@@ -163,9 +166,11 @@ def matrix_aggregation_check(cfg: UnitaryConfig, t_final: float,
 
         dD/dt <= -(kappa/2)(2 - 3||V - I||_F) D + (kappa/2) D^3
 
-    is checked on consecutive recorded diameters with the given slack.
-    The run keeps the diameter at each record point and the current state,
-    never the trajectory: its memory grows with the record count alone.
+    is checked on consecutive recorded diameters with slack
+    ``RICCATI_SLACK`` (1e-3), and the ensemble counts as aggregated when its
+    final diameter is below ``AGGREGATED_DIAMETER`` (1e-4).  The run keeps
+    the diameter at each record point and the current state, never the
+    trajectory: its memory grows with the record count alone.
     """
     if not cfg.shared_h:
         raise ValueError("aggregation certification needs identical Hamiltonians")
@@ -186,9 +191,9 @@ def matrix_aggregation_check(cfg: UnitaryConfig, t_final: float,
     return MatrixAggregationResult(
         hypothesis_ok=bool(hypothesis), v_distance=v_dist,
         initial_diameter=float(d0),
-        aggregated=bool(diam[-1] < diameter_threshold),
+        aggregated=bool(diam[-1] < AGGREGATED_DIAMETER),
         final_diameter=float(diam[-1]),
-        riccati_ok=bool(excess <= slack), max_riccati_excess=excess)
+        riccati_ok=bool(excess <= RICCATI_SLACK), max_riccati_excess=excess)
 
 
 def spread_unitary_family(rng: np.random.Generator, n: int, d: int,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,14 +64,17 @@ class IntegratorSettings:
 
 
 def default_settings(cfg: Config, **overrides) -> IntegratorSettings:
-    """RK4 with the model's natural projection."""
+    """RK4 with the model's natural projection.  A projection override that
+    does not fit the model raises ValueError."""
     if isinstance(cfg, SphereConfig):
         proj = Projection.NORMALIZE
     elif isinstance(cfg, UnitaryConfig):
         proj = Projection.POLAR
     else:
         proj = Projection.NONE
-    return replace(IntegratorSettings(projection=proj), **overrides)
+    settings = replace(IntegratorSettings(projection=proj), **overrides)
+    _projector(cfg, settings.projection)
+    return settings
 
 
 @dataclass
@@ -79,15 +82,13 @@ class Trajectory:
     """Recorded states of one integration.
 
     ``states[i]`` is the state array at ``times[i]``; ``config`` carries the
-    constant flow parameters.  Named observable series are attached by the
-    invariants machinery after the fact (observables are evaluated at record
-    points only, never between steps).
+    constant flow parameters.  Observables are evaluated at record points
+    only, never between steps.
     """
 
     times: np.ndarray
     states: np.ndarray
     config: Config
-    observables: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.times.size
@@ -104,22 +105,28 @@ class Trajectory:
 # projections
 
 
-def polar_factor(m: np.ndarray, tol: float = 1e-14, max_iter: int = 50) -> np.ndarray:
+POLAR_TOL = 1e-14
+POLAR_MAX_ITER = 50
+
+
+def polar_factor(m: np.ndarray) -> np.ndarray:
     """Unitary (orthogonal) factor of the polar decomposition.
 
     Newton iteration U <- (U + U^{-*})/2; quadratically convergent for the
     nearly-unitary matrices produced by one integrator step, and dimension
-    here is small (<= 16), so no external decomposition is needed.
-    Accepts a single matrix or a stack.
+    here is small (<= 16), so no external decomposition is needed.  The
+    iteration stops once no entry moves by ``POLAR_TOL`` or more, and after
+    ``POLAR_MAX_ITER`` steps at the latest.  Accepts a single matrix or a
+    stack.
     """
     u = np.array(m, dtype=m.dtype if np.iscomplexobj(m) else float, copy=True)
     (half,) = dynamics._scalars(u.dtype, 0.5)
     inv, max_reduce = np.linalg.inv, np.maximum.reduce
-    for _ in range(max_iter):
+    for _ in range(POLAR_MAX_ITER):
         nxt = half * (u + inv(u.swapaxes(-1, -2).conj()))
         delta = max_reduce(abs(nxt - u), None)
         u = nxt
-        if delta < tol:
+        if delta < POLAR_TOL:
             break
     return u
 
@@ -199,22 +206,23 @@ def _check_finite(y):
 
 
 def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
-                     t_final: float, project=None, postcheck=None, record=None):
+                     t_final: float, project=None, record=None):
     """Core integration loop on a raw state array.
 
-    Returns ``(times, states)`` as arrays: ``times`` of shape (n,) and
-    ``states`` of shape (n,) + y0.shape, row i the state at ``times[i]``.
-    After each step the state is projected and post-checked; a state is
-    checked finite before it is recorded.  With ``record``, row i is
-    ``record(state)`` instead of the state, and the loop holds no state
-    but the current one.
+    Returns ``(times, states, final_state)``: ``times`` of shape (n,),
+    ``states`` of shape (n,) + y0.shape with row i the state at
+    ``times[i]``, and the state at ``times[-1]``.  After each step the state
+    is passed through ``project``, which may also raise on a state it
+    refuses; a state is checked finite before it is recorded.  With
+    ``record``, row i is ``record(state)`` instead of the state, and the
+    loop holds no state but the current one.
     """
     y = np.array(y0, copy=True)
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
     first = y if record is None else record(y)
     if t_final == 0.0:
-        return np.zeros(1), np.asarray(first)[np.newaxis]
+        return np.zeros(1), np.asarray(first)[np.newaxis], y
 
     if settings.scheme is Scheme.RK4:
         # uniform step h <= dt that divides t_final exactly
@@ -234,14 +242,12 @@ def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
             y = _rk4_step(rhs, y, coef)
             if project is not None:
                 y = project(y)
-            if postcheck is not None:
-                postcheck(y)
             if i % every == 0 or i == n_steps:
                 _check_finite(y)
                 times[j] = i * h
                 states[j] = y if record is None else record(y)
                 j += 1
-        return times, states
+        return times, states, y
 
     # DOPRI5 with standard error-per-step control; the record count is not
     # known in advance, so records are listed and stacked once at the end.
@@ -263,8 +269,6 @@ def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
             y = y_new
             if project is not None:
                 y = project(y)
-            if postcheck is not None:
-                postcheck(y)
             accepted += 1
             if accepted % settings.record_every == 0 or t >= t_final:
                 _check_finite(y)
@@ -281,15 +285,15 @@ def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
             # the minimum factor, so the loop ends in StepSizeUnderflow
             factor = 0.2
         h *= min(5.0, max(0.2, factor))
-    return np.array(times), np.array(states)
+    return np.array(times), np.array(states), y
 
 
 def integrate(cfg: Config, settings: IntegratorSettings, t_final: float) -> Trajectory:
     """Integrate a model configuration on [0, t_final]."""
     rhs = dynamics.make_rhs(cfg)
     project = _projector(cfg, settings.projection)
-    times, states = _integrate_array(rhs, dynamics.state_of(cfg), settings,
-                                     t_final, project=project)
+    times, states, _ = _integrate_array(rhs, dynamics.state_of(cfg), settings,
+                                        t_final, project=project)
     return Trajectory(times=times, states=states, config=cfg)
 
 
@@ -304,18 +308,10 @@ def integrate_functional(cfg: Config, settings: IntegratorSettings, t_final: flo
     the memory of a run grows with its record count and the functional's
     size, not with the state's.
     """
-    final = None
-
-    def record(y):
-        nonlocal final
-        final = y
-        return functional(y)
-
     rhs = dynamics.make_rhs(cfg)
     project = _projector(cfg, settings.projection)
-    times, values = _integrate_array(rhs, dynamics.state_of(cfg), settings,
-                                     t_final, project=project, record=record)
-    return times, values, final
+    return _integrate_array(rhs, dynamics.state_of(cfg), settings, t_final,
+                            project=project, record=functional)
 
 
 # ---------------------------------------------------------------------------

@@ -334,10 +334,6 @@ class Observable:
         return np.array([self.fn(traj.config, s) for s in traj.states])
 
 
-def _alpha(cfg: Config) -> float:
-    return cfg.alpha if isinstance(cfg, PhaseConfig) else 0.0
-
-
 def _dm_kind(cfg: Config) -> Kind:
     return Kind.NON_INCREASING if cfg.kappa > 0 else Kind.NON_DECREASING
 
@@ -351,7 +347,7 @@ _MODEL_KIND = {PhaseConfig: "kuramoto", SphereConfig: "sphere", UnitaryConfig: "
 # reaches every observable built on it.
 OBSERVABLES = {
     "kuramoto_I": (lambda c, s, idx: functional_I(s), Kind.CONSERVED, 0, "kuramoto"),
-    "kuramoto_J": (lambda c, s, idx: functional_J_alpha_log(s, _alpha(c))[1],
+    "kuramoto_J": (lambda c, s, idx: functional_J_alpha_log(s, c.alpha)[1],
                    Kind.CONSERVED_LOG, 0, "kuramoto"),
     "kuramoto_K": (lambda c, s, idx: cross_ratio_K(s, *idx), Kind.CONSERVED, 4,
                    "kuramoto"),
@@ -461,7 +457,9 @@ class DriftReport:
         }
 
 
-def _drift_one(ob: Observable, values: np.ndarray, tolerance: float) -> DriftReport:
+def drift(ob: Observable, values: np.ndarray, tolerance: float) -> DriftReport:
+    """The drift report of ``ob`` on its series ``values``, one row per
+    record; the per-kind semantics are documented on :class:`DriftReport`."""
     v0 = values[0]
     if ob.kind is Kind.CONSERVED:
         if values.ndim > 1:  # eigenvalue multisets: match, do not track branches
@@ -501,39 +499,15 @@ def _drift_one(ob: Observable, values: np.ndarray, tolerance: float) -> DriftRep
 
 def drift_report(traj: Trajectory, observables: list[Observable],
                  tolerance: float = 1e-6) -> list[DriftReport]:
-    """Summarize the drift of every observable along ``traj``.
-
-    An observable's series is taken from ``traj.observables`` under its label
-    when one is attached there, and evaluated at the recorded states
-    otherwise.  Requires at least two recorded states.  The per-kind
-    semantics of the deviations are documented on :class:`DriftReport`.
-    """
+    """The :func:`drift` of every observable, evaluated at the recorded
+    states of ``traj``.  Requires at least two recorded states."""
     if len(traj) < 2:
         raise ValueError("drift needs a trajectory with at least two records")
-    reports = []
-    for ob in observables:
-        values = traj.observables.get(ob.label)
-        if values is None:
-            values = ob.series(traj)
-        reports.append(_drift_one(ob, values, tolerance))
-    return reports
+    return [drift(ob, ob.series(traj), tolerance) for ob in observables]
 
 
 def drift_reports_to_json(reports: list[DriftReport]) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=2)
-
-
-def drift_reports_to_csv(reports: list[DriftReport]) -> str:
-    """Fixed-column CSV: name, v0, max_abs_dev, max_rel_dev, verdict."""
-    lines = ["name,v0,max_abs_dev,max_rel_dev,verdict"]
-    for r in reports:
-        if isinstance(r.v0, np.ndarray):
-            v0 = ";".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in r.v0)
-        else:
-            v0 = f"{float(np.real_if_close(r.v0)):.17g}"
-        lines.append(f"{r.name},{v0},{r.max_abs_dev:.17g},{r.max_rel_dev:.17g},"
-                     f"{'pass' if r.verdict else 'fail'}")
-    return "\n".join(lines) + "\n"
 
 
 def equilibrium_residual(cfg: Config) -> float:

@@ -29,6 +29,7 @@ from .invariants import order_parameter_R
 from .state import Flavor, PhaseConfig, make_phase_config
 
 COINCIDENCE_TOL = 1e-12
+DICHOTOMY_EPS = 1e-3
 
 
 def _coincident(beta: np.ndarray) -> np.ndarray:
@@ -152,7 +153,7 @@ def integrate_fg(data: ProjectedPhaseData, settings: IntegratorSettings,
         a, b = ab_coefficients(fg[0] * x0 + fg[1], m, kappa, alpha)
         return np.array([b * fg[0], a + b * fg[1]])
 
-    times, states = _integrate_array(rhs, np.array([1.0, 0.0]), settings, t_final)
+    times, states, _ = _integrate_array(rhs, np.array([1.0, 0.0]), settings, t_final)
     f, g = states[:, 0], states[:, 1]
     envelope = np.exp(abs(kappa) * times)
     if np.any(np.abs(f) > envelope * 1.1) or np.any(np.abs(g) > (envelope - 1.0) * 1.1 + 1e-9):
@@ -221,10 +222,11 @@ class DichotomyResult:
     total_phase_monotone: bool
 
 
-def dichotomy_check(theta0: np.ndarray, alpha: float, kappa: float,
-                    t_final: float, eps: float = 1e-3,
+def dichotomy_check(theta0: np.ndarray, alpha: float, kappa: float, t_final: float,
                     settings: IntegratorSettings | None = None) -> DichotomyResult:
-    """Classify the long-run order parameter of the frustrated cosine flow.
+    """Classify the long-run order parameter of the frustrated cosine flow:
+    SyncR1 when the final R exceeds 1 - ``DICHOTOMY_EPS`` (1e-3),
+    IncoherenceR0 when it is below ``DICHOTOMY_EPS``, Inconclusive otherwise.
 
     Branch SyncR1 requires alpha in (0, pi/2) with initial diameter below
     2 alpha; branch IncoherenceR0 requires alpha in (-pi/2, 0) with pairwise
@@ -247,9 +249,9 @@ def dichotomy_check(theta0: np.ndarray, alpha: float, kappa: float,
     _, sums, final = integrate_functional(cfg, settings, t_final, np.sum)
     monotone = bool(np.all(np.diff(sums) >= -1e-9))
     r_final, _ = order_parameter_R(final)
-    if r_final > 1.0 - eps:
+    if r_final > 1.0 - DICHOTOMY_EPS:
         verdict = "SyncR1"
-    elif r_final < eps:
+    elif r_final < DICHOTOMY_EPS:
         verdict = "IncoherenceR0"
     else:
         verdict = "Inconclusive"

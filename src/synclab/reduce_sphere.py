@@ -35,6 +35,7 @@ from .state import SphereConfig
 
 COINCIDENCE_TOL = 1e-12
 BLOWUP_LIMIT = 1e12
+AGGREGATED_DISTANCE = 1e-4
 
 
 def project_all(x: np.ndarray) -> np.ndarray:
@@ -143,16 +144,13 @@ def integrate_stereo_full(data: ProjectedSphereData, settings: IntegratorSetting
         ys = state[:-1]
         x_n = state[-1] / np.linalg.norm(state[-1])
         ys = ys - np.outer(ys @ x_n, x_n)
-        return np.vstack([ys, x_n[None, :]])
-
-    def postcheck(state):
-        if np.max(np.abs(state[:-1])) > BLOWUP_LIMIT:
+        if np.max(np.abs(ys)) > BLOWUP_LIMIT:
             raise PassedThroughProjectionPoint(
                 "a projected point exceeded 1e12; the chart broke down")
+        return np.vstack([ys, x_n[None, :]])
 
-    times, states = _integrate_array(
-        lambda s: _stereo_rhs(s, kappa, n), state0, settings, t_final,
-        project=project, postcheck=postcheck)
+    times, states, _ = _integrate_array(
+        lambda s: _stereo_rhs(s, kappa, n), state0, settings, t_final, project=project)
     return StereoTrajectory(times=times, y=states[:, :-1],
                             x_n=states[:, -1], data=data)
 
@@ -213,13 +211,14 @@ def integrate_abM(data: ProjectedSphereData, settings: IntegratorSettings,
     dim = data.dim
     state0 = np.concatenate([[1.0], np.zeros(dim), np.eye(dim).ravel()])
 
-    def postcheck(state):
+    def project(state):
+        state = _abm_project(state, data)
         if state[0] <= 0.0:
             raise IntegrationError("scaling factor a lost positivity")
+        return state
 
-    times, states = _integrate_array(
-        lambda s: _abm_rhs(s, data), state0, settings, t_final,
-        project=lambda s: _abm_project(s, data), postcheck=postcheck)
+    times, states, _ = _integrate_array(
+        lambda s: _abm_rhs(s, data), state0, settings, t_final, project=project)
     return ReducedSphereTrajectory(
         times=times, a=states[:, 0], b=states[:, 1:1 + dim],
         m=states[:, 1 + dim:].reshape(-1, dim, dim), data=data)
@@ -343,8 +342,8 @@ class SphereAggregationResult:
 
 
 def sphere_aggregation_check(cfg: SphereConfig, t_final: float,
-                             settings: IntegratorSettings | None = None,
-                             distance_threshold: float = 1e-4) -> SphereAggregationResult:
+                             settings: IntegratorSettings | None = None
+                             ) -> SphereAggregationResult:
     """Run the frustrated sphere flow and certify complete aggregation.
 
     The hypothesis is ||W||_op < a together with
@@ -352,8 +351,10 @@ def sphere_aggregation_check(cfg: SphereConfig, t_final: float,
     reported alongside since the certified inequality does not pin the norm
     down.  A log-linear fit of the aggregation diameter is compared with the
     Gronwall envelope rate 2 kappa (a - ||W||_op): the measured decay must
-    reach at least half of it.  The run keeps the aggregation diameter at
-    each record point and the final state, not the trajectory.
+    reach at least half of it.  The ensemble counts as aggregated when its
+    final largest chord is below ``AGGREGATED_DISTANCE`` (1e-4).  The run
+    keeps the aggregation diameter at each record point and the final
+    state, not the trajectory.
     """
     if settings is None:
         settings = IntegratorSettings(dt=1e-3, record_every=25)
@@ -379,6 +380,6 @@ def sphere_aggregation_check(cfg: SphereConfig, t_final: float,
 
     return SphereAggregationResult(
         hypothesis_ok=bool(hypothesis), w_norm_op=w_op, w_norm_fro=w_fro,
-        initial_gap=float(gap0), aggregated=bool(final_dist < distance_threshold),
+        initial_gap=float(gap0), aggregated=bool(final_dist < AGGREGATED_DISTANCE),
         final_max_distance=float(final_dist), fitted_rate=fitted,
         predicted_rate=predicted, rate_consistent=consistent)

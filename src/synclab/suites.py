@@ -33,8 +33,8 @@ class CheckResult:
     detail: str
 
 
-def _scenario_check(name: str, doc: dict, out_dir, seed, quiet) -> CheckResult:
-    res = run_scenario(doc, out_dir, seed_override=seed, quiet=True)
+def _scenario_check(name: str, doc: dict, out_dir) -> CheckResult:
+    res = run_scenario(doc, out_dir, quiet=True)
     if res.error is not None:
         return CheckResult(name, False, f"error: {res.error}")
     if res.failed_checks:
@@ -42,19 +42,18 @@ def _scenario_check(name: str, doc: dict, out_dir, seed, quiet) -> CheckResult:
     return CheckResult(name, True, "all drift verdicts pass")
 
 
-def _conservation_scenario(sid, model, t_final, observables, dt=1e-3,
-                           record_every=10, seed=12345):
+def _conservation_scenario(sid, model, t_final, observables, seed=12345):
     return {
         "id": sid,
         "seed": seed,
         "t_final": t_final,
         "model": model,
-        "integrator": {"dt": dt, "record_every": record_every},
+        "integrator": {"dt": 1e-3, "record_every": 10},
         "observables": observables,
     }
 
 
-def _kuramoto_pack(out_dir, quiet):
+def _kuramoto_pack(out_dir):
     checks = []
     base = {"kind": "kuramoto", "kappa": 2.0, "flavor": "cosine",
             "initial": {"random": {"n": 6}}}
@@ -72,7 +71,7 @@ def _kuramoto_pack(out_dir, quiet):
     doc = _conservation_scenario(
         "suite-kuramoto-K", {**base, "kappa": 1.0, "alpha": np.pi / 2}, 5.0, quads)
     checks.append(("kuramoto K conserved at alpha=pi/2 (15 quadruples)", doc))
-    results = [_scenario_check(n, d, out_dir, None, quiet) for n, d in checks]
+    results = [_scenario_check(n, d, out_dir) for n, d in checks]
 
     r = reduce_kuramoto.dichotomy_check(np.linspace(0.0, 0.9, 6), 0.5, 1.0, 60.0)
     results.append(CheckResult("dichotomy branch 1 -> sync",
@@ -88,7 +87,7 @@ def _kuramoto_pack(out_dir, quiet):
     return results
 
 
-def _sphere_pack(out_dir, quiet):
+def _sphere_pack(out_dir):
     rng = np.random.default_rng(7)
     skew = rng.standard_normal((3, 3))
     checks = []
@@ -121,7 +120,7 @@ def _sphere_pack(out_dir, quiet):
         5.0,
         [{"name": "pair_distance_product", "tolerance": 1e-6}])
     checks.append(("skew-frustration distance product conserved", doc))
-    results = [_scenario_check(n, d, out_dir, None, quiet) for n, d in checks]
+    results = [_scenario_check(n, d, out_dir) for n, d in checks]
 
     x = rng.standard_normal((6, 3))
     x = 2.0 * np.array([0.0, 0.0, 1.0]) + 0.5 * x
@@ -135,7 +134,7 @@ def _sphere_pack(out_dir, quiet):
     return results
 
 
-def _matrix_pack(out_dir, quiet):
+def _matrix_pack(out_dir):
     results = []
     rng = np.random.default_rng(8)
     u0 = equilibria.spread_unitary_family(rng, 5, 2, 1.2)
@@ -153,12 +152,11 @@ def _matrix_pack(out_dir, quiet):
         "suite-matrix-crossratio",
         {"kind": "matrix", "kappa": 1.0, "initial": {"random": {"n": 5, "d": 2}}},
         3.0, quads, seed=8)
-    results.append(_scenario_check("matrix cross-ratio spectra conserved",
-                                   doc, out_dir, None, quiet))
+    results.append(_scenario_check("matrix cross-ratio spectra conserved", doc, out_dir))
     return results
 
 
-def _reductions_pack(out_dir, quiet):
+def _reductions_pack(out_dir):
     results = []
     rng = np.random.default_rng(42)
     theta0 = np.sort(rng.uniform(0.3, 5.9, 6))
@@ -184,7 +182,7 @@ def _reductions_pack(out_dir, quiet):
     return results
 
 
-def _equilibria_pack(out_dir, quiet):
+def _equilibria_pack(out_dir):
     results = []
     for n in (3, 4, 5):
         rep = equilibria.cyclic_rep(n)
@@ -217,11 +215,14 @@ SUITE_NAMES = tuple(_PACKS) + ("all",)
 
 
 def run_suite(name: str, out_dir, quiet: bool = False) -> list[CheckResult]:
+    """Run the pack ``name``, or every pack for "all", leaving scenario
+    artifacts in ``out_dir``.  Nothing is printed whatever ``quiet`` says:
+    printing the results belongs to the command line front end."""
     if name == "all":
         results = []
         for pack in _PACKS.values():
-            results.extend(pack(out_dir, quiet))
+            results.extend(pack(out_dir))
         return results
     if name not in _PACKS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    return _PACKS[name](out_dir, quiet)
+    return _PACKS[name](out_dir)

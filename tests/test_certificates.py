@@ -258,10 +258,10 @@ def test_functional_records_equal_the_functional_of_state_records(case):
     settings = default_settings(cfg, **overrides)
     args = (make_rhs(cfg), state_of(cfg), settings, t_final)
     project = _projector(cfg, settings.projection)
-    times, states = _integrate_array(*args, project=project)
+    times, states, _ = _integrate_array(*args, project=project)
     expected = np.array([functional(s) for s in states])
 
-    r_times, values = _integrate_array(*args, project=project, record=functional)
+    r_times, values, _ = _integrate_array(*args, project=project, record=functional)
     assert np.array_equal(r_times, times)
     assert values.dtype == expected.dtype and np.array_equal(values, expected)
 

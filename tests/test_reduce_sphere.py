@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from synclab import reduce_sphere as rs
-from synclab.errors import CoincidentPoint
+from synclab.errors import CoincidentPoint, IntegrationError, PassedThroughProjectionPoint
 from synclab.integrate import IntegratorSettings, Projection, integrate, polar_factor
 from synclab.state import make_sphere_config, random_sphere_config
 
@@ -84,6 +84,32 @@ def test_zero_coupling_trajectories_are_constant():
     np.testing.assert_allclose(red.a, 1.0, atol=1e-14)
     np.testing.assert_allclose(red.b, 0.0, atol=1e-14)
     np.testing.assert_allclose(red.m, np.broadcast_to(np.eye(3), red.m.shape), atol=1e-14)
+
+
+def test_stereo_run_past_the_blowup_limit_aborts(monkeypatch):
+    # with no coupling the projected points stay at y(0), so a limit below
+    # max |y(0)| is exceeded after the first step
+    rng = np.random.default_rng(1)
+    data = rs.project_sphere_config(make_sphere_config(rng.standard_normal((4, 3)),
+                                                       kappa=0.0))
+    monkeypatch.setattr(rs, "BLOWUP_LIMIT", 0.99 * float(np.max(np.abs(data.y0))))
+    with pytest.raises(PassedThroughProjectionPoint):
+        rs.integrate_stereo_full(data, IntegratorSettings(dt=1e-2, record_every=50), 0.1)
+
+
+def test_abm_run_with_nonpositive_scale_aborts(monkeypatch):
+    # a rhs that drives a(t) = 1 - 10 t through zero at t = 0.1
+    def falling(state, data):
+        out = np.zeros_like(state)
+        out[0] = -10.0
+        return out
+
+    rng = np.random.default_rng(1)
+    data = rs.project_sphere_config(make_sphere_config(rng.standard_normal((4, 3)),
+                                                       kappa=1.0))
+    monkeypatch.setattr(rs, "_abm_rhs", falling)
+    with pytest.raises(IntegrationError, match="scaling factor a lost positivity"):
+        rs.integrate_abM(data, IntegratorSettings(dt=3e-2, record_every=50), 0.3)
 
 
 def test_two_particle_antipodal_equilibrium():

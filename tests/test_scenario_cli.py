@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,7 +190,9 @@ def _run_against_oracle(doc, out_dir, monkeypatch, traj=None):
     monkeypatch.setattr(scenario, "integrate", integrate_and_keep)
     res = run_scenario(doc, out_dir, quiet=True)
     (ran,) = seen
-    obs = _text_observables_csv(ran, ran.observables)
+    series = {ob.label: ob.series(ran)
+              for ob, _ in scenario._build_observables(doc, ran.config)}
+    obs = _text_observables_csv(ran, series)
     expected = {"trajectory.csv": _text_trajectory_csv(ran), "observables.csv": obs}
     if doc.get("output", {}).get("dat_mirror"):
         expected["observables.dat"] = _text_dat_mirror(obs)
@@ -301,6 +305,47 @@ def test_invalid_initial_state_is_an_error(tmp_path):
     assert "non-unitary" in res.error
 
 
+@pytest.mark.parametrize("model, projection, message", [
+    ("kuramoto", "polar", "Polar projection applies to unitary configurations"),
+    ("sphere", "polar", "Polar projection applies to unitary configurations"),
+    ("matrix", "normalize", "Normalize projection applies to sphere configurations"),
+])
+def test_projection_of_another_model_is_a_scenario_error(tmp_path, capsys, model,
+                                                         projection, message):
+    doc = {"id": "proj", "seed": 1, "t_final": 0.1, "model": _MODELS[model],
+           "integrator": {"dt": 0.01, "projection": projection}}
+    res = run_scenario(doc, tmp_path, quiet=True)
+    assert res.exit_code == 1
+    assert res.error == f"$.integrator: {message}"
+    path = tmp_path / "proj.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: $.integrator: {message}\n"
+
+
+def test_scenario_that_is_not_an_object_is_a_scenario_error(tmp_path, capsys):
+    res = run_scenario([1, 2], tmp_path, quiet=True)
+    assert res.exit_code == 1
+    assert res.error == "$: [1, 2] is not of type 'object'"
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    for flags in ([], ["--seed", "3", "--dt", "0.1"]):
+        code = main(["--scenario", str(path), "--out", str(tmp_path / "out"), "--quiet",
+                     *flags])
+        assert code == 1
+        assert capsys.readouterr().err == "error: $: [1, 2] is not of type 'object'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_example_scenario_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    doc = json.loads(example)
+    res = run_scenario(doc, tmp_path, quiet=True)
+    assert res.exit_code == 0, res
+    assert (tmp_path / f"{doc['id']}_drift.json").exists()
+
+
 def test_conserved_check_on_log_functional_is_a_scenario_error(tmp_path):
     doc = _kuramoto_doc("logc", observables=[
         {"name": "order_R"},
@@ -386,6 +431,8 @@ def test_schema_enums_match_the_python_enums():
     assert integrator["scheme"]["enum"] == [s.value for s in Scheme]
     assert integrator["projection"]["enum"] == [p.value for p in Projection] + ["auto"]
     assert props["model"]["properties"]["flavor"]["enum"] == [f.value for f in Flavor]
+    assert props["model"]["properties"]["kind"]["enum"] == \
+        list(invariants._MODEL_KIND.values())
 
 
 def test_each_functional_is_evaluated_once_per_record(tmp_path, monkeypatch):
