@@ -9,8 +9,7 @@ Each formula exists once, in the kernel that :func:`make_rhs` binds.  Binding
 settles everything that does not change during an integration -- the model's
 constants, kappa/N, the coupling flavor and whether Omega or H is shared --
 so the kernel called on every stage runs only array arithmetic, through the
-ufuncs and ``np.dot`` directly rather than their Python wrappers.  The
-public ``*_rhs(cfg)`` functions bind and evaluate in one call.
+ufuncs and ``np.dot`` directly rather than their Python wrappers.
 
 Bitwise contract: the kernels perform the same floating-point operations in
 the same order as the plain formulas (``x.mean(axis=0)``, ``@`` on 2-d
@@ -40,18 +39,6 @@ from .state import (
     left_mul_matrix,
     split_quaternion,
 )
-
-
-def kuramoto_rhs(cfg: PhaseConfig) -> np.ndarray:
-    return make_rhs(cfg)(cfg.theta)
-
-
-def sphere_rhs(cfg: SphereConfig) -> np.ndarray:
-    return make_rhs(cfg)(cfg.x)
-
-
-def lohe_matrix_rhs(cfg: UnitaryConfig) -> np.ndarray:
-    return make_rhs(cfg)(cfg.u)
 
 
 def make_rhs(cfg: Config):
@@ -151,13 +138,13 @@ def state_of(cfg: Config) -> np.ndarray:
 
 def sphere_tangency_residual(cfg: SphereConfig) -> float:
     """max_i |<dx_i, x_i>|; zero for a flow tangent to the sphere."""
-    dx = sphere_rhs(cfg)
+    dx = make_rhs(cfg)(cfg.x)
     return float(np.max(np.abs(np.einsum("ni,ni->n", dx, cfg.x))))
 
 
 def unitary_tangency_residual(cfg: UnitaryConfig) -> float:
     """max_j ||dU_j U_j^* + U_j dU_j^*||_F; zero when U_j U_j^* is conserved."""
-    du = lohe_matrix_rhs(cfg)
+    du = make_rhs(cfg)(cfg.u)
     ustar = np.conj(np.swapaxes(cfg.u, 1, 2))
     sym = du @ ustar + np.conj(np.swapaxes(du @ ustar, 1, 2))
     return float(np.max(np.linalg.norm(sym, axis=(1, 2))))
@@ -191,13 +178,16 @@ def right_translate(cfg: UnitaryConfig, ell: np.ndarray) -> UnitaryConfig:
 # comes from the traceless part of H_j = sum_k omega_j^k sigma_k + nu_j I.
 
 
-def _decompose_hamiltonian(h: np.ndarray) -> tuple[float, np.ndarray]:
-    """Split H = sum omega^k sigma_k + nu I; returns (nu, Omega 4x4 skew)."""
-    nu = (h[0, 0].real + h[1, 1].real) / 2.0
-    w1 = (h[0, 0].real - h[1, 1].real) / 2.0
-    w2 = h[1, 0].imag
-    w3 = h[1, 0].real
-    return nu, -left_mul_matrix(np.array([w1, w2, w3, 0.0]))
+def _decompose_hamiltonian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split H = sum omega^k sigma_k + nu I over any leading axes; returns
+    (nu, Omega), Omega the 4x4 skew generator of each H."""
+    nu = (h[..., 0, 0].real + h[..., 1, 1].real) / 2.0
+    w1 = (h[..., 0, 0].real - h[..., 1, 1].real) / 2.0
+    w2 = h[..., 1, 0].imag
+    w3 = h[..., 1, 0].real
+    # left_mul_matrix puts the matrix axes first and any leading axes last
+    l_w = left_mul_matrix(np.array([w1, w2, w3, np.zeros_like(w1)]))
+    return nu, -np.moveaxis(l_w, (0, 1), (-2, -1))
 
 
 def reduce_matrix_to_sphere_check(cfg: UnitaryConfig) -> float:
@@ -214,36 +204,22 @@ def reduce_matrix_to_sphere_check(cfg: UnitaryConfig) -> float:
     vt = left_mul_matrix(pv)
 
     n = cfg.n
-    thetas = np.empty(n)
-    xs = np.empty((n, 4))
-    for j in range(n):
-        theta = -0.5 * np.angle(np.linalg.det(cfg.u[j]))
-        p, q = split_quaternion(np.exp(1j * theta) * cfg.u[j])
-        thetas[j] = theta
-        xs[j] = p
+    thetas = -0.5 * np.angle(np.linalg.det(cfg.u))
+    phases = np.exp(1j * thetas)[:, None, None]
+    xs, _ = split_quaternion(phases * cfg.u)
 
     # pushforward of the matrix tangent through the parametrization
-    du = lohe_matrix_rhs(cfg)
-    push_theta = np.empty(n)
-    push_x = np.empty((n, 4))
-    for j in range(n):
-        p, q = split_quaternion(np.exp(1j * thetas[j]) * du[j])
-        push_x[j] = p
-        push_theta[j] = -(q @ xs[j])
+    push_x, q = split_quaternion(phases * make_rhs(cfg)(cfg.u))
+    push_theta = -np.einsum("ja,ja->j", q, xs)
 
     # explicit (theta, x) right-hand sides
-    nus = np.empty(n)
-    omegas = np.empty((n, 4, 4))
-    for j in range(n):
-        hj = cfg.h if cfg.shared_h else cfg.h[j]
-        nus[j], omegas[j] = _decompose_hamiltonian(hj)
-
+    nus, omegas = _decompose_hamiltonian(cfg.h)
     vx = xs @ vt.T
     inner = np.einsum("ji,ki->jk", xs, vx)        # <x_j, Vt x_k>
     dth = thetas[None, :] - thetas[:, None]       # theta_k - theta_j at [j,k]
     f_theta = nus + (cfg.kappa / n) * np.sum(np.sin(dth) * inner, axis=1)
     cosw = np.cos(dth)
-    f_x = (np.einsum("jab,jb->ja", omegas, xs)
+    f_x = ((omegas @ xs[..., None])[..., 0]
            + (cfg.kappa / n) * (cosw @ vx - np.sum(cosw * inner, axis=1)[:, None] * xs))
 
     return float(max(np.max(np.abs(push_theta - f_theta)),

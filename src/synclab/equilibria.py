@@ -130,7 +130,7 @@ def is_equilibrium(cfg: UnitaryConfig) -> tuple[bool, float]:
     if np.any(cfg.h != 0):
         raise ValueError("equilibrium certification applies to H = 0")
     tol = EQUILIBRIUM_TOL * max(1.0, np.sqrt(cfg.d * cfg.n))
-    du = dynamics.lohe_matrix_rhs(cfg)
+    du = dynamics.make_rhs(cfg)(cfg.u)
     residual = float(np.max(np.linalg.norm(du, axis=(1, 2))))
     return residual < tol, residual
 

@@ -93,9 +93,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.size
 
-    def config_at(self, i: int) -> Config:
-        return self.config.with_state(self.states[i])
-
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]

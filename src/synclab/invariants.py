@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics
 from .errors import DegenerateDenominator, SingularDifference, ZeroFactor
 from .integrate import Trajectory
 from .state import Config, PhaseConfig, SphereConfig, UnitaryConfig
@@ -40,17 +39,6 @@ def functional_I(theta: np.ndarray) -> float:
     with theta_{N+1} = theta_1.  Conserved by the unfrustrated cosine flow."""
     theta = np.asarray(theta, dtype=float)
     return float(np.prod(np.sin((np.roll(theta, -1) - theta) / 2.0)))
-
-
-def functional_J_alpha(theta: np.ndarray, alpha: float) -> float:
-    """I(theta) * exp(tan(alpha) * sum theta); conserved for |alpha| < pi/2.
-
-    Overflows for large total phase; long-run drift measurement goes through
-    :func:`functional_J_alpha_log` instead.
-    """
-    _check_j_alpha(alpha)
-    theta = np.asarray(theta, dtype=float)
-    return functional_I(theta) * float(np.exp(np.tan(alpha) * theta.sum()))
 
 
 def functional_J_alpha_log(theta: np.ndarray, alpha: float) -> tuple[float, float]:
@@ -459,7 +447,10 @@ class DriftReport:
 
 def drift(ob: Observable, values: np.ndarray, tolerance: float) -> DriftReport:
     """The drift report of ``ob`` on its series ``values``, one row per
-    record; the per-kind semantics are documented on :class:`DriftReport`."""
+    record; the per-kind semantics are documented on :class:`DriftReport`.
+    A series of fewer than two records has no drift and raises ValueError."""
+    if len(values) < 2:
+        raise ValueError("drift needs a series of at least two records")
     v0 = values[0]
     if ob.kind is Kind.CONSERVED:
         if values.ndim > 1:  # eigenvalue multisets: match, do not track branches
@@ -497,20 +488,5 @@ def drift(ob: Observable, values: np.ndarray, tolerance: float) -> DriftReport:
                        max_rel_dev=max_rel, tolerance=tolerance, verdict=ok)
 
 
-def drift_report(traj: Trajectory, observables: list[Observable],
-                 tolerance: float = 1e-6) -> list[DriftReport]:
-    """The :func:`drift` of every observable, evaluated at the recorded
-    states of ``traj``.  Requires at least two recorded states."""
-    if len(traj) < 2:
-        raise ValueError("drift needs a trajectory with at least two records")
-    return [drift(ob, ob.series(traj), tolerance) for ob in observables]
-
-
 def drift_reports_to_json(reports: list[DriftReport]) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=2)
-
-
-def equilibrium_residual(cfg: Config) -> float:
-    """Sup norm of the model rhs; below ~1e-10 the state is an equilibrium."""
-    rhs = dynamics.make_rhs(cfg)(dynamics.state_of(cfg))
-    return float(np.max(np.abs(rhs)))

@@ -56,11 +56,6 @@ def project_phases(theta: np.ndarray, theta_n: np.ndarray) -> np.ndarray:
         return np.where(np.abs(1.0 - c) > np.abs(s), s / (1.0 - c), (1.0 + c) / s)
 
 
-def stereo_project_phase(theta_j: float, theta_n: float) -> float:
-    """The chart at one phase; see :func:`project_phases`."""
-    return float(project_phases(theta_j, theta_n))
-
-
 @dataclass(frozen=True)
 class ProjectedPhaseData:
     """Frozen projected initial data of the reduction.
@@ -76,7 +71,6 @@ class ProjectedPhaseData:
     kappa: float
     alpha: float
     perm: np.ndarray
-    theta_ref0: float
 
     @property
     def n(self) -> int:
@@ -107,8 +101,7 @@ def project_phase_config(cfg: PhaseConfig) -> ProjectedPhaseData:
     perm = np.concatenate([leading, np.flatnonzero(coincident), [theta.size - 1]])
     return ProjectedPhaseData(x0=project_phases(theta[leading], ref),
                               m=int(coincident.sum()) + 1, kappa=cfg.kappa,
-                              alpha=as_sine_alpha(cfg), perm=perm,
-                              theta_ref0=float(ref))
+                              alpha=as_sine_alpha(cfg), perm=perm)
 
 
 def ab_coefficients(x: np.ndarray, m: int, kappa: float,

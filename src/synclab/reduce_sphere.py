@@ -56,11 +56,6 @@ def project_all(x: np.ndarray) -> np.ndarray:
     return x_n + (2.0 / d2) * diff
 
 
-def sphere_stereo_project(x_j: np.ndarray, x_n: np.ndarray) -> np.ndarray:
-    """The chart at one point x_j; see :func:`project_all`."""
-    return project_all(np.stack([x_j, x_n]))[0]
-
-
 def sphere_stereo_invert(y_j: np.ndarray, x_n: np.ndarray) -> np.ndarray:
     """Inverse map back to the sphere:
     x = 2y/(1+||y||^2) + (||y||^2 - 1)/(1+||y||^2) x_N.  Requires y _|_ x_N."""

@@ -269,16 +269,21 @@ def run_scenario(doc: dict, out_dir, seed_override: int | None = None,
             resolved = json.loads(json.dumps(doc))
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"$: not a JSON document ({exc})") from exc
-        if isinstance(resolved, dict):  # any other document fails validation
+        # an override goes into objects only; any other shape fails validation
+        if isinstance(resolved, dict):
             if seed_override is not None:
                 resolved["seed"] = seed_override
-            if dt_override is not None:
-                resolved.setdefault("integrator", {})["dt"] = dt_override
+            if (dt_override is not None
+                    and isinstance(resolved.setdefault("integrator", {}), dict)):
+                resolved["integrator"]["dt"] = dt_override
         # the document that runs, overrides included, is the one validated
         validate_scenario(resolved)
         seed = resolved.get("seed")
         rng = np.random.default_rng(seed)
-        cfg = _build_config(resolved["model"], rng)
+        try:
+            cfg = _build_config(resolved["model"], rng)
+        except ValueError as exc:  # shapes the schema cannot see
+            raise ScenarioError(f"$.model: {exc}") from exc
         bad = validate(cfg)
         if bad:
             raise ScenarioError(f"$.model: configuration invalid: {'; '.join(bad)}")

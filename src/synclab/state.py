@@ -342,15 +342,17 @@ def quat_to_matrix(x: np.ndarray) -> np.ndarray:
 
 
 def split_quaternion(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a 2x2 complex matrix as A(p) + i A(q); returns (p, q)."""
-    p = np.array([(b[0, 0].imag - b[1, 1].imag) / 2,
-                  (b[0, 1].real - b[1, 0].real) / 2,
-                  (b[0, 1].imag + b[1, 0].imag) / 2,
-                  (b[0, 0].real + b[1, 1].real) / 2])
-    q = np.array([(b[1, 1].real - b[0, 0].real) / 2,
-                  (b[0, 1].imag - b[1, 0].imag) / 2,
-                  -(b[0, 1].real + b[1, 0].real) / 2,
-                  (b[0, 0].imag + b[1, 1].imag) / 2])
+    """Split 2x2 complex matrices as A(p) + i A(q) over any leading axes;
+    returns (p, q), each with a trailing axis of 4."""
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    p = np.stack([(b00.imag - b11.imag) / 2,
+                  (b01.real - b10.real) / 2,
+                  (b01.imag + b10.imag) / 2,
+                  (b00.real + b11.real) / 2], axis=-1)
+    q = np.stack([(b11.real - b00.real) / 2,
+                  (b01.imag - b10.imag) / 2,
+                  -(b01.real + b10.real) / 2,
+                  (b00.imag + b11.imag) / 2], axis=-1)
     return p, q
 
 

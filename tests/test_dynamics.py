@@ -15,32 +15,32 @@ from synclab.state import (
 
 def test_sine_antipodal_pair_is_stationary():
     cfg = make_phase_config([0.0, np.pi], kappa=1.0)
-    np.testing.assert_allclose(dynamics.kuramoto_rhs(cfg), [0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(dynamics.make_rhs(cfg)(cfg.theta), [0.0, 0.0], atol=1e-15)
 
 
 def test_sine_two_oscillator_direct_sum():
     cfg = make_phase_config([0.0, np.pi / 2], kappa=2.0)
-    np.testing.assert_allclose(dynamics.kuramoto_rhs(cfg), [1.0, -1.0], atol=1e-14)
+    np.testing.assert_allclose(dynamics.make_rhs(cfg)(cfg.theta), [1.0, -1.0], atol=1e-14)
 
 
 def test_cosine_single_oscillator_reduces_to_cos_alpha():
     cfg = make_phase_config([0.7], kappa=1.0, alpha=np.pi / 3, flavor=Flavor.COSINE)
-    np.testing.assert_allclose(dynamics.kuramoto_rhs(cfg), [0.5], atol=1e-15)
+    np.testing.assert_allclose(dynamics.make_rhs(cfg)(cfg.theta), [0.5], atol=1e-15)
 
 
 def test_natural_frequencies_add():
     cfg = make_phase_config([0.0, np.pi], nu=[0.3, -0.2], kappa=1.0)
-    np.testing.assert_allclose(dynamics.kuramoto_rhs(cfg), [0.3, -0.2], atol=1e-14)
+    np.testing.assert_allclose(dynamics.make_rhs(cfg)(cfg.theta), [0.3, -0.2], atol=1e-14)
 
 
 def test_sphere_single_particle_is_stationary():
     cfg = make_sphere_config(np.array([[1.0, 0.0]]), kappa=1.0)
-    np.testing.assert_allclose(dynamics.sphere_rhs(cfg), 0.0, atol=1e-15)
+    np.testing.assert_allclose(dynamics.make_rhs(cfg)(cfg.x), 0.0, atol=1e-15)
 
 
 def test_sphere_orthonormal_pair():
     cfg = make_sphere_config(np.eye(2), kappa=1.0)
-    dx = dynamics.sphere_rhs(cfg)
+    dx = dynamics.make_rhs(cfg)(cfg.x)
     np.testing.assert_allclose(dx[0], [0.0, 0.5], atol=1e-15)
     np.testing.assert_allclose(dx[1], [0.5, 0.0], atol=1e-15)
 
@@ -49,7 +49,7 @@ def test_skew_pair_inner_product_is_conserved_instantaneously():
     # d/dt <x1, x2> = <dx1, x2> + <x1, dx2> must vanish for a = 0
     w = np.array([[0.0, -1.0], [1.0, 0.0]])
     cfg = make_sphere_config(np.eye(2), kappa=1.0, a=0.0, w=w)
-    dx = dynamics.sphere_rhs(cfg)
+    dx = dynamics.make_rhs(cfg)(cfg.x)
     ddt = dx[0] @ cfg.x[1] + cfg.x[0] @ dx[1]
     assert abs(ddt) < 1e-15
 
@@ -66,7 +66,7 @@ def test_sphere_tangency_100_random_configs():
 def test_aggregated_matrix_state_is_stationary():
     u0 = random_unitary(np.random.default_rng(3), 2)
     cfg = make_unitary_config(np.array([u0, u0, u0]), kappa=1.0)
-    np.testing.assert_allclose(dynamics.lohe_matrix_rhs(cfg), 0.0, atol=1e-15)
+    np.testing.assert_allclose(dynamics.make_rhs(cfg)(cfg.u), 0.0, atol=1e-15)
 
 
 def test_unitarity_tangency_100_random_configs():
@@ -89,11 +89,12 @@ def test_d1_matrix_model_reproduces_sine_kuramoto():
             np.exp(-1j * theta).reshape(n, 1, 1),
             h=np.array([[nu]]), kappa=kappa,
             v=np.array([[np.exp(-1j * alpha)]]))
-        du = dynamics.lohe_matrix_rhs(ucfg)
+        du = dynamics.make_rhs(ucfg)(ucfg.u)
         # i dU U* is real and equals the phase velocity of theta
         dtheta = np.real((1j * du[:, 0, 0]) * np.conj(ucfg.u[:, 0, 0]))
         pcfg = make_phase_config(theta, nu, kappa, alpha, Flavor.SINE)
-        np.testing.assert_allclose(dtheta, dynamics.kuramoto_rhs(pcfg), atol=1e-12)
+        np.testing.assert_allclose(dtheta, dynamics.make_rhs(pcfg)(pcfg.theta),
+                                   atol=1e-12)
 
 
 def test_right_translate_identity_is_noop():
@@ -110,16 +111,17 @@ def test_right_translate_u1_shifts_phase():
     out = dynamics.right_translate(cfg, np.array([[np.exp(1j * 0.4)]]))
     np.testing.assert_allclose(out.u[:, 0, 0], np.exp(-1j * (theta - 0.4)),
                                atol=1e-14)
-    np.testing.assert_allclose(dynamics.lohe_matrix_rhs(out) * np.exp(-1j * 0.4),
-                               dynamics.lohe_matrix_rhs(cfg), atol=1e-14)
+    np.testing.assert_allclose(dynamics.make_rhs(out)(out.u) * np.exp(-1j * 0.4),
+                               dynamics.make_rhs(cfg)(cfg.u), atol=1e-14)
 
 
 def test_right_translate_commutes_with_flow():
     rng = np.random.default_rng(16)
     cfg = random_unitary_config(rng, 3, 2, h_scale=0.5)
     ell = random_unitary(rng, 2)
-    lhs = dynamics.lohe_matrix_rhs(dynamics.right_translate(cfg, ell))
-    rhs = dynamics.lohe_matrix_rhs(cfg) @ ell
+    moved = dynamics.right_translate(cfg, ell)
+    lhs = dynamics.make_rhs(moved)(moved.u)
+    rhs = dynamics.make_rhs(cfg)(cfg.u) @ ell
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -155,6 +157,19 @@ def test_matrix_to_sphere_check_random_frustrated():
     cfg = random_unitary_config(rng, 4, 2)
     cfg = make_unitary_config(cfg.u, h=(h + h.conj().T) / 2, kappa=0.9,
                               v=quat_to_matrix(v4))
+    assert dynamics.reduce_matrix_to_sphere_check(cfg) < 1e-9
+
+
+def test_matrix_to_sphere_check_per_oscillator_hamiltonians():
+    rng = np.random.default_rng(22)
+    v4 = rng.standard_normal(4)
+    v4 /= np.linalg.norm(v4)
+    from synclab.state import quat_to_matrix
+    h = rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2))
+    cfg = random_unitary_config(rng, 6, 2)
+    cfg = make_unitary_config(cfg.u, h=(h + h.conj().swapaxes(1, 2)) / 2, kappa=1.1,
+                              v=quat_to_matrix(v4))
+    assert not cfg.shared_h
     assert dynamics.reduce_matrix_to_sphere_check(cfg) < 1e-9
 
 

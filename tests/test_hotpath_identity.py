@@ -142,8 +142,6 @@ def test_phase_rhs_is_bitwise_identical(flavor, n):
     for _ in range(DRAWS):
         cfg = _phase_cfg(rng, n, flavor)
         _assert_rhs_identity(cfg, cfg.theta, cfg.theta + rng.standard_normal(n))
-        assert np.array_equal(dynamics.kuramoto_rhs(cfg),
-                              _phase_rhs(cfg.theta, cfg.nu, cfg.kappa, cfg.alpha, flavor))
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared-omega", "stacked-omega"])
@@ -154,8 +152,6 @@ def test_sphere_rhs_is_bitwise_identical(shared, a, n):
     for draw in range(DRAWS):
         cfg = _sphere_cfg(rng, n, 1 + draw % 3, shared, a)
         _assert_rhs_identity(cfg, cfg.x, cfg.x + 0.1 * rng.standard_normal(cfg.x.shape))
-        assert np.array_equal(dynamics.sphere_rhs(cfg),
-                              _sphere_rhs(cfg.x, cfg.omega, cfg.kappa, cfg.v))
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared-h", "stacked-h"])
@@ -166,8 +162,6 @@ def test_unitary_rhs_is_bitwise_identical(shared, n):
         cfg = _unitary_cfg(rng, n, 2 + draw % 3, shared)
         noise = rng.standard_normal(cfg.u.shape) + 1j * rng.standard_normal(cfg.u.shape)
         _assert_rhs_identity(cfg, cfg.u, cfg.u + 0.1 * noise)
-        assert np.array_equal(dynamics.lohe_matrix_rhs(cfg),
-                              _unitary_rhs(cfg.u, cfg.h, cfg.kappa, cfg.v))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synclab import invariants as inv
+from synclab.dynamics import make_rhs
 from synclab.errors import DegenerateDenominator, SingularDifference, ZeroFactor
 from synclab.integrate import IntegratorSettings, default_settings, integrate
 from synclab.state import (
@@ -39,18 +40,20 @@ def test_functional_I_equally_spaced():
 def test_functional_J_alpha_zero_is_I():
     rng = np.random.default_rng(0)
     theta = rng.uniform(0, 2 * np.pi, 5)
-    assert inv.functional_J_alpha(theta, 0.0) == pytest.approx(
-        inv.functional_I(theta))
+    sign, log = inv.functional_J_alpha_log(theta, 0.0)
+    assert sign * np.exp(log) == pytest.approx(inv.functional_I(theta))
 
 
 def test_functional_J_closed_form():
-    val = inv.functional_J_alpha(np.array([0.0, np.pi]), np.pi / 4)
-    assert val == pytest.approx(-np.exp(np.pi))
+    # I = sin(pi/2) sin(-pi/2) = -1 and tan(pi/4) * sum theta = pi
+    sign, log = inv.functional_J_alpha_log(np.array([0.0, np.pi]), np.pi / 4)
+    assert sign == -1.0
+    assert log == pytest.approx(np.pi)
 
 
 def test_functional_J_rejects_singular_alpha():
     with pytest.raises(ValueError):
-        inv.functional_J_alpha(np.array([0.0, 1.0]), np.pi / 2)
+        inv.functional_J_alpha_log(np.array([0.0, 1.0]), np.pi / 2)
 
 
 def test_cross_ratio_equally_spaced():
@@ -196,7 +199,7 @@ def test_pair_distance_product_verdict_at_large_n(n, dt, passes):
     traj = integrate(cfg, default_settings(cfg, dt=dt, record_every=10), 2.0)
     ob = inv.make_observable("pair_distance_product", cfg)
     assert ob.kind is inv.Kind.CONSERVED_LOG
-    (report,) = inv.drift_report(traj, [ob], 1e-6)
+    report = inv.drift(ob, ob.series(traj), 1e-6)
     assert np.isfinite(report.v0) and np.isfinite(report.max_rel_dev)
     assert report.verdict is passes, report
 
@@ -367,7 +370,7 @@ def test_drift_report_constant_trajectory():
     traj = integrate(cfg, IntegratorSettings(dt=0.1, record_every=1), 1.0)
     obs = [inv.make_observable("kuramoto_I", cfg),
            inv.make_observable("order_R", cfg)]
-    reports = inv.drift_report(traj, obs, 1e-12)
+    reports = [inv.drift(ob, ob.series(traj), 1e-12) for ob in obs]
     assert all(r.verdict for r in reports)
     assert all(r.max_abs_dev == 0.0 for r in reports)
 
@@ -379,7 +382,7 @@ def test_conserved_check_fails_on_an_underflowed_functional():
     cfg = random_phase_config(np.random.default_rng(3), 200, flavor=Flavor.COSINE)
     traj = integrate(cfg, IntegratorSettings(dt=0.5, record_every=1), 5.0)
     obs = [inv.make_observable(name, cfg) for name in ("kuramoto_I", "kuramoto_J")]
-    report_i, report_j = inv.drift_report(traj, obs, 1e-6)
+    report_i, report_j = (inv.drift(ob, ob.series(traj), 1e-6) for ob in obs)
     assert abs(report_i.v0) < inv.REL_FLOOR
     assert report_i.max_rel_dev < 1e-6
     assert not report_i.verdict
@@ -412,7 +415,7 @@ def test_drift_report_dm_monotone_both_signs():
         traj = integrate(cfg, default_settings(cfg, dt=2e-3, record_every=20), 4.0)
         ob = inv.make_observable("sphere_DM", cfg)
         assert ob.kind is kind
-        (report,) = inv.drift_report(traj, [ob], 1e-9)
+        report = inv.drift(ob, ob.series(traj), 1e-9)
         assert report.verdict, report
 
 
@@ -422,15 +425,25 @@ def test_strict_decrease_away_from_equilibrium():
     cfg = random_sphere_config(rng, 5, 2, kappa=1.0)
     traj = integrate(cfg, default_settings(cfg, dt=1e-3, record_every=100), 20.0)
     dm = np.array([inv.sphere_squared_diameter(s) for s in traj.states])
+    rhs = make_rhs(traj.config)
     for i in range(len(dm) - 1):
-        if inv.equilibrium_residual(traj.config_at(i)) >= 1e-10:
+        if np.max(np.abs(rhs(traj.states[i]))) >= 1e-10:
             assert dm[i + 1] < dm[i]
+
+
+@pytest.mark.parametrize("records", [0, 1])
+def test_drift_refuses_a_series_without_two_records(records):
+    # one record has no deviation to measure, so no verdict may pass on it
+    ob = inv.Observable("v", inv.Kind.CONSERVED, lambda c, s: None)
+    with pytest.raises(ValueError, match="at least two records"):
+        inv.drift(ob, np.ones(records), 1e-6)
 
 
 def test_drift_json_roundtrip():
     import json
     cfg = make_phase_config([0.1, 0.9, 2.0], kappa=1.0, flavor=Flavor.COSINE)
     traj = integrate(cfg, IntegratorSettings(dt=1e-3, record_every=100), 2.0)
-    reports = inv.drift_report(traj, [inv.make_observable("kuramoto_I", cfg)], 1e-6)
+    ob = inv.make_observable("kuramoto_I", cfg)
+    reports = [inv.drift(ob, ob.series(traj), 1e-6)]
     parsed = json.loads(inv.drift_reports_to_json(reports))
     assert parsed[0]["verdict"] == "pass"

@@ -10,20 +10,19 @@ from synclab.state import Flavor, make_phase_config, random_phase_config
 
 
 def test_projection_closed_forms():
-    assert rk.stereo_project_phase(np.pi / 2, 0.0) == pytest.approx(1.0)
-    assert rk.stereo_project_phase(np.pi, 0.0) == pytest.approx(0.0)
-    assert rk.stereo_project_phase(np.pi / 3, 0.0) == pytest.approx(np.sqrt(3))
+    x = rk.project_phases(np.array([np.pi / 2, np.pi, np.pi / 3]), 0.0)
+    np.testing.assert_allclose(x, [1.0, 0.0, np.sqrt(3)], rtol=1e-6, atol=1e-12)
 
 
 def test_projection_rejects_coincident_phase():
     with pytest.raises(CoincidentPhase):
-        rk.stereo_project_phase(2 * np.pi, 0.0)
+        rk.project_phases(2 * np.pi, 0.0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(1e-6, 2 * np.pi - 1e-6))
 def test_projection_is_half_angle_cotangent(beta):
-    assert rk.stereo_project_phase(beta, 0.0) == pytest.approx(
+    assert float(rk.project_phases(beta, 0.0)) == pytest.approx(
         1.0 / np.tan(beta / 2.0), rel=1e-9, abs=1e-9)
 
 
@@ -49,7 +48,7 @@ def test_array_chart_matches_scalar_formula_bit_for_bit():
     got = rk.project_phases(theta, ref[:, None])
     want = np.array([[_oracle_chart(t, r) for t in row] for row, r in zip(theta, ref)])
     assert np.array_equal(got, want)
-    assert all(rk.stereo_project_phase(t, ref[0]) == w for t, w in zip(theta[0], want[0]))
+    assert all(rk.project_phases(t, ref[0]) == w for t, w in zip(theta[0], want[0]))
     cfg = make_phase_config(np.append(theta[0], ref[0]))
     assert np.array_equal(rk.project_phase_config(cfg).x0, want[0])
 
@@ -88,18 +87,15 @@ def test_ab_bounds_random_instances():
 
 def test_ab_matches_projected_flow_derivative():
     # d/dt of the projected points equals A + B x along the sine flow
-    from synclab.dynamics import kuramoto_rhs
+    from synclab.dynamics import make_rhs
     rng = np.random.default_rng(1)
     theta = np.sort(rng.uniform(0.2, 6.0, 6))
     kappa, alpha = 1.3, 0.4
     cfg = make_phase_config(theta, 0.0, kappa, alpha)
-    x = np.array([rk.stereo_project_phase(t, theta[-1]) for t in theta[:-1]])
-    d = kuramoto_rhs(cfg)
+    x = rk.project_phases(theta[:-1], theta[-1])
+    d = make_rhs(cfg)(cfg.theta)
     eps = 1e-7
-    xp = np.array([rk.stereo_project_phase(t, (theta + eps * d)[-1])
-                   for t in (theta + eps * d)[:-1]])
-    xm = np.array([rk.stereo_project_phase(t, (theta - eps * d)[-1])
-                   for t in (theta - eps * d)[:-1]])
+    xp, xm = (rk.project_phases(t[:-1], t[-1]) for t in (theta + eps * d, theta - eps * d))
     numeric = (xp - xm) / (2 * eps)
     a, b = rk.ab_coefficients(x, 1, kappa, alpha)
     np.testing.assert_allclose(numeric, a + b * x, rtol=1e-5, atol=1e-6)
@@ -187,7 +183,7 @@ def _oracle_affine_identity_residual(full, reduced):
     diffs0 = x0[:, None] - x0[None, :]
     worst = 0.0
     for theta in full.states:
-        xt = np.array([rk.stereo_project_phase(theta[j], theta[-1]) for j in lead])
+        xt = rk.project_phases(theta[lead], theta[-1])
         if xt.size >= 2:
             diffs_t = xt[:, None] - xt[None, :]
             lhs = diffs_t[:, :, None, None] * diffs0[None, None, :, :]

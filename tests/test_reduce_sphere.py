@@ -12,14 +12,14 @@ from synclab.state import make_sphere_config, random_sphere_config
 
 def test_project_antipodal_maps_to_origin():
     x_n = np.array([0.0, 0.0, 1.0])
-    y = rs.sphere_stereo_project(-x_n, x_n)
+    y = rs.project_all(np.stack([-x_n, x_n]))[0]
     np.testing.assert_allclose(y, 0.0, atol=1e-15)
 
 
 def test_project_equator_is_fixed():
     x_n = np.array([0.0, 0.0, 1.0])
     x = np.array([1.0, 0.0, 0.0])
-    np.testing.assert_allclose(rs.sphere_stereo_project(x, x_n), x, atol=1e-15)
+    np.testing.assert_allclose(rs.project_all(np.stack([x, x_n]))[0], x, atol=1e-15)
 
 
 def test_project_invert_roundtrip_random_points():
@@ -31,7 +31,7 @@ def test_project_invert_roundtrip_random_points():
         x /= np.linalg.norm(x)
         if np.linalg.norm(x - x_n) < 1e-3:
             continue
-        y = rs.sphere_stereo_project(x, x_n)
+        y = rs.project_all(np.stack([x, x_n]))[0]
         assert abs(y @ x_n) < 1e-12
         np.testing.assert_allclose(rs.sphere_stereo_invert(y, x_n), x, atol=1e-12)
 
@@ -57,7 +57,7 @@ def test_invert_unit_orthogonal_is_fixed():
 def test_project_rejects_reference_point():
     x_n = np.array([0.0, 0.0, 1.0])
     with pytest.raises(CoincidentPoint):
-        rs.sphere_stereo_project(x_n, x_n)
+        rs.project_all(np.stack([x_n, x_n]))
 
 
 def test_project_config_requires_distinct_points():
@@ -334,7 +334,7 @@ def test_project_all_matches_per_point_chart():
         want = np.array([_oracle_stereo_project(xi, x[t, -1]) for xi in x[t, :-1]])
         assert np.array_equal(got[t], want)
         assert np.array_equal(rs.project_all(x[t]), want)
-        assert np.array_equal(rs.sphere_stereo_project(x[t, 0], x[t, -1]), want[0])
+        assert np.array_equal(rs.project_all(x[t, [0, -1]])[0], want[0])
 
 
 def test_reduction_chain_report_memory_at_n60():

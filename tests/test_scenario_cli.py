@@ -327,13 +327,37 @@ def test_scenario_that_is_not_an_object_is_a_scenario_error(tmp_path, capsys):
     res = run_scenario([1, 2], tmp_path, quiet=True)
     assert res.exit_code == 1
     assert res.error == "$: [1, 2] is not of type 'object'"
-    path = tmp_path / "list.json"
-    path.write_text("[1, 2]")
-    for flags in ([], ["--seed", "3", "--dt", "0.1"]):
-        code = main(["--scenario", str(path), "--out", str(tmp_path / "out"), "--quiet",
-                     *flags])
-        assert code == 1
-        assert capsys.readouterr().err == "error: $: [1, 2] is not of type 'object'\n"
+    # an override goes into objects only, and validation reports the rest
+    for i, (doc, message) in enumerate([
+            ([1, 2], "$: [1, 2] is not of type 'object'"),
+            (_kuramoto_doc(integrator=[1]), "$.integrator: [1] is not of type 'object'")]):
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(json.dumps(doc))
+        for flags in ([], ["--seed", "3", "--dt", "0.1"]):
+            code = main(["--scenario", str(path), "--out", str(tmp_path / "out"),
+                         "--quiet", *flags])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+_SPHERE_X = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("model", [
+    {"kind": "kuramoto", "nu": [0.1, 0.2], "initial": {"theta": [0.0, 1.0, 2.0]}},
+    {"kind": "sphere", "omega": [[0.0, 1.0], [-1.0, 0.0]], "initial": {"x": _SPHERE_X}},
+    {"kind": "sphere", "initial": {"x": [[1.0, 0.0, 0.0], [0.0, 1.0]]}},
+    {"kind": "sphere", "initial": {"x": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}},
+    {"kind": "matrix", "v": encode_complex(np.eye(1)),
+     "initial": {"u": [encode_complex(np.eye(2))] * 2}},
+], ids=["nu-length", "omega-shape", "ragged-x", "zero-row", "v-shape"])
+def test_malformed_model_is_a_scenario_error(tmp_path, capsys, model):
+    # schema-valid documents whose shapes disagree fail as scenario errors
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"id": "m", "t_final": 0.1, "model": model}))
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: $.model: ")
     assert not (tmp_path / "out").exists()
 
 

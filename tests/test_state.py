@@ -15,6 +15,7 @@ from synclab.state import (
     random_sphere_config,
     random_unitary,
     random_unitary_config,
+    split_quaternion,
     validate,
 )
 
@@ -119,3 +120,28 @@ def test_assemble_then_embed_is_identity(theta, xs):
     u = assemble_unitary2(theta, x)
     t2, x2 = embed_unitary2_to_sphere(u)
     np.testing.assert_allclose(assemble_unitary2(t2, x2), u, atol=1e-12)
+
+
+def _oracle_split(b):
+    # the one-matrix split the stacked form replaced, kept as the oracle
+    p = np.array([(b[0, 0].imag - b[1, 1].imag) / 2,
+                  (b[0, 1].real - b[1, 0].real) / 2,
+                  (b[0, 1].imag + b[1, 0].imag) / 2,
+                  (b[0, 0].real + b[1, 1].real) / 2])
+    q = np.array([(b[1, 1].real - b[0, 0].real) / 2,
+                  (b[0, 1].imag - b[1, 0].imag) / 2,
+                  -(b[0, 1].real + b[1, 0].real) / 2,
+                  (b[0, 0].imag + b[1, 1].imag) / 2])
+    return p, q
+
+
+def test_stacked_split_quaternion_equals_per_matrix_calls():
+    rng = np.random.default_rng(23)
+    b = rng.standard_normal((3, 5, 2, 2)) + 1j * rng.standard_normal((3, 5, 2, 2))
+    p, q = split_quaternion(b)
+    assert p.shape == q.shape == (3, 5, 4)
+    for idx in np.ndindex(3, 5):
+        want_p, want_q = _oracle_split(b[idx])
+        one_p, one_q = split_quaternion(b[idx])
+        assert np.array_equal(one_p, want_p) and np.array_equal(one_q, want_q)
+        assert np.array_equal(p[idx], want_p) and np.array_equal(q[idx], want_q)
