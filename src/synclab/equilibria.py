@@ -3,9 +3,9 @@ matrix-model aggregation certification.
 
 Images of unitary representations of finite groups are stationary for the
 zero-Hamiltonian matrix flow: any homomorphism works without frustration,
-and any nontrivial irreducible representation works for arbitrary unitary
-frustration because its matrices sum to zero.  Only the cyclic and symmetric
-families are constructed here; no completeness claim is made.
+and any nontrivial irrep works for arbitrary unitary frustration because
+its matrices sum to zero.  Only the cyclic and symmetric families are
+constructed here; no completeness claim is made.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dynamics
-from .integrate import IntegratorSettings, Projection, integrate_functional
+from .integrate import IntegratorSettings, integrate_functional, natural_projection
 from .invariants import matrix_diameter
 from .state import UnitaryConfig, make_unitary_config
 
@@ -27,18 +27,15 @@ AGGREGATED_DIAMETER = 1e-4
 
 @dataclass(frozen=True)
 class FiniteGroupRep:
-    """A finite group given by an element list and Cayley table, together
-    with a unitary matrix for each element."""
+    """A finite group given by its Cayley table on the element indices,
+    together with a unitary matrix for each element."""
 
-    name: str
-    elements: tuple
-    table: np.ndarray          # table[i, j] = index of elements[i] * elements[j]
+    table: np.ndarray          # table[i, j] = index of element i * element j
     matrices: np.ndarray       # (N, d, d) complex
-    irreducible: bool
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.table.shape[0]
 
     @property
     def dimension(self) -> int:
@@ -66,9 +63,7 @@ def cyclic_rep(n: int) -> FiniteGroupRep:
     ks = np.arange(n)
     matrices = np.exp(2j * np.pi * ks / n).reshape(n, 1, 1)
     table = (ks[:, None] + ks[None, :]) % n
-    return FiniteGroupRep(name=f"Z_{n}", elements=tuple(range(n)),
-                          table=table, matrices=matrices,
-                          irreducible=True)
+    return FiniteGroupRep(table=table, matrices=matrices)
 
 
 def _helmert_basis(n: int) -> np.ndarray:
@@ -108,9 +103,7 @@ def symmetric_standard_rep(n: int) -> FiniteGroupRep:
     for i, p in enumerate(perms):
         for j, q in enumerate(perms):
             table[i, j] = index[tuple(p[qk] for qk in q)]
-    return FiniteGroupRep(name=f"S_{n}-standard", elements=tuple(perms),
-                          table=table, matrices=mats.astype(complex),
-                          irreducible=True)
+    return FiniteGroupRep(table=table, matrices=mats.astype(complex))
 
 
 def config_from_rep(rep: FiniteGroupRep, kappa: float = 1.0,
@@ -176,7 +169,7 @@ def matrix_aggregation_check(cfg: UnitaryConfig, t_final: float,
         raise ValueError("aggregation certification needs identical Hamiltonians")
     if settings is None:
         settings = IntegratorSettings(dt=1e-3, record_every=1)
-    settings = replace(settings, projection=Projection.POLAR)
+    settings = replace(settings, projection=natural_projection(cfg))
 
     v_dist = float(np.linalg.norm(cfg.v - np.eye(cfg.d)))
     d0 = matrix_diameter(cfg.u)
@@ -216,6 +209,8 @@ def spread_unitary_family(rng: np.random.Generator, n: int, d: int,
             raise ValueError("target diameter unreachable")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent floats: every further round returns family(mid)
         if matrix_diameter(family(mid)) < target_diameter:
             lo = mid
         else:

@@ -55,6 +55,9 @@ class IntegratorSettings:
     record_every: int = 1
 
     def __post_init__(self):
+        # a string here would fall through to DOPRI5 or fail a table lookup
+        if not (isinstance(self.scheme, Scheme) and isinstance(self.projection, Projection)):
+            raise ValueError("scheme and projection must be Scheme and Projection members")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not (0 < self.rtol <= 1e-2 and 0 < self.atol <= 1e-2):
@@ -66,13 +69,8 @@ class IntegratorSettings:
 def default_settings(cfg: Config, **overrides) -> IntegratorSettings:
     """RK4 with the model's natural projection.  A projection override that
     does not fit the model raises ValueError."""
-    if isinstance(cfg, SphereConfig):
-        proj = Projection.NORMALIZE
-    elif isinstance(cfg, UnitaryConfig):
-        proj = Projection.POLAR
-    else:
-        proj = Projection.NONE
-    settings = replace(IntegratorSettings(projection=proj), **overrides)
+    settings = replace(IntegratorSettings(projection=natural_projection(cfg)),
+                       **overrides)
     _projector(cfg, settings.projection)
     return settings
 
@@ -133,25 +131,38 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt(np.add.reduce(x * x, -1, keepdims=True))
 
 
+# each projection with the configuration class it fits, that class's name
+# and its map; every other class takes Projection.NONE
+_PROJECTIONS = {
+    Projection.NORMALIZE: (SphereConfig, "sphere", _normalize_rows),
+    Projection.POLAR: (UnitaryConfig, "unitary", polar_factor),
+}
+
+
+def natural_projection(cfg: Config) -> Projection:
+    """The projection that keeps ``cfg``'s state on its manifold."""
+    for mode, (cls, _, _) in _PROJECTIONS.items():
+        if isinstance(cfg, cls):
+            return mode
+    return Projection.NONE
+
+
 def _projector(cfg: Config, mode: Projection):
     if mode is Projection.NONE:
         return None
-    if mode is Projection.NORMALIZE:
-        if not isinstance(cfg, SphereConfig):
-            raise ValueError("Normalize projection applies to sphere configurations")
-        return _normalize_rows
-    if mode is Projection.POLAR:
-        if not isinstance(cfg, UnitaryConfig):
-            raise ValueError("Polar projection applies to unitary configurations")
-        return polar_factor
-    raise ValueError(f"unknown projection {mode!r}")
+    cls, name, project = _PROJECTIONS[mode]
+    if not isinstance(cfg, cls):
+        raise ValueError(f"{mode.value.capitalize()} projection applies to "
+                         f"{name} configurations")
+    return project
 
 
 # ---------------------------------------------------------------------------
 # steppers
 
 # Dormand-Prince 5(4) tableau (autonomous form); the 5th-order solution is
-# propagated.
+# propagated.  The last row of _DP_A is the 5th-order weights (the property
+# behind "first same as last"), so the last stage point is that solution.
 _DP_A = [
     [],
     [1 / 5],
@@ -161,7 +172,6 @@ _DP_A = [
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 
@@ -187,14 +197,11 @@ def _dopri5_step(f, y, h):
         for a, k in zip(_DP_A[i], ks):
             yi = yi + (h * a) * k
         ks.append(f(yi))
-    y5 = y
     y4 = y
-    for b5, b4, k in zip(_DP_B5, _DP_B4, ks):
-        if b5:
-            y5 = y5 + (h * b5) * k
+    for b4, k in zip(_DP_B4, ks):
         if b4:
             y4 = y4 + (h * b4) * k
-    return y5, y5 - y4
+    return yi, yi - y4
 
 
 def _check_finite(y):
@@ -319,9 +326,6 @@ def integrate_functional(cfg: Config, settings: IntegratorSettings, t_final: flo
 class OrderEstimate:
     order: float
     exact: bool
-
-    def __str__(self):
-        return "exact" if self.exact else f"p = {self.order:.2f}"
 
 
 def convergence_order(cfg: Config, scheme: Scheme, t_final: float = 1.0,

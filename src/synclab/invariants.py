@@ -47,18 +47,14 @@ def functional_J_alpha_log(theta: np.ndarray, alpha: float) -> tuple[float, floa
     sign(I) together with log|I| + tan(alpha) * sum(theta); sign is 0 when
     some adjacent pair coincides exactly.
     """
-    _check_j_alpha(alpha)
+    if abs(alpha) >= np.pi / 2 - 1e-9:
+        raise ValueError("J_alpha is singular at |alpha| = pi/2 (tan blows up)")
     theta = np.asarray(theta, dtype=float)
     sines = np.sin((np.roll(theta, -1) - theta) / 2.0)
     sign = float(np.prod(np.sign(sines)))
     with np.errstate(divide="ignore"):
         logmag = float(np.sum(np.log(np.abs(sines))) + np.tan(alpha) * theta.sum())
     return sign, logmag
-
-
-def _check_j_alpha(alpha: float):
-    if abs(alpha) >= np.pi / 2 - 1e-9:
-        raise ValueError("J_alpha is singular at |alpha| = pi/2 (tan blows up)")
 
 
 def cross_ratio_K(theta: np.ndarray, a: int, b: int, c: int, d: int) -> float:

@@ -24,10 +24,10 @@ import numpy as np
 from .errors import CoincidentPoint, IntegrationError, PassedThroughProjectionPoint
 from .integrate import (
     IntegratorSettings,
-    Projection,
     _integrate_array,
     integrate,
     integrate_functional,
+    natural_projection,
     polar_factor,
 )
 from .invariants import aggregation_diameter, max_pairwise_distance, min_pairwise_distance
@@ -267,7 +267,7 @@ def reduction_chain_report(cfg: SphereConfig, settings: IntegratorSettings,
     system on one grid; report every pairwise discrepancy plus the
     structural invariants of the reduced representation."""
     data = project_sphere_config(cfg)
-    full = integrate(cfg, _replace(settings, projection=Projection.NORMALIZE),
+    full = integrate(cfg, _replace(settings, projection=natural_projection(cfg)),
                      t_final)
     stereo = integrate_stereo_full(data, settings, t_final)
     reduced = integrate_abM(data, settings, t_final)
@@ -353,7 +353,7 @@ def sphere_aggregation_check(cfg: SphereConfig, t_final: float,
     """
     if settings is None:
         settings = IntegratorSettings(dt=1e-3, record_every=25)
-    settings = _replace(settings, projection=Projection.NORMALIZE)
+    settings = _replace(settings, projection=natural_projection(cfg))
     w_op = float(np.linalg.norm(cfg.w, 2))
     w_fro = float(np.linalg.norm(cfg.w))
     gap0 = aggregation_diameter(cfg.x)

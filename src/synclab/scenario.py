@@ -9,7 +9,8 @@ time, straight to their files.  All numbers are printed with 17 significant
 digits, so two runs of the same scenario produce byte-identical files; the
 only exception is the manifest's ``duration_seconds``, the run's wall time.
 
-Random initial data comes from numpy's seeded PCG64 generator; the seed and
+Random initial data comes from numpy's seeded PCG64 generator; the schema
+requires a seed wherever the initial data is random, and the seed and
 generator name are recorded in the manifest.  There is no unseeded
 randomness anywhere.
 """
@@ -104,46 +105,27 @@ def load_scenario(path):
 
 
 def _build_config(model: dict, rng: np.random.Generator) -> Config:
-    kind = model["kind"]
+    """The configuration of a validated model: the schema fixes which keys
+    and which initial form each kind takes."""
+    kind, initial = model["kind"], model["initial"]
     kappa = model.get("kappa", 1.0)
-    initial = model["initial"]
+    r = initial.get("random")
     if kind == "kuramoto":
-        if "theta" in initial:
-            theta = np.asarray(initial["theta"], dtype=float)
-        elif "random" in initial:
-            r = initial["random"]
-            theta = rng.uniform(r.get("low", 0.0), r.get("high", 2 * np.pi), r["n"])
-        else:
-            raise ScenarioError("$.model.initial: kuramoto needs 'theta' or 'random'")
+        theta = (np.asarray(initial["theta"], dtype=float) if r is None
+                 else rng.uniform(r.get("low", 0.0), r.get("high", 2 * np.pi), r["n"]))
         return make_phase_config(theta, model.get("nu", 0.0), kappa,
                                  model.get("alpha", 0.0),
                                  Flavor(model.get("flavor", "sine")))
     if kind == "sphere":
-        if "x" in initial:
-            x = np.asarray(initial["x"], dtype=float)
-        elif "random" in initial:
-            r = initial["random"]
-            if "d" not in r:
-                raise ScenarioError("$.model.initial.random: sphere needs 'd'")
-            x = rng.standard_normal((r["n"], r["d"] + 1))
-        else:
-            raise ScenarioError("$.model.initial: sphere needs 'x' or 'random'")
+        x = (np.asarray(initial["x"], dtype=float) if r is None
+             else rng.standard_normal((r["n"], r["d"] + 1)))
         return make_sphere_config(x, model.get("omega"), kappa,
                                   model.get("a", 1.0), model.get("w"))
-    if kind == "matrix":
-        if "u" in initial:
-            u = decode_complex(initial["u"])
-        elif "random" in initial:
-            r = initial["random"]
-            if "d" not in r:
-                raise ScenarioError("$.model.initial.random: matrix needs 'd'")
-            u = np.array([random_unitary(rng, r["d"]) for _ in range(r["n"])])
-        else:
-            raise ScenarioError("$.model.initial: matrix needs 'u' or 'random'")
-        h = decode_complex(model["h"]) if "h" in model else None
-        v = decode_complex(model["v"]) if "v" in model else None
-        return make_unitary_config(u, h, kappa, v)
-    raise ScenarioError(f"$.model.kind: unknown model {kind!r}")
+    u = (decode_complex(initial["u"]) if r is None
+         else np.array([random_unitary(rng, r["d"]) for _ in range(r["n"])]))
+    h = decode_complex(model["h"]) if "h" in model else None
+    v = decode_complex(model["v"]) if "v" in model else None
+    return make_unitary_config(u, h, kappa, v)
 
 
 def _build_settings(doc: dict, cfg: Config) -> IntegratorSettings:
@@ -260,7 +242,8 @@ def run_scenario(doc: dict, out_dir, seed_override: int | None = None,
     """Execute one scenario document and write its artifacts.
 
     Exit code contract: 0 on success, 2 if any invariant verdict failed,
-    1 on scenario, I/O, or integration errors.
+    1 on scenario, I/O, or integration errors.  An error is returned in
+    ``RunResult.error``, not printed; ``quiet`` drops the per-check lines.
     """
     out_dir = Path(out_dir)
     sid = doc.get("id", "scenario") if isinstance(doc, dict) else "scenario"
@@ -335,7 +318,5 @@ def run_scenario(doc: dict, out_dir, seed_override: int | None = None,
         return RunResult(exit_code=code, scenario_id=sid,
                          outputs=manifest["outputs"], failed_checks=failed)
     except (ScenarioError, SynclabError, OSError) as exc:
-        if not quiet:
-            print(f"  [ERROR] {sid}: {exc}")
         return RunResult(exit_code=1, scenario_id=sid, outputs=[],
                          failed_checks=[], error=str(exc))

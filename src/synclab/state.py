@@ -40,18 +40,11 @@ class Flavor(enum.Enum):
     COSINE = "cosine"
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
+def _frozen(a, dtype) -> np.ndarray:
+    """A read-only copy of ``a`` as ``dtype``."""
+    a = np.array(a, dtype=dtype, copy=True)
     a.setflags(write=False)
     return a
-
-
-def _as_float_array(a) -> np.ndarray:
-    return _readonly(np.asarray(a, dtype=float))
-
-
-def _as_complex_array(a) -> np.ndarray:
-    return _readonly(np.asarray(a, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -65,8 +58,8 @@ class PhaseConfig:
     flavor: Flavor = Flavor.SINE
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _as_float_array(self.theta))
-        object.__setattr__(self, "nu", _as_float_array(self.nu))
+        object.__setattr__(self, "theta", _frozen(self.theta, float))
+        object.__setattr__(self, "nu", _frozen(self.nu, float))
         if self.theta.ndim != 1 or self.theta.size < 1:
             raise ValueError("theta must be a nonempty 1-d array")
         if self.nu.shape != self.theta.shape:
@@ -96,15 +89,13 @@ class SphereConfig:
     w: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _as_float_array(self.x))
+        object.__setattr__(self, "x", _frozen(self.x, float))
         if self.x.ndim != 2 or self.x.shape[0] < 1 or self.x.shape[1] < 2:
             raise ValueError("x must be an (N, d+1) array with d >= 1")
         dim = self.x.shape[1]
-        if self.w is None:
-            object.__setattr__(self, "w", _readonly(np.zeros((dim, dim))))
-        else:
-            object.__setattr__(self, "w", _as_float_array(self.w))
-        object.__setattr__(self, "omega", _as_float_array(self.omega))
+        w = np.zeros((dim, dim)) if self.w is None else self.w
+        object.__setattr__(self, "w", _frozen(w, float))
+        object.__setattr__(self, "omega", _frozen(self.omega, float))
         if self.omega.shape not in ((dim, dim), (self.x.shape[0], dim, dim)):
             raise ValueError("omega must be (d+1, d+1) or (N, d+1, d+1)")
         if self.w.shape != (dim, dim):
@@ -146,9 +137,9 @@ class UnitaryConfig:
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "u", _as_complex_array(self.u))
-        object.__setattr__(self, "h", _as_complex_array(self.h))
-        object.__setattr__(self, "v", _as_complex_array(self.v))
+        object.__setattr__(self, "u", _frozen(self.u, complex))
+        object.__setattr__(self, "h", _frozen(self.h, complex))
+        object.__setattr__(self, "v", _frozen(self.v, complex))
         if self.u.ndim != 3 or self.u.shape[1] != self.u.shape[2]:
             raise ValueError("u must be an (N, d, d) array")
         d = self.u.shape[1]
@@ -229,9 +220,8 @@ def make_unitary_config(u, h=None, kappa=1.0, v=None) -> UnitaryConfig:
 
 
 def random_phase_config(rng: np.random.Generator, n: int, kappa=1.0, alpha=0.0,
-                        flavor: Flavor = Flavor.SINE, nu_scale=0.0,
-                        low=0.0, high=2.0 * np.pi) -> PhaseConfig:
-    theta = rng.uniform(low, high, n)
+                        flavor: Flavor = Flavor.SINE, nu_scale=0.0) -> PhaseConfig:
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
     nu = nu_scale * rng.standard_normal(n) if nu_scale else np.zeros(n)
     return make_phase_config(theta, nu, kappa, alpha, flavor)
 
@@ -259,12 +249,12 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def random_unitary_config(rng: np.random.Generator, n: int, d: int, kappa=1.0,
-                          h_scale=0.0, v=None) -> UnitaryConfig:
+                          h_scale=0.0) -> UnitaryConfig:
     u = np.array([random_unitary(rng, d) for _ in range(n)])
     h = None
     if h_scale:
         h = h_scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    return make_unitary_config(u, h, kappa, v)
+    return make_unitary_config(u, h, kappa)
 
 
 # ---------------------------------------------------------------------------

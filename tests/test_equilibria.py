@@ -114,6 +114,38 @@ def test_spread_family_hits_target_diameter():
                                atol=1e-12)
 
 
+def _spread_200_rounds(rng, n, d, target_diameter):
+    """Oracle for ``spread_unitary_family``: all 200 bisection rounds, run
+    on after the bracket has stopped moving."""
+    a = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    a = (a + np.conj(np.swapaxes(a, 1, 2))) / 2.0
+
+    def family(c):
+        evals, evecs = np.linalg.eigh(c * a)
+        return np.einsum("jab,jb,jcb->jac", evecs, np.exp(1j * evals),
+                         np.conj(evecs))
+
+    lo, hi = 0.0, 1.0
+    while matrix_diameter(family(hi)) < target_diameter:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if matrix_diameter(family(mid)) < target_diameter:
+            lo = mid
+        else:
+            hi = mid
+    return family(0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("seed, n, d, target", [
+    (3, 5, 2, 1.2), (4, 4, 2, 1.0), (8, 5, 2, 1.2), (0, 6, 3, 0.7), (21, 3, 1, 1.5),
+])
+def test_spread_family_equals_the_full_bisection(seed, n, d, target):
+    got = eq.spread_unitary_family(np.random.default_rng(seed), n, d, target)
+    want = _spread_200_rounds(np.random.default_rng(seed), n, d, target)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_matrix_aggregation_inside_certified_region():
     rng = np.random.default_rng(4)
     u0 = eq.spread_unitary_family(rng, 4, 2, 1.0)

@@ -8,15 +8,20 @@ import synclab
 from synclab import reduce_kuramoto as rk
 from synclab import reduce_sphere as rs
 
+from synclab.dynamics import make_rhs, state_of
 from synclab.errors import IntegrationError
 from synclab.integrate import (
+    _DP_A,
+    _DP_B4,
     IntegratorSettings,
     Projection,
     Scheme,
+    _dopri5_step,
     _integrate_array,
     convergence_order,
     default_settings,
     integrate,
+    natural_projection,
     polar_factor,
 )
 from synclab.state import (
@@ -36,6 +41,10 @@ def test_settings_validation():
         IntegratorSettings(rtol=0.5)
     with pytest.raises(ValueError):
         IntegratorSettings(record_every=0)
+    with pytest.raises(ValueError):
+        IntegratorSettings(scheme="rk4")
+    with pytest.raises(ValueError):
+        IntegratorSettings(projection="none")
 
 
 def test_zero_horizon_returns_initial_state_only():
@@ -101,6 +110,17 @@ def test_projection_mode_must_match_model():
     cfg = make_phase_config([0.0, 1.0])
     with pytest.raises(ValueError):
         integrate(cfg, IntegratorSettings(projection=Projection.NORMALIZE), 1.0)
+
+
+@pytest.mark.parametrize("make, projection", [
+    (lambda rng: random_phase_config(rng, 5), Projection.NONE),
+    (lambda rng: random_sphere_config(rng, 5, 2), Projection.NORMALIZE),
+    (lambda rng: random_unitary_config(rng, 3, 2), Projection.POLAR),
+], ids=["kuramoto", "sphere", "matrix"])
+def test_natural_projection_per_model(make, projection):
+    cfg = make(np.random.default_rng(0))
+    assert natural_projection(cfg) is projection
+    assert default_settings(cfg).projection is projection
 
 
 def test_nonfinite_state_detected():
@@ -314,3 +334,52 @@ def test_recording_holds_the_trajectory_once():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * traj.states.nbytes + 64 * 1024
+
+
+# ---------------------------------------------------------------------------
+# the Dormand-Prince step
+
+# the fifth-order weights, the last one belonging to the seventh stage
+_DP_B5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
+
+
+def _dopri5_two_sums(f, y, h):
+    """Oracle for ``_dopri5_step``: the step that sums its fifth-order
+    solution apart from the stages, skipping the zero weights."""
+    ks = [f(y)]
+    for i in range(1, 7):
+        yi = y
+        for a, k in zip(_DP_A[i], ks):
+            yi = yi + (h * a) * k
+        ks.append(f(yi))
+    y5 = y
+    y4 = y
+    for b5, b4, k in zip(np.array(_DP_B5), _DP_B4, ks):
+        if b5:
+            y5 = y5 + (h * b5) * k
+        if b4:
+            y4 = y4 + (h * b4) * k
+    return y5, y5 - y4
+
+
+def test_dopri5_last_stage_row_is_the_fifth_order_weights():
+    assert list(_DP_A[-1]) + [0.0] == _DP_B5
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: random_phase_config(rng, int(rng.integers(2, 9)), kappa=rng.normal(),
+                                    alpha=rng.uniform(-1.5, 1.5), nu_scale=0.5),
+    lambda rng: random_sphere_config(rng, int(rng.integers(2, 9)), int(rng.integers(1, 4)),
+                                     kappa=rng.normal(), a=rng.normal(), w_scale=0.5,
+                                     omega_scale=0.5, shared_omega=bool(rng.integers(2))),
+    lambda rng: random_unitary_config(rng, int(rng.integers(2, 7)), int(rng.integers(1, 4)),
+                                      kappa=rng.normal(), h_scale=0.5),
+], ids=["kuramoto", "sphere", "matrix"])
+def test_dopri5_step_equals_the_two_sum_oracle(make):
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        cfg = make(rng)
+        f, y, h = make_rhs(cfg), state_of(cfg), 10.0 ** rng.uniform(-4, -1)
+        got, want = _dopri5_step(f, y, h), _dopri5_two_sums(f, y, h)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -361,6 +361,89 @@ def test_malformed_model_is_a_scenario_error(tmp_path, capsys, model):
     assert not (tmp_path / "out").exists()
 
 
+_KEYS = {"kuramoto": ["kind", "kappa", "alpha", "flavor", "nu", "initial"],
+         "sphere": ["kind", "kappa", "a", "w", "omega", "initial"],
+         "matrix": ["kind", "kappa", "h", "v", "initial"]}
+_KEY_VALUES = {"alpha": 0.3, "flavor": "sine", "nu": 0.1, "a": 0.5,
+               "w": np.zeros((3, 3)).tolist(), "omega": np.zeros((3, 3)).tolist(),
+               "h": encode_complex(np.eye(2)), "v": encode_complex(np.eye(2))}
+_RANDOM = {"kuramoto": {"n": 4}, "sphere": {"n": 4, "d": 2}, "matrix": {"n": 4, "d": 2}}
+
+
+def _refused_documents():
+    """(id, document, message) for each key or initial form a model kind
+    does not take; every document is otherwise one that runs."""
+    def doc(kind, initial=None, seed=3, **model):
+        initial = {"random": _RANDOM[kind]} if initial is None else initial
+        d = {"id": "refused", "t_final": 0.1,
+             "model": {"kind": kind, **model, "initial": initial}}
+        return d if seed is None else {**d, "seed": seed}
+
+    cases = [(f"{kind}-{key}", doc(kind, **{key: _KEY_VALUES[key]}),
+              f"$.model: '{key}' is not one of {keys!r}")
+             for kind, keys in _KEYS.items() for key in _KEY_VALUES if key not in keys]
+    cases += [
+        ("kuramoto-initial-x", doc("kuramoto", {"x": _SPHERE_X}),
+         "$.model.initial: 'x' is not one of ['theta', 'random']"),
+        ("sphere-random-without-d", doc("sphere", {"random": {"n": 4}}),
+         "$.model.initial.random: 'd' is a required property"),
+        ("matrix-random-without-d", doc("matrix", {"random": {"n": 4}}),
+         "$.model.initial.random: 'd' is a required property"),
+        ("kuramoto-random-with-d", doc("kuramoto", {"random": {"n": 4, "d": 2}}),
+         "$.model.initial.random: 'd' is not one of ['n', 'low', 'high']"),
+        ("sphere-random-with-low", doc("sphere", {"random": {"n": 4, "d": 2, "low": 0.0}}),
+         "$.model.initial.random: 'low' is not one of ['n', 'd']"),
+    ]
+    cases += [(f"{kind}-random-without-seed", doc(kind, seed=None),
+               "$: 'seed' is a required property") for kind in _KEYS]
+    return cases
+
+
+@pytest.mark.parametrize("doc, message", [pytest.param(doc, message, id=case)
+                                          for case, doc, message in _refused_documents()])
+def test_key_a_model_does_not_take_is_a_scenario_error(tmp_path, capsys, doc, message):
+    res = run_scenario(doc, tmp_path / "out", quiet=True)
+    assert (res.exit_code, res.error) == (1, message)
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", sorted(_KEYS))
+def test_each_kind_takes_its_own_keys(tmp_path, kind):
+    random = {**_RANDOM[kind], **({"low": 0.0, "high": 1.0} if kind == "kuramoto" else {})}
+    model = {"kind": kind, "kappa": 1.0, "initial": {"random": random},
+             **{key: _KEY_VALUES[key] for key in _KEYS[kind] if key in _KEY_VALUES}}
+    doc = {"id": kind, "seed": 3, "t_final": 0.1, "model": model}
+    assert run_scenario(doc, tmp_path, quiet=True).exit_code == 0
+
+
+def test_cli_seed_runs_a_random_document_without_seed(tmp_path):
+    doc = {"id": "noseed", "t_final": 0.1,
+           "model": {"kind": "sphere", "initial": {"random": {"n": 4, "d": 2}}},
+           "observables": [{"name": "sphere_rho"}]}
+    path = tmp_path / "noseed.json"
+    path.write_text(json.dumps(doc))
+    for out in ("a", "b"):
+        assert main(["--scenario", str(path), "--out", str(tmp_path / out),
+                     "--seed", "3", "--quiet"]) == 0
+    manifest = json.loads((tmp_path / "a" / "noseed_manifest.json").read_text())
+    assert manifest["prng"]["seed"] == 3
+    assert ((tmp_path / "a" / "noseed_trajectory.csv").read_bytes()
+            == (tmp_path / "b" / "noseed_trajectory.csv").read_bytes())
+
+
+def test_cli_prints_a_scenario_error_once(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_kuramoto_doc("bad", t_final=0.0)))
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: $.t_final: ") and err.count("\n") == 1
+
+
 def test_readme_example_scenario_runs(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
