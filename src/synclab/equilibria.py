@@ -18,7 +18,7 @@ import numpy as np
 from . import dynamics
 from .integrate import IntegratorSettings, integrate_functional, natural_projection
 from .invariants import matrix_diameter
-from .state import UnitaryConfig, make_unitary_config
+from .state import UnitaryConfig, hermitian_part, make_unitary_config
 
 EQUILIBRIUM_TOL = 1e-10
 RICCATI_SLACK = 1e-3
@@ -167,15 +167,16 @@ def matrix_aggregation_check(cfg: UnitaryConfig, t_final: float,
     """
     if not cfg.shared_h:
         raise ValueError("aggregation certification needs identical Hamiltonians")
+    if t_final <= 0:
+        raise ValueError("matrix_aggregation_check needs t_final > 0")
     if settings is None:
         settings = IntegratorSettings(dt=1e-3, record_every=1)
     settings = replace(settings, projection=natural_projection(cfg))
 
     v_dist = float(np.linalg.norm(cfg.v - np.eye(cfg.d)))
-    d0 = matrix_diameter(cfg.u)
-    hypothesis = v_dist < 2.0 / 3.0 and d0 < np.sqrt(2.0 - 3.0 * v_dist)
-
     times, diam, _ = integrate_functional(cfg, settings, t_final, matrix_diameter)
+    d0 = diam[0]
+    hypothesis = v_dist < 2.0 / 3.0 and d0 < np.sqrt(2.0 - 3.0 * v_dist)
     dts = np.diff(times)
     fwd = np.diff(diam) / dts
     bound = (-(cfg.kappa / 2.0) * (2.0 - 3.0 * v_dist) * diam[:-1]
@@ -195,7 +196,7 @@ def spread_unitary_family(rng: np.random.Generator, n: int, d: int,
     equal to ``target_diameter``, found by bisecting the common scale of
     random Hermitian logarithms."""
     a = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
-    a = (a + np.conj(np.swapaxes(a, 1, 2))) / 2.0
+    a = hermitian_part(a)
 
     def family(c):
         evals, evecs = np.linalg.eigh(c * a)

@@ -41,14 +41,19 @@ def functional_I(theta: np.ndarray) -> float:
     return float(np.prod(np.sin((np.roll(theta, -1) - theta) / 2.0)))
 
 
+def _check_j_alpha(alpha: float) -> None:
+    """ValueError at |alpha| within 1e-9 of pi/2, where tan(alpha) blows up."""
+    if abs(alpha) >= np.pi / 2 - 1e-9:
+        raise ValueError("J_alpha is singular at |alpha| = pi/2 (tan blows up)")
+
+
 def functional_J_alpha_log(theta: np.ndarray, alpha: float) -> tuple[float, float]:
     """(sign, log magnitude) of the frustrated invariant.
 
     sign(I) together with log|I| + tan(alpha) * sum(theta); sign is 0 when
     some adjacent pair coincides exactly.
     """
-    if abs(alpha) >= np.pi / 2 - 1e-9:
-        raise ValueError("J_alpha is singular at |alpha| = pi/2 (tan blows up)")
+    _check_j_alpha(alpha)
     theta = np.asarray(theta, dtype=float)
     sines = np.sin((np.roll(theta, -1) - theta) / 2.0)
     sign = float(np.prod(np.sign(sines)))
@@ -367,7 +372,8 @@ def make_observable(name: str, config: Config, indices=None,
     log-valued functional takes 'conserved-log' and never 'conserved', a
     linear one never 'conserved-log'.  ``config`` must belong to the
     functional's model.  An unknown name, a bad index list, a refused
-    override or a foreign model raises ValueError.
+    override, a foreign model or ``kuramoto_J`` at the configuration's
+    |alpha| = pi/2 raises ValueError.
     """
     if name not in OBSERVABLES:
         raise ValueError(f"unknown functional name {name!r}")
@@ -396,6 +402,8 @@ def make_observable(name: str, config: Config, indices=None,
     if _MODEL_KIND[type(config)] != model:
         raise ValueError(f"observable {name!r} is a functional of the {model} "
                          f"model, not of the {_MODEL_KIND[type(config)]} model")
+    if name == "kuramoto_J":
+        _check_j_alpha(config.alpha)
     label = name if idx is None else name + "_" + "_".join(str(i) for i in idx)
     return Observable(label, default if kind is None else kind,
                       lambda c, s: value(c, s, idx))

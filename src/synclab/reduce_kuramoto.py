@@ -25,7 +25,7 @@ from .integrate import (
     integrate,
     integrate_functional,
 )
-from .invariants import order_parameter_R
+from .invariants import drift, make_observable, order_parameter_R
 from .state import Flavor, PhaseConfig, make_phase_config
 
 COINCIDENCE_TOL = 1e-12
@@ -225,7 +225,8 @@ def dichotomy_check(theta0: np.ndarray, alpha: float, kappa: float, t_final: flo
     2 alpha; branch IncoherenceR0 requires alpha in (-pi/2, 0) with pairwise
     distinct phases.  A violated precondition is reported but the run still
     proceeds (Inconclusive is then an admissible outcome).  The run keeps the
-    total phase at each record point and the final state, not the trajectory.
+    total phase at each record point and the final state, not the trajectory;
+    ``drift`` judges it, so a run of one record (t_final 0) raises ValueError.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if settings is None:
@@ -240,7 +241,7 @@ def dichotomy_check(theta0: np.ndarray, alpha: float, kappa: float, t_final: flo
         precondition_ok = -np.pi / 2 < alpha < 0 and distinct
     cfg = make_phase_config(theta0, 0.0, kappa, alpha, Flavor.COSINE)
     _, sums, final = integrate_functional(cfg, settings, t_final, np.sum)
-    monotone = bool(np.all(np.diff(sums) >= -1e-9))
+    monotone = drift(make_observable("total_phase", cfg), sums, 1e-9).verdict
     r_final, _ = order_parameter_R(final)
     if r_final > 1.0 - DICHOTOMY_EPS:
         verdict = "SyncR1"

@@ -111,13 +111,18 @@ class StereoTrajectory:
     data: ProjectedSphereData
 
 
-def _stereo_rhs(state: np.ndarray, kappa: float, n: int) -> np.ndarray:
-    ys = state[:-1]
-    x_n = state[-1]
+def _chart_centroid(ys: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """N times the centroid of the points behind ``ys`` and the reference x_N,
+    as (sum_j 2 y_j/(1+|y_j|^2), 1 + sum_j (|y_j|^2-1)/(1+|y_j|^2)), its
+    components in the hyperplane and along x_N, then the weights 1/(1+|y_j|^2)."""
     norm2 = np.sum(ys * ys, axis=1)
     w = 1.0 / (1.0 + norm2)
-    drift = 2.0 * (w[:, None] * ys).sum(axis=0)       # sum 2 y_j/(1+|y_j|^2)
-    radial = 1.0 + np.sum((norm2 - 1.0) * w)
+    return 2.0 * (w[:, None] * ys).sum(axis=0), 1.0 + np.sum((norm2 - 1.0) * w), w
+
+
+def _stereo_rhs(state: np.ndarray, kappa: float, n: int) -> np.ndarray:
+    ys, x_n = state[:-1], state[-1]
+    drift, radial, _ = _chart_centroid(ys)
     inner = ys @ drift / 2.0                          # sum_j <y_i,y_j>/(1+|y_j|^2)
     dys = (kappa / n) * (drift[None, :] + radial * ys - 2.0 * inner[:, None] * x_n[None, :])
     dx_n = (kappa / n) * drift
@@ -166,19 +171,14 @@ class ReducedSphereTrajectory:
 def _abm_rhs(state: np.ndarray, data: ProjectedSphereData) -> np.ndarray:
     """(a', b', M') at state (a, b, M); (a', b') do not involve M."""
     dim = data.dim
-    a = state[0]
-    b = state[1:1 + dim]
-    yk = a * data.y0 + b[None, :]
-    norm2 = np.sum(yk * yk, axis=1)
-    w = 1.0 / (1.0 + norm2)
+    a, b = state[0], state[1:1 + dim]
+    tangential, radial, w = _chart_centroid(a * data.y0 + b[None, :])
     kappa, n = data.kappa, data.n
-    da = (kappa / n) * (1.0 + np.sum((norm2 - 1.0) * w)) * a
-    db = kappa * b + (kappa / n) * 2.0 * a * (w[:, None] * data.y0).sum(axis=0)
     out = np.empty_like(state)
-    out[0] = da
-    out[1:1 + dim] = db
+    out[0] = (kappa / n) * radial * a
+    out[1:1 + dim] = kappa * b + (kappa / n) * 2.0 * a * (w[:, None] * data.y0).sum(axis=0)
     m = state[1 + dim:].reshape(dim, dim)
-    z = (kappa / n) * 2.0 * (w[:, None] * yk).sum(axis=0)
+    z = (kappa / n) * tangential
     ell = np.outer(z, data.x_n0) - np.outer(data.x_n0, z)
     out[1 + dim:] = (m @ ell).ravel()
     return out
@@ -233,11 +233,7 @@ def reconstruct_abM(reduced: ReducedSphereTrajectory) -> tuple[np.ndarray, np.nd
 def rho_squared_reduced(a: float, b: np.ndarray, data: ProjectedSphereData) -> float:
     """Squared order parameter from the reduced variables alone: M drops out
     of every Euclidean quantity."""
-    yk = a * data.y0 + b[None, :]
-    norm2 = np.sum(yk * yk, axis=1)
-    w = 1.0 / (1.0 + norm2)
-    tangential = 2.0 * (w[:, None] * yk).sum(axis=0)
-    radial = 1.0 + np.sum((norm2 - 1.0) * w)
+    tangential, radial, _ = _chart_centroid(a * data.y0 + b[None, :])
     return float((tangential @ tangential + radial ** 2) / data.n ** 2)
 
 
@@ -356,12 +352,11 @@ def sphere_aggregation_check(cfg: SphereConfig, t_final: float,
     settings = _replace(settings, projection=natural_projection(cfg))
     w_op = float(np.linalg.norm(cfg.w, 2))
     w_fro = float(np.linalg.norm(cfg.w))
-    gap0 = aggregation_diameter(cfg.x)
-    hypothesis = (cfg.a > 0 and w_op < cfg.a and cfg.shared_omega is True
-                  and gap0 < 1.0 - w_op / cfg.a)
-
     times, diam, final = integrate_functional(cfg, settings, t_final,
                                               aggregation_diameter)
+    gap0 = diam[0]
+    hypothesis = (cfg.a > 0 and w_op < cfg.a and cfg.shared_omega is True
+                  and gap0 < 1.0 - w_op / cfg.a)
     final_dist = max_pairwise_distance(final)
 
     predicted = 2.0 * cfg.kappa * (cfg.a - w_op)

@@ -106,26 +106,24 @@ def load_scenario(path):
 
 def _build_config(model: dict, rng: np.random.Generator) -> Config:
     """The configuration of a validated model: the schema fixes which keys
-    and which initial form each kind takes."""
+    and which initial form each kind takes, and every other key is a keyword
+    of the kind's factory, whose defaults fill the keys the model omits."""
     kind, initial = model["kind"], model["initial"]
-    kappa = model.get("kappa", 1.0)
+    decode = {"flavor": Flavor, "h": decode_complex, "v": decode_complex}
+    params = {k: decode[k](v) if k in decode else v
+              for k, v in model.items() if k not in ("kind", "initial")}
     r = initial.get("random")
     if kind == "kuramoto":
         theta = (np.asarray(initial["theta"], dtype=float) if r is None
                  else rng.uniform(r.get("low", 0.0), r.get("high", 2 * np.pi), r["n"]))
-        return make_phase_config(theta, model.get("nu", 0.0), kappa,
-                                 model.get("alpha", 0.0),
-                                 Flavor(model.get("flavor", "sine")))
+        return make_phase_config(theta, **params)
     if kind == "sphere":
         x = (np.asarray(initial["x"], dtype=float) if r is None
              else rng.standard_normal((r["n"], r["d"] + 1)))
-        return make_sphere_config(x, model.get("omega"), kappa,
-                                  model.get("a", 1.0), model.get("w"))
+        return make_sphere_config(x, **params)
     u = (decode_complex(initial["u"]) if r is None
          else np.array([random_unitary(rng, r["d"]) for _ in range(r["n"])]))
-    h = decode_complex(model["h"]) if "h" in model else None
-    v = decode_complex(model["v"]) if "v" in model else None
-    return make_unitary_config(u, h, kappa, v)
+    return make_unitary_config(u, **params)
 
 
 def _build_settings(doc: dict, cfg: Config) -> IntegratorSettings:
@@ -133,7 +131,8 @@ def _build_settings(doc: dict, cfg: Config) -> IntegratorSettings:
     proj = integ.pop("projection", "auto")
     if proj != "auto":
         integ["projection"] = Projection(proj)
-    integ["scheme"] = Scheme(integ.get("scheme", "rk4"))
+    if "scheme" in integ:
+        integ["scheme"] = Scheme(integ["scheme"])
     try:
         return default_settings(cfg, **integ)
     except ValueError as exc:
@@ -231,8 +230,6 @@ def trajectory_csv(traj: Trajectory) -> str:
 @dataclass
 class RunResult:
     exit_code: int
-    scenario_id: str
-    outputs: list[str]
     failed_checks: list[str]
     error: str | None = None
 
@@ -244,24 +241,26 @@ def run_scenario(doc: dict, out_dir, seed_override: int | None = None,
     Exit code contract: 0 on success, 2 if any invariant verdict failed,
     1 on scenario, I/O, or integration errors.  An error is returned in
     ``RunResult.error``, not printed; ``quiet`` drops the per-check lines.
+    A NaN or an infinity in the document or an override is a scenario error.
     """
     out_dir = Path(out_dir)
-    sid = doc.get("id", "scenario") if isinstance(doc, dict) else "scenario"
     try:
-        try:  # deep copy, JSON-canonical types
-            resolved = json.loads(json.dumps(doc))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"$: not a JSON document ({exc})") from exc
         # an override goes into objects only; any other shape fails validation
-        if isinstance(resolved, dict):
+        resolved = doc
+        if isinstance(doc, dict):
+            resolved = dict(doc)
             if seed_override is not None:
                 resolved["seed"] = seed_override
-            if (dt_override is not None
-                    and isinstance(resolved.setdefault("integrator", {}), dict)):
-                resolved["integrator"]["dt"] = dt_override
+            integ = resolved.get("integrator", {})
+            if dt_override is not None and isinstance(integ, dict):
+                resolved["integrator"] = {**integ, "dt": dt_override}
+        try:  # deep copy, JSON-canonical types, finite numbers
+            resolved = json.loads(json.dumps(resolved, allow_nan=False))
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"$: not a JSON document ({exc})") from exc
         # the document that runs, overrides included, is the one validated
         validate_scenario(resolved)
-        seed = resolved.get("seed")
+        sid, seed = resolved["id"], resolved.get("seed")
         rng = np.random.default_rng(seed)
         try:
             cfg = _build_config(resolved["model"], rng)
@@ -315,8 +314,6 @@ def run_scenario(doc: dict, out_dir, seed_override: int | None = None,
                 print(f"  [{'PASS' if r.verdict else 'FAIL'}] {sid}:{r.name} "
                       f"(max_rel_dev = {r.max_rel_dev:.3e})")
         code = 2 if failed else 0
-        return RunResult(exit_code=code, scenario_id=sid,
-                         outputs=manifest["outputs"], failed_checks=failed)
+        return RunResult(exit_code=code, failed_checks=failed)
     except (ScenarioError, SynclabError, OSError) as exc:
-        return RunResult(exit_code=1, scenario_id=sid, outputs=[],
-                         failed_checks=[], error=str(exc))
+        return RunResult(exit_code=1, failed_checks=[], error=str(exc))

@@ -18,7 +18,7 @@ over read-only arrays) and safe to share between threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -261,27 +261,19 @@ def random_unitary_config(rng: np.random.Generator, n: int, d: int, kappa=1.0,
 # validation
 
 
-def _check_finite(name, arr, violations):
-    if not np.all(np.isfinite(arr)):
-        violations.append(f"{name}: non-finite entries present")
-
-
 def validate(cfg: Config) -> list[str]:
     """Diagnostic invariant check.
 
     Returns an empty list iff every type invariant holds at its stated
     tolerance; otherwise one message per violation, naming the invariant
-    and the offending index or magnitude.
+    and the offending index or magnitude.  Every numeric field, state and
+    parameters alike, must be finite.
     """
-    violations: list[str] = []
-    if isinstance(cfg, PhaseConfig):
-        _check_finite("theta", cfg.theta, violations)
-        _check_finite("nu", cfg.nu, violations)
-        _check_finite("kappa/alpha", [cfg.kappa, cfg.alpha], violations)
-    elif isinstance(cfg, SphereConfig):
-        _check_finite("x", cfg.x, violations)
-        _check_finite("omega", cfg.omega, violations)
-        _check_finite("w", cfg.w, violations)
+    if not isinstance(cfg, Config):
+        raise TypeError(f"not a model configuration: {type(cfg)!r}")
+    violations = [f"{f.name}: non-finite entries present" for f in fields(cfg)
+                  if f.name != "flavor" and not np.all(np.isfinite(getattr(cfg, f.name)))]
+    if isinstance(cfg, SphereConfig):
         norms = np.linalg.norm(cfg.x, axis=1)
         for i in np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL):
             violations.append(
@@ -292,9 +284,6 @@ def validate(cfg: Config) -> list[str]:
                 violations.append(
                     f"{name}: skew-symmetry violation (max |A + A^T| = {dev:.3e})")
     elif isinstance(cfg, UnitaryConfig):
-        _check_finite("u", cfg.u, violations)
-        _check_finite("h", cfg.h, violations)
-        _check_finite("v", cfg.v, violations)
         eye = np.eye(cfg.d)
         gram = cfg.u @ np.conj(np.swapaxes(cfg.u, 1, 2))
         devs = np.linalg.norm(gram - eye, axis=(1, 2))
@@ -307,8 +296,6 @@ def validate(cfg: Config) -> list[str]:
         vdev = np.linalg.norm(cfg.v @ cfg.v.conj().T - eye)
         if vdev > UNITARY_TOL:
             violations.append(f"v: not unitary (||V V* - I||_F = {vdev:.3e})")
-    else:
-        raise TypeError(f"not a model configuration: {type(cfg)!r}")
     return violations
 
 

@@ -166,3 +166,16 @@ def test_group_equilibrium_neither_moves_nor_aggregates():
     assert res.verdict == "Unconditioned"
     assert not res.aggregated
     assert abs(res.final_diameter - np.sqrt(6)) < 1e-8
+
+
+def test_matrix_aggregation_refuses_a_zero_horizon():
+    cfg = make_unitary_config(eq.spread_unitary_family(np.random.default_rng(4), 4, 2, 1.0))
+    for t_final in (0.0, -1.0):
+        with pytest.raises(ValueError, match="matrix_aggregation_check needs t_final > 0"):
+            eq.matrix_aggregation_check(cfg, t_final)
+
+
+def test_matrix_aggregation_initial_diameter_is_the_first_record():
+    cfg = make_unitary_config(eq.spread_unitary_family(np.random.default_rng(4), 4, 2, 1.0))
+    res = eq.matrix_aggregation_check(cfg, 0.1, IntegratorSettings(dt=1e-2))
+    assert res.initial_diameter == matrix_diameter(cfg.u)

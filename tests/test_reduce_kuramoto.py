@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from synclab import reduce_kuramoto as rk
 from synclab.errors import CoincidentPhase
 from synclab.integrate import IntegratorSettings, integrate
+from synclab.invariants import drift, make_observable
 from synclab.state import Flavor, make_phase_config, random_phase_config
 
 
@@ -272,3 +273,21 @@ def test_as_sine_alpha_conversion():
     cos_cfg = make_phase_config([0.0], alpha=0.7, flavor=Flavor.COSINE)
     assert rk.as_sine_alpha(sine_cfg) == 0.7
     assert rk.as_sine_alpha(cos_cfg) == pytest.approx(np.pi / 2 - 0.7)
+
+
+def test_dichotomy_refuses_a_run_of_one_record():
+    # one record has no monotonicity to judge; the check used to report
+    # total_phase_monotone=True from it
+    with pytest.raises(ValueError, match="at least two records"):
+        rk.dichotomy_check(np.linspace(0.0, 0.9, 6), 0.5, 1.0, 0.0)
+
+
+def test_total_phase_monotone_judgment_equals_the_diff_test():
+    # dichotomy_check judges the total phase through drift(); on two or more
+    # records that equals the direct test np.all(np.diff(sums) >= -1e-9)
+    ob = make_observable("total_phase", make_phase_config([0.0, 1.0]))
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        sums = np.cumsum(rng.choice([1e-8, 0.0, -5e-10, -1e-9, -2e-9],
+                                    size=rng.integers(2, 8)))
+        assert drift(ob, sums, 1e-9).verdict == bool(np.all(np.diff(sums) >= -1e-9))

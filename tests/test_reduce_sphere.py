@@ -7,6 +7,7 @@ import pytest
 from synclab import reduce_sphere as rs
 from synclab.errors import CoincidentPoint, IntegrationError, PassedThroughProjectionPoint
 from synclab.integrate import IntegratorSettings, Projection, integrate, polar_factor
+from synclab.invariants import aggregation_diameter
 from synclab.state import make_sphere_config, random_sphere_config
 
 
@@ -349,3 +350,73 @@ def test_reduction_chain_report_memory_at_n60():
         tracemalloc.stop()
     assert peak < 50e6, peak
     assert rep.three_way_max < 1e-10 and rep.inner_product_law_residual < 1e-10
+
+
+def _oracle_stereo_rhs(state, kappa, n):
+    # _stereo_rhs with the chart centroid written out in place
+    ys = state[:-1]
+    x_n = state[-1]
+    norm2 = np.sum(ys * ys, axis=1)
+    w = 1.0 / (1.0 + norm2)
+    drift = 2.0 * (w[:, None] * ys).sum(axis=0)
+    radial = 1.0 + np.sum((norm2 - 1.0) * w)
+    inner = ys @ drift / 2.0
+    dys = (kappa / n) * (drift[None, :] + radial * ys - 2.0 * inner[:, None] * x_n[None, :])
+    dx_n = (kappa / n) * drift
+    return np.vstack([dys, dx_n[None, :]])
+
+
+def _oracle_abm_rhs(state, data):
+    # _abm_rhs with the chart centroid written out in place
+    dim = data.dim
+    a = state[0]
+    b = state[1:1 + dim]
+    yk = a * data.y0 + b[None, :]
+    norm2 = np.sum(yk * yk, axis=1)
+    w = 1.0 / (1.0 + norm2)
+    kappa, n = data.kappa, data.n
+    da = (kappa / n) * (1.0 + np.sum((norm2 - 1.0) * w)) * a
+    db = kappa * b + (kappa / n) * 2.0 * a * (w[:, None] * data.y0).sum(axis=0)
+    out = np.empty_like(state)
+    out[0] = da
+    out[1:1 + dim] = db
+    m = state[1 + dim:].reshape(dim, dim)
+    z = (kappa / n) * 2.0 * (w[:, None] * yk).sum(axis=0)
+    ell = np.outer(z, data.x_n0) - np.outer(data.x_n0, z)
+    out[1 + dim:] = (m @ ell).ravel()
+    return out
+
+
+def _oracle_rho_squared_reduced(a, b, data):
+    yk = a * data.y0 + b[None, :]
+    norm2 = np.sum(yk * yk, axis=1)
+    w = 1.0 / (1.0 + norm2)
+    tangential = 2.0 * (w[:, None] * yk).sum(axis=0)
+    radial = 1.0 + np.sum((norm2 - 1.0) * w)
+    return float((tangential @ tangential + radial ** 2) / data.n ** 2)
+
+
+@pytest.mark.parametrize("n, d", [(3, 1), (5, 2), (8, 3), (24, 2)])
+def test_chart_centroid_callers_equal_the_inline_oracles(n, d):
+    # one helper now sums the chart centroid; each caller must return the
+    # same floats as its body with the sums written out
+    for seed in range(5):
+        rng = np.random.default_rng(1000 * n + 10 * d + seed)
+        cfg = random_sphere_config(rng, n, d, kappa=rng.uniform(-2.0, 2.0))
+        data = rs.project_sphere_config(cfg)
+        stereo = np.vstack([data.y0 + 0.3 * rng.standard_normal(data.y0.shape),
+                            data.x_n0[None, :]])
+        assert np.array_equal(rs._stereo_rhs(stereo, cfg.kappa, n),
+                              _oracle_stereo_rhs(stereo, cfg.kappa, n))
+        a = rng.uniform(0.1, 3.0)
+        b = rng.standard_normal(data.dim)
+        m = rng.standard_normal((data.dim, data.dim))
+        abm = np.concatenate([[a], b, m.ravel()])
+        assert np.array_equal(rs._abm_rhs(abm, data), _oracle_abm_rhs(abm, data))
+        assert rs.rho_squared_reduced(a, b, data) == _oracle_rho_squared_reduced(a, b, data)
+
+
+def test_aggregation_initial_gap_is_the_first_record():
+    cfg = random_sphere_config(np.random.default_rng(5), 5, 2, a=1.0, w_scale=0.1)
+    res = rs.sphere_aggregation_check(cfg, 0.5, IntegratorSettings(dt=1e-2))
+    assert res.initial_gap == aggregation_diameter(cfg.x)

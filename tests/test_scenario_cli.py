@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import inspect
 import io
 import json
 import re
@@ -22,9 +24,13 @@ from synclab.scenario import (
     validate_scenario,
 )
 from synclab.state import (
+    Flavor,
+    make_phase_config,
     make_sphere_config,
+    make_unitary_config,
     random_phase_config,
     random_sphere_config,
+    random_unitary,
     random_unitary_config,
 )
 
@@ -418,6 +424,135 @@ def test_each_kind_takes_its_own_keys(tmp_path, kind):
              **{key: _KEY_VALUES[key] for key in _KEYS[kind] if key in _KEY_VALUES}}
     doc = {"id": kind, "seed": 3, "t_final": 0.1, "model": model}
     assert run_scenario(doc, tmp_path, quiet=True).exit_code == 0
+
+
+_FACTORIES = {"kuramoto": make_phase_config, "sphere": make_sphere_config,
+              "matrix": make_unitary_config}
+
+
+def _schema_model_keys(kind):
+    for rule in scenario._SCHEMA["properties"]["model"]["allOf"]:
+        if rule["if"]["properties"]["kind"]["const"] == kind:
+            return set(rule["then"]["propertyNames"]["enum"])
+    raise KeyError(kind)
+
+
+@pytest.mark.parametrize("kind", sorted(_FACTORIES))
+def test_model_keys_are_the_factory_keywords(kind):
+    # a model's keys, but for kind and initial, are passed to its factory as
+    # keywords, and the factory's defaults are the only ones
+    params = inspect.signature(_FACTORIES[kind]).parameters.values()
+    keywords = {p.name for p in params if p.default is not p.empty}
+    assert _schema_model_keys(kind) - {"kind", "initial"} == keywords
+
+
+def _every_key_cases():
+    """(kind, model setting every key of its kind, the same configuration
+    from a direct factory call)."""
+    rng = np.random.default_rng(11)
+    theta = [0.1, 1.2, 2.5, 4.0]
+    nu = [0.1, -0.2, 0.3, 0.0]
+    x = rng.standard_normal((4, 3))
+    w = rng.standard_normal((3, 3))
+    w = w - w.T
+    omega = rng.standard_normal((3, 3))
+    u = np.array([random_unitary(rng, 2) for _ in range(3)])
+    h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    v = random_unitary(rng, 2)
+    return [
+        ("kuramoto",
+         {"kind": "kuramoto", "kappa": 1.7, "alpha": 0.4, "flavor": "cosine", "nu": nu,
+          "initial": {"theta": theta}},
+         make_phase_config(theta, nu=nu, kappa=1.7, alpha=0.4, flavor=Flavor.COSINE)),
+        ("sphere",
+         {"kind": "sphere", "kappa": -0.8, "a": 0.6, "w": w.tolist(), "omega": omega.tolist(),
+          "initial": {"x": x.tolist()}},
+         make_sphere_config(x, omega=omega, kappa=-0.8, a=0.6, w=w)),
+        ("matrix",
+         {"kind": "matrix", "kappa": 2.0, "h": encode_complex(h), "v": encode_complex(v),
+          "initial": {"u": [encode_complex(m) for m in u]}},
+         make_unitary_config(u, h=h, kappa=2.0, v=v)),
+        ("kuramoto-defaults", {"kind": "kuramoto", "initial": {"theta": theta}},
+         make_phase_config(theta)),
+        ("sphere-defaults", {"kind": "sphere", "initial": {"x": x.tolist()}},
+         make_sphere_config(x)),
+        ("matrix-defaults",
+         {"kind": "matrix", "initial": {"u": [encode_complex(m) for m in u]}},
+         make_unitary_config(u)),
+    ]
+
+
+@pytest.mark.parametrize("model, want", [pytest.param(model, want, id=case)
+                                         for case, model, want in _every_key_cases()])
+def test_document_builds_the_factory_configuration(model, want):
+    doc = {"id": "keys", "t_final": 0.1, "model": model}
+    validate_scenario(doc)
+    got = scenario._build_config(doc["model"], np.random.default_rng(0))
+    assert type(got) is type(want)
+    for field in dataclasses.fields(want):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype and np.array_equal(g, w), field.name
+        else:
+            assert type(g) is type(w) and g == w, field.name
+
+
+_NON_FINITE = "$: not a JSON document (Out of range float values are not JSON compliant"
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"t_final": 0.5', '"t_final": NaN'), ('"t_final": 0.5', '"t_final": Infinity'),
+    ('"t_final": 0.5', '"t_final": 1e400'), ('"kappa": 2.0', '"kappa": NaN'),
+])
+def test_non_finite_number_is_a_scenario_error(tmp_path, capsys, old, new):
+    # Python's json reads NaN, Infinity and 1e400, which JSON has no numbers for
+    text = json.dumps(_kuramoto_doc("nonfinite", t_final=0.5)).replace(old, new)
+    assert new in text
+    res = run_scenario(json.loads(text), tmp_path / "out", quiet=True)
+    assert res.exit_code == 1 and res.error.startswith(_NON_FINITE)
+    path = tmp_path / "nonfinite.json"
+    path.write_text(text)
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {_NON_FINITE}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_dt_override_is_a_scenario_error(tmp_path, capsys, value):
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(_kuramoto_doc("override")))
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "out"),
+                 "--dt", value, "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {_NON_FINITE}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("alpha", [np.pi / 2, -np.pi / 2, np.pi / 2 - 1e-10])
+def test_kuramoto_j_at_singular_alpha_is_a_scenario_error(tmp_path, capsys, alpha):
+    # refused when the observable is built, before the run, not after it
+    doc = {"id": "jpi2", "seed": 1, "t_final": 0.1,
+           "model": {"kind": "kuramoto", "alpha": alpha, "initial": {"random": {"n": 5}}},
+           "observables": [{"name": "kuramoto_J"}]}
+    message = "$.observables[0]: J_alpha is singular at |alpha| = pi/2 (tan blows up)"
+    res = run_scenario(doc, tmp_path / "out", quiet=True)
+    assert (res.exit_code, res.error) == (1, message)
+    path = tmp_path / "jpi2.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_result_fields_and_manifest_keys(tmp_path):
+    assert [f.name for f in dataclasses.fields(scenario.RunResult)] == \
+        ["exit_code", "failed_checks", "error"]
+    assert run_scenario(_kuramoto_doc("ids"), tmp_path, quiet=True).exit_code == 0
+    manifest = json.loads((tmp_path / "ids_manifest.json").read_text())
+    assert manifest["scenario_id"] == "ids"
+    assert manifest["outputs"] == ["ids_drift.json", "ids_observables.csv",
+                                   "ids_trajectory.csv", "ids_manifest.json"]
 
 
 def test_cli_seed_runs_a_random_document_without_seed(tmp_path):

@@ -11,6 +11,7 @@ from synclab.state import (
     embed_unitary2_to_sphere,
     make_phase_config,
     make_sphere_config,
+    make_unitary_config,
     random_phase_config,
     random_sphere_config,
     random_unitary,
@@ -145,3 +146,30 @@ def test_stacked_split_quaternion_equals_per_matrix_calls():
         one_p, one_q = split_quaternion(b[idx])
         assert np.array_equal(one_p, want_p) and np.array_equal(one_q, want_q)
         assert np.array_equal(p[idx], want_p) and np.array_equal(q[idx], want_q)
+
+
+# --- finiteness ---------------------------------------------------------------
+
+
+_NAN_SKEW = np.array([[0.0, np.nan, 0.0], [np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("cfg, names", [
+    (make_phase_config([0.0, 1.0], kappa=np.nan), ["kappa"]),
+    (make_phase_config([0.0, 1.0], alpha=np.inf), ["alpha"]),
+    (make_phase_config([0.0, np.nan], nu=[np.inf, 0.0]), ["theta", "nu"]),
+    (make_sphere_config(np.eye(3), kappa=np.nan, a=np.inf), ["kappa", "a"]),
+    (make_sphere_config(np.eye(3), a=-np.inf), ["a"]),
+    (make_sphere_config(np.eye(3), w=_NAN_SKEW), ["w"]),
+    (make_unitary_config([np.eye(2)], kappa=np.nan), ["kappa"]),
+    (make_unitary_config([np.eye(2)], h=np.full((2, 2), np.nan)), ["h"]),
+], ids=["phase-kappa", "phase-alpha", "phase-theta-nu", "sphere-kappa-a", "sphere-a",
+        "sphere-w", "unitary-kappa", "unitary-h"])
+def test_validate_names_each_non_finite_field(cfg, names):
+    # parameters too: kappa on every model and a on the sphere used to pass
+    assert validate(cfg) == [f"{name}: non-finite entries present" for name in names]
+
+
+def test_validate_refuses_what_is_not_a_configuration():
+    with pytest.raises(TypeError, match="not a model configuration"):
+        validate(np.zeros(3))
