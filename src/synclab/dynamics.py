@@ -7,15 +7,19 @@ the all-to-all sums collapse onto the centroid.
 
 Each formula exists once, in the kernel that :func:`make_rhs` binds.  Binding
 settles everything that does not change during an integration -- the model's
-constants, kappa/N, the coupling flavor and whether Omega or H is shared --
-so the kernel called on every stage runs only array arithmetic, through the
-ufuncs and ``np.dot`` directly rather than their Python wrappers.
+constants, kappa/N, the flavor, whether Omega or H is shared, and which terms
+drop: a zero shared drive, a zero nu, the product by V = I and, on the
+sphere, the multiply by kappa = 1 -- so each stage makes only the numpy calls
+its configuration needs, through the ufuncs and ``np.dot`` directly.
 
 Bitwise contract: the kernels perform the same floating-point operations in
 the same order as the plain formulas (``x.mean(axis=0)``, ``@`` on 2-d
-operands, ``np.imag``/``np.real``), so trajectories are identical to the last
-bit.  ``tests/test_hotpath_identity.py`` holds those formulas as the oracle;
-a rewrite that changes a single bit of any result is a behaviour change.
+operands, ``np.imag``/``np.real``) less the dropped terms, which change no
+nonzero number but may flip the sign of a zero (or of a zero real or
+imaginary part).  A step adds the tangent to the state, so a trajectory
+differs only where a state entry is -0.0, which no step creates but by
+underflow.  ``tests/test_hotpath_identity.py`` holds the plain formulas as
+the oracle; a rewrite that changes any other bit is a behaviour change.
 
 Sign convention for the cosine flavor: the coupling is
 cos(theta_j - theta_k + alpha), equivalently cos(theta_k - theta_j - alpha).
@@ -44,8 +48,8 @@ from .state import (
 def make_rhs(cfg: Config):
     """Bind the parameters of ``cfg`` into a state-array -> tangent function.
 
-    The model's constants, its flavor and whether Omega or H is shared are
-    all settled here, once; the returned function runs only the arithmetic.
+    Everything the module docstring lists as bound, the dropped terms too,
+    is settled here, once; the returned function runs only the arithmetic.
     It is meant for states of the configuration's own size N.
     """
     if isinstance(cfg, PhaseConfig):
@@ -65,59 +69,69 @@ def _scalars(dtype, *values) -> list[np.ndarray]:
 
 
 def _bind_phase(cfg: PhaseConfig):
-    nu = cfg.nu
+    nu = cfg.nu if cfg.nu.any() else None
+    sine = cfg.flavor is Flavor.SINE
     alpha, k_n = _scalars(float, cfg.alpha, cfg.kappa / cfg.n)
     i, minus_i = _scalars(complex, 1j, -1j)
     exp, add_reduce = np.exp, np.add.reduce
-    if cfg.flavor is Flavor.SINE:
-        def rhs(theta):
-            s = add_reduce(exp(i * theta))
-            return nu + k_n * (exp(i * (alpha - theta)) * s).imag
-    else:
-        def rhs(theta):
-            s = add_reduce(exp(i * theta))
-            return nu + k_n * (exp(minus_i * (alpha + theta)) * s).real
+
+    def rhs(theta):
+        s = add_reduce(exp(i * theta))
+        if sine:
+            dtheta = k_n * (exp(i * (alpha - theta)) * s).imag
+        else:
+            dtheta = k_n * (exp(minus_i * (alpha + theta)) * s).real
+        return dtheta if nu is None else nu + dtheta
     return rhs
 
 
 def _bind_sphere(cfg: SphereConfig):
-    v = cfg.v
+    v = None if cfg.a == 1.0 and not cfg.w.any() else cfg.v
     n, kappa = _scalars(float, cfg.n, cfg.kappa)
+    gain = None if cfg.kappa == 1.0 else kappa
     dot, add_reduce = np.dot, np.add.reduce
-    if cfg.shared_omega:
-        omega_t = cfg.omega.T
-
-        def drive(x):
-            return dot(x, omega_t)
-    else:
+    drive = None
+    if not cfg.shared_omega:
         omega = cfg.omega
 
         def drive(x):
             return np.einsum("nij,nj->ni", omega, x)
+    elif cfg.omega.any():
+        omega_t = cfg.omega.T
+
+        def drive(x):
+            return dot(x, omega_t)
 
     def rhs(x):
         # sum_k V x_k = N * V x_c, so the coupling costs one small matvec
-        vxc = dot(v, add_reduce(x, 0) / n)
-        return drive(x) + kappa * (vxc - dot(x, vxc)[:, None] * x)
+        vxc = add_reduce(x, 0) / n
+        vxc = vxc if v is None else dot(v, vxc)
+        dx = vxc - dot(x, vxc)[:, None] * x
+        dx = dx if gain is None else gain * dx
+        return dx if drive is None else drive(x) + dx
     return rhs
 
 
 def _bind_unitary(cfg: UnitaryConfig):
-    h, v = cfg.h, cfg.v
+    h = cfg.h
+    v = None if np.array_equal(cfg.v, np.eye(cfg.d)) else cfg.v
     n, half_kappa, minus_i = _scalars(complex, cfg.n, cfg.kappa / 2.0, -1j)
     dot, add_reduce = np.dot, np.add.reduce
-    if cfg.shared_h:
-        def drive(u):
-            return minus_i * np.einsum("ab,jbc->jac", h, u)
-    else:
+    drive = None
+    if not cfg.shared_h:
         def drive(u):
             return minus_i * (h @ u)
+    elif h.any():
+        def drive(u):
+            return minus_i * np.einsum("ab,jbc->jac", h, u)
 
     def rhs(u):
         # dU_j = -i H_j U_j + (kappa/2N) sum_k (V U_k - U_j (V U_k)^* U_j)
         # with sum_k V U_k = N * V U_c.
-        vuc = dot(v, add_reduce(u, 0) / n)
-        return drive(u) + half_kappa * (vuc - u @ vuc.conj().T @ u)
+        vuc = add_reduce(u, 0) / n
+        vuc = vuc if v is None else dot(v, vuc)
+        du = half_kappa * (vuc - u @ vuc.conj().T @ u)
+        return du if drive is None else drive(u) + du
     return rhs
 
 

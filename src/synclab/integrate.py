@@ -13,12 +13,15 @@ per record asks :func:`integrate_functional` for that number instead of the
 state, so what it holds grows with the record count alone.
 
 The fixed-step loop is the hot path at small N, where each numpy call costs
-more in dispatch than in arithmetic.  The RK4 coefficients are made once per
-integration as 0-d arrays of the state's dtype, the row normalization calls
-the ufuncs that ``np.linalg.norm`` runs for real input, and the Newton polar
-factor skips the wrappers around its transpose and maximum.  None of this
-changes an operation or its order, so results stay bitwise identical to the
-plain formulas kept as the oracle in ``tests/test_hotpath_identity.py``.
+more in dispatch than in arithmetic.  The rhs kernel is bound once (see
+``dynamics``), the RK4 coefficients once per integration and DOPRI5's
+tableau times h once per step size, as 0-d arrays of the state's dtype; the
+row normalization calls the ufuncs that ``np.linalg.norm`` runs for real
+input, and the polar factor and the finiteness check skip the wrappers
+around their reductions.  None of this changes an operation or its order, so
+steps match the plain formulas kept as the oracle in
+``tests/test_hotpath_identity.py`` bit for bit, up to the sign of a zero
+that ``dynamics`` describes.
 """
 
 from __future__ import annotations
@@ -174,6 +177,7 @@ _DP_A = [
 ]
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_TERMS = np.array([a for row in _DP_A for a in row] + [b for b in _DP_B4 if b])
 
 
 def _rk4_coefficients(h: float, y: np.ndarray) -> list[np.ndarray]:
@@ -191,21 +195,24 @@ def _rk4_step(f, y, coef):
 
 
 def _dopri5_step(f, y, h):
+    # the rows of _DP_A, then the nonzero weights of _DP_B4, times h
+    scaled = (h * _DP_TERMS).astype(np.result_type(y, 0.5), copy=False)
+    coef = iter([scaled[j, ...] for j in range(scaled.size)])
     ks = [f(y)]
-    for i in range(1, 7):
+    for _ in range(6):
         yi = y
-        for a, k in zip(_DP_A[i], ks):
-            yi = yi + (h * a) * k
+        for k in ks:
+            yi = yi + next(coef) * k
         ks.append(f(yi))
     y4 = y
     for b4, k in zip(_DP_B4, ks):
         if b4:
-            y4 = y4 + (h * b4) * k
+            y4 = y4 + next(coef) * k
     return yi, yi - y4
 
 
 def _check_finite(y):
-    if not np.all(np.isfinite(y if not np.iscomplexobj(y) else y.view(float))):
+    if not np.logical_and.reduce(np.isfinite(y), None):
         raise IntegrationError("non-finite state detected during integration")
 
 

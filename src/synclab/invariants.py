@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateDenominator, SingularDifference, ZeroFactor
 from .integrate import Trajectory
-from .state import Config, PhaseConfig, SphereConfig, UnitaryConfig
+from .state import Config, Flavor, PhaseConfig, SphereConfig, UnitaryConfig, alpha_in
 
 REL_FLOOR = 1e-8
 DEGENERACY_EPS = 1e-14
@@ -50,8 +50,8 @@ def _check_j_alpha(alpha: float) -> None:
 def functional_J_alpha_log(theta: np.ndarray, alpha: float) -> tuple[float, float]:
     """(sign, log magnitude) of the frustrated invariant.
 
-    sign(I) together with log|I| + tan(alpha) * sum(theta); sign is 0 when
-    some adjacent pair coincides exactly.
+    sign(I) together with log|I| + tan(alpha) * sum(theta) at the cosine
+    flavor's alpha; sign is 0 when some adjacent pair coincides exactly.
     """
     _check_j_alpha(alpha)
     theta = np.asarray(theta, dtype=float)
@@ -220,7 +220,8 @@ def matrix_diameter(u: np.ndarray) -> float:
     """D(U) = max Frobenius distance over pairs."""
     u = np.asarray(u, dtype=complex)
     diff = u[:, None] - u[None, :]
-    return float(np.max(np.linalg.norm(diff, axis=(2, 3))))
+    squares = np.add.reduce((diff.conj() * diff).real, axis=(2, 3))  # as np.linalg.norm
+    return float(np.sqrt(np.maximum.reduce(squares, None)))  # the root is monotone
 
 
 def matrix_cross_ratio_spectrum(u: np.ndarray, i: int, j: int, k: int,
@@ -336,7 +337,8 @@ _MODEL_KIND = {PhaseConfig: "kuramoto", SphereConfig: "sphere", UnitaryConfig: "
 # reaches every observable built on it.
 OBSERVABLES = {
     "kuramoto_I": (lambda c, s, idx: functional_I(s), Kind.CONSERVED, 0, "kuramoto"),
-    "kuramoto_J": (lambda c, s, idx: functional_J_alpha_log(s, c.alpha)[1],
+    "kuramoto_J": (lambda c, s, idx:
+                   functional_J_alpha_log(s, alpha_in(c, Flavor.COSINE))[1],
                    Kind.CONSERVED_LOG, 0, "kuramoto"),
     "kuramoto_K": (lambda c, s, idx: cross_ratio_K(s, *idx), Kind.CONSERVED, 4,
                    "kuramoto"),
@@ -372,8 +374,8 @@ def make_observable(name: str, config: Config, indices=None,
     log-valued functional takes 'conserved-log' and never 'conserved', a
     linear one never 'conserved-log'.  ``config`` must belong to the
     functional's model.  An unknown name, a bad index list, a refused
-    override, a foreign model or ``kuramoto_J`` at the configuration's
-    |alpha| = pi/2 raises ValueError.
+    override, a foreign model or ``kuramoto_J`` at |alpha| = pi/2 in the
+    cosine flavor (alpha = 0 or pi in the sine flavor) raises ValueError.
     """
     if name not in OBSERVABLES:
         raise ValueError(f"unknown functional name {name!r}")
@@ -403,7 +405,7 @@ def make_observable(name: str, config: Config, indices=None,
         raise ValueError(f"observable {name!r} is a functional of the {model} "
                          f"model, not of the {_MODEL_KIND[type(config)]} model")
     if name == "kuramoto_J":
-        _check_j_alpha(config.alpha)
+        _check_j_alpha(alpha_in(config, Flavor.COSINE))
     label = name if idx is None else name + "_" + "_".join(str(i) for i in idx)
     return Observable(label, default if kind is None else kind,
                       lambda c, s: value(c, s, idx))

@@ -26,7 +26,7 @@ from .integrate import (
     integrate_functional,
 )
 from .invariants import drift, make_observable, order_parameter_R
-from .state import Flavor, PhaseConfig, make_phase_config
+from .state import Flavor, PhaseConfig, alpha_in, make_phase_config
 
 COINCIDENCE_TOL = 1e-12
 DICHOTOMY_EPS = 1e-3
@@ -78,12 +78,9 @@ class ProjectedPhaseData:
 
 
 def as_sine_alpha(cfg: PhaseConfig) -> float:
-    """Frustration of the equivalent sine-flavor flow.
-
-    cos(theta_j - theta_k + alpha) = sin(theta_k - theta_j + (pi/2 - alpha)),
-    so a cosine configuration reduces with alpha_sine = pi/2 - alpha.
-    """
-    return cfg.alpha if cfg.flavor is Flavor.SINE else np.pi / 2.0 - cfg.alpha
+    """Frustration of the equivalent sine-flavor flow, the flavor the
+    reduction is derived in."""
+    return alpha_in(cfg, Flavor.SINE)
 
 
 def project_phase_config(cfg: PhaseConfig) -> ProjectedPhaseData:
@@ -114,13 +111,21 @@ def ab_coefficients(x: np.ndarray, m: int, kappa: float,
     blow-up of the reduced flow.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size + m
-    c, s = np.cos(alpha), np.sin(alpha)
-    t1 = 2.0 * x / (x * x + 1.0)
-    t2 = (x * x - 1.0) / (x * x + 1.0)
-    a = (kappa / n) * (m * s + np.sum(t1 * c + t2 * s))
-    b = (kappa / n) * (m * c + np.sum(-t1 * s + t2 * c))
+    a, b = _bind_ab(x.size + m, m, kappa, alpha)(x)
     return float(a), float(b)
+
+
+def _bind_ab(n: int, m: int, kappa: float, alpha: float):
+    """x -> (A, B) of :func:`ab_coefficients`, with cos alpha, sin alpha and
+    kappa/n bound once."""
+    c, s, k_n, add_reduce = np.cos(alpha), np.sin(alpha), kappa / n, np.add.reduce
+
+    def ab(x):
+        x2 = x * x
+        t1, t2 = 2.0 * x / (x2 + 1.0), (x2 - 1.0) / (x2 + 1.0)
+        return (k_n * (m * s + add_reduce(t1 * c + t2 * s)),
+                k_n * (m * c + add_reduce(-t1 * s + t2 * c)))
+    return ab
 
 
 @dataclass
@@ -140,10 +145,11 @@ def integrate_fg(data: ProjectedPhaseData, settings: IntegratorSettings,
     verified at record points; violation beyond 10% signals integrator
     failure.
     """
-    x0, m, kappa, alpha = data.x0, data.m, data.kappa, data.alpha
+    x0, kappa = data.x0, data.kappa
+    ab = _bind_ab(data.n, data.m, kappa, data.alpha)
 
     def rhs(fg):
-        a, b = ab_coefficients(fg[0] * x0 + fg[1], m, kappa, alpha)
+        a, b = ab(fg[0] * x0 + fg[1])
         return np.array([b * fg[0], a + b * fg[1]])
 
     times, states, _ = _integrate_array(rhs, np.array([1.0, 0.0]), settings, t_final)

@@ -115,18 +115,20 @@ def _chart_centroid(ys: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """N times the centroid of the points behind ``ys`` and the reference x_N,
     as (sum_j 2 y_j/(1+|y_j|^2), 1 + sum_j (|y_j|^2-1)/(1+|y_j|^2)), its
     components in the hyperplane and along x_N, then the weights 1/(1+|y_j|^2)."""
-    norm2 = np.sum(ys * ys, axis=1)
+    norm2 = np.add.reduce(ys * ys, 1)
     w = 1.0 / (1.0 + norm2)
-    return 2.0 * (w[:, None] * ys).sum(axis=0), 1.0 + np.sum((norm2 - 1.0) * w), w
+    return 2.0 * np.add.reduce(w[:, None] * ys, 0), 1.0 + np.add.reduce((norm2 - 1.0) * w), w
 
 
 def _stereo_rhs(state: np.ndarray, kappa: float, n: int) -> np.ndarray:
     ys, x_n = state[:-1], state[-1]
     drift, radial, _ = _chart_centroid(ys)
     inner = ys @ drift / 2.0                          # sum_j <y_i,y_j>/(1+|y_j|^2)
-    dys = (kappa / n) * (drift[None, :] + radial * ys - 2.0 * inner[:, None] * x_n[None, :])
-    dx_n = (kappa / n) * drift
-    return np.vstack([dys, dx_n[None, :]])
+    k_n = kappa / n
+    out = np.empty_like(state)
+    out[:-1] = k_n * (drift[None, :] + radial * ys - 2.0 * inner[:, None] * x_n[None, :])
+    out[-1] = k_n * drift
+    return out
 
 
 def integrate_stereo_full(data: ProjectedSphereData, settings: IntegratorSettings,
@@ -141,13 +143,13 @@ def integrate_stereo_full(data: ProjectedSphereData, settings: IntegratorSetting
     state0 = np.vstack([data.y0, data.x_n0[None, :]])
 
     def project(state):
-        ys = state[:-1]
-        x_n = state[-1] / np.linalg.norm(state[-1])
-        ys = ys - np.outer(ys @ x_n, x_n)
-        if np.max(np.abs(ys)) > BLOWUP_LIMIT:
+        out = np.empty_like(state)
+        x_n = out[-1] = state[-1] / np.sqrt(np.dot(state[-1], state[-1]))
+        ys = out[:-1] = state[:-1] - (state[:-1] @ x_n)[:, None] * x_n
+        if np.maximum.reduce(abs(ys), None) > BLOWUP_LIMIT:
             raise PassedThroughProjectionPoint(
                 "a projected point exceeded 1e12; the chart broke down")
-        return np.vstack([ys, x_n[None, :]])
+        return out
 
     times, states, _ = _integrate_array(
         lambda s: _stereo_rhs(s, kappa, n), state0, settings, t_final, project=project)
@@ -173,13 +175,13 @@ def _abm_rhs(state: np.ndarray, data: ProjectedSphereData) -> np.ndarray:
     dim = data.dim
     a, b = state[0], state[1:1 + dim]
     tangential, radial, w = _chart_centroid(a * data.y0 + b[None, :])
-    kappa, n = data.kappa, data.n
+    kappa, k_n, x_n0 = data.kappa, data.kappa / data.n, data.x_n0
     out = np.empty_like(state)
-    out[0] = (kappa / n) * radial * a
-    out[1:1 + dim] = kappa * b + (kappa / n) * 2.0 * a * (w[:, None] * data.y0).sum(axis=0)
+    out[0] = k_n * radial * a
+    out[1:1 + dim] = kappa * b + k_n * 2.0 * a * np.add.reduce(w[:, None] * data.y0, 0)
     m = state[1 + dim:].reshape(dim, dim)
-    z = (kappa / n) * tangential
-    ell = np.outer(z, data.x_n0) - np.outer(data.x_n0, z)
+    z = k_n * tangential
+    ell = z[:, None] * x_n0 - x_n0[:, None] * z
     out[1 + dim:] = (m @ ell).ravel()
     return out
 

@@ -40,6 +40,11 @@ class Flavor(enum.Enum):
     COSINE = "cosine"
 
 
+def alpha_in(cfg: "PhaseConfig", flavor: Flavor) -> float:
+    """Frustration of the flow equivalent to ``cfg`` in ``flavor``."""
+    return cfg.alpha if cfg.flavor is flavor else np.pi / 2.0 - cfg.alpha
+
+
 def _frozen(a, dtype) -> np.ndarray:
     """A read-only copy of ``a`` as ``dtype``."""
     a = np.array(a, dtype=dtype, copy=True)
@@ -271,29 +276,33 @@ def validate(cfg: Config) -> list[str]:
     """
     if not isinstance(cfg, Config):
         raise TypeError(f"not a model configuration: {type(cfg)!r}")
-    violations = [f"{f.name}: non-finite entries present" for f in fields(cfg)
+    non_finite = [f.name for f in fields(cfg)
                   if f.name != "flavor" and not np.all(np.isfinite(getattr(cfg, f.name)))]
+    violations = [f"{name}: non-finite entries present" for name in non_finite]
+    # a non-finite field skips its structural check: inf - inf would warn
     if isinstance(cfg, SphereConfig):
         norms = np.linalg.norm(cfg.x, axis=1)
         for i in np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL):
             violations.append(
                 f"x: non-unit vector at index {i} (|norm - 1| = {abs(norms[i]-1.0):.3e})")
         for name, m in [("omega", cfg.omega), ("w", cfg.w)]:
-            dev = np.max(np.abs(m + np.swapaxes(m, -1, -2)))
+            dev = 0.0 if name in non_finite else np.max(np.abs(m + np.swapaxes(m, -1, -2)))
             if dev > 0.0:
                 violations.append(
                     f"{name}: skew-symmetry violation (max |A + A^T| = {dev:.3e})")
     elif isinstance(cfg, UnitaryConfig):
         eye = np.eye(cfg.d)
-        gram = cfg.u @ np.conj(np.swapaxes(cfg.u, 1, 2))
-        devs = np.linalg.norm(gram - eye, axis=(1, 2))
-        for i in np.flatnonzero(devs > UNITARY_TOL):
-            violations.append(
-                f"u: non-unitary at index {i} (||U U* - I||_F = {devs[i]:.3e})")
-        hdev = np.max(np.abs(cfg.h - np.conj(np.swapaxes(cfg.h, -1, -2))))
+        if "u" not in non_finite:
+            gram = cfg.u @ np.conj(np.swapaxes(cfg.u, 1, 2))
+            devs = np.linalg.norm(gram - eye, axis=(1, 2))
+            for i in np.flatnonzero(devs > UNITARY_TOL):
+                violations.append(
+                    f"u: non-unitary at index {i} (||U U* - I||_F = {devs[i]:.3e})")
+        hdev = 0.0 if "h" in non_finite else np.max(
+            np.abs(cfg.h - np.conj(np.swapaxes(cfg.h, -1, -2))))
         if hdev > UNITARY_TOL:
             violations.append(f"h: not Hermitian (max |H - H*| = {hdev:.3e})")
-        vdev = np.linalg.norm(cfg.v @ cfg.v.conj().T - eye)
+        vdev = 0.0 if "v" in non_finite else np.linalg.norm(cfg.v @ cfg.v.conj().T - eye)
         if vdev > UNITARY_TOL:
             violations.append(f"v: not unitary (||V V* - I||_F = {vdev:.3e})")
     return violations

@@ -1,10 +1,16 @@
 """Bitwise identity of the per-step hot path against its reference formulas.
 
-The rhs kernels bound by ``dynamics.make_rhs``, the RK4 step, the sphere
-normalization and the polar factor promise the same floating-point operations
-in the same order as the plain formulas below, which are kept here verbatim
-as the oracle.  Every comparison is ``np.array_equal``, never a tolerance.
+The rhs kernels bound by ``dynamics.make_rhs``, the RK4 and Dormand-Prince
+steps, the sphere normalization and the polar factor promise the same
+floating-point operations in the same order as the plain formulas below,
+which are kept here verbatim as the oracle.  Every comparison is of bit
+patterns, never a tolerance.  The one exception is the one ``dynamics``
+names: where the oracle's result holds an exact zero (a real number, or a
+real or imaginary part), the kernel that skips a zero drive, a zero nu or a
+product by the identity may return the zero of the other sign.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -13,6 +19,7 @@ from synclab import dynamics
 from synclab.integrate import (
     IntegratorSettings,
     Projection,
+    _dopri5_step,
     _normalize_rows,
     _rk4_coefficients,
     _rk4_step,
@@ -77,6 +84,33 @@ def _oracle_rk4_step(f, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+# the Dormand-Prince 5(4) tableau: the stage rows, then the 4th-order weights
+_ORACLE_DP_A = [
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+]
+_ORACLE_DP_B4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+                 187 / 2100, 1 / 40]
+
+
+def _oracle_dopri5_step(f, y, h):
+    ks = [f(y)]
+    for row in _ORACLE_DP_A:
+        yi = y
+        for a, k in zip(row, ks):
+            yi = yi + (h * a) * k
+        ks.append(f(yi))
+    y4 = y
+    for b4, k in zip(_ORACLE_DP_B4, ks):
+        if b4:
+            y4 = y4 + (h * b4) * k
+    return yi, yi - y4
+
+
 def _oracle_normalize_rows(x):
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
@@ -125,10 +159,29 @@ def _unitary_cfg(rng, n, d, shared):
     return make_unitary_config(u, h, rng.uniform(0.1, 3.0), random_unitary(rng, d))
 
 
-def _assert_rhs_identity(cfg, state, perturbed):
+def _default_cfgs(rng, n):
+    # the factories' defaults: nu = 0, Omega = 0, V = I, H = 0 and kappa = 1
+    return (make_phase_config(rng.uniform(-4.0, 10.0, n)),
+            make_sphere_config(rng.standard_normal((n, 3))),
+            make_unitary_config(np.array([random_unitary(rng, 2) for _ in range(n)])))
+
+
+def _assert_same_bits(ours, oracle):
+    """Equal bit patterns; where the oracle holds an exact zero, equal bit
+    patterns once each zero's sign is dropped (x + 0.0 turns -0.0 into +0.0
+    and leaves every other x alone)."""
+    assert ours.dtype == oracle.dtype and ours.shape == oracle.shape
+    parts = np.stack([oracle.real, oracle.imag]) if np.iscomplexobj(oracle) else oracle
+    if parts.all():
+        assert ours.tobytes() == oracle.tobytes()
+    else:
+        assert (ours + 0.0).tobytes() == (oracle + 0.0).tobytes()
+
+
+def _assert_rhs_identity(cfg, *states):
     ours, oracle = dynamics.make_rhs(cfg), _oracle_rhs(cfg)
-    for y in (state, perturbed):
-        assert np.array_equal(ours(y), oracle(y))
+    for y in states:
+        _assert_same_bits(ours(y), oracle(y))
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +217,52 @@ def test_unitary_rhs_is_bitwise_identical(shared, n):
         _assert_rhs_identity(cfg, cfg.u, cfg.u + 0.1 * noise)
 
 
+# each skip make_rhs binds (a zero nu, a zero shared Omega or H, V = I and
+# kappa = 1) on its own and with the others, with kappa = -1 beside them; the
+# exact equilibria among the states (N = 1 on the sphere, a stack of equal
+# unitaries) are where a skipped zero add shows in the sign of a zero
+KAPPAS = (1.0, -1.0, 1.7)
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+@pytest.mark.parametrize("n", SIZES)
+def test_phase_rhs_skips_are_bitwise_identical(flavor, n):
+    rng = np.random.default_rng(700 + n)
+    for zero_nu, kappa in itertools.product((True, False), KAPPAS):
+        nu = 0.0 if zero_nu else rng.standard_normal(n)
+        cfg = make_phase_config(rng.uniform(-4.0, 10.0, n), nu, kappa,
+                                rng.uniform(-1.5, 1.5), flavor)
+        _assert_rhs_identity(cfg, cfg.theta, cfg.theta + rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_sphere_rhs_skips_are_bitwise_identical(n):
+    rng = np.random.default_rng(800 + n)
+    for drive, identity, kappa in itertools.product(("zero", "shared", "stacked"),
+                                                    (True, False), KAPPAS):
+        m = 2 + n % 3
+        omega = {"zero": None, "shared": rng.standard_normal((m, m)),
+                 "stacked": rng.standard_normal((n, m, m))}[drive]
+        a, w = (1.0, None) if identity else (rng.uniform(-2.0, 2.0), rng.standard_normal((m, m)))
+        cfg = make_sphere_config(rng.standard_normal((n, m)), omega, kappa, a, w)
+        _assert_rhs_identity(cfg, cfg.x, cfg.x + 0.1 * rng.standard_normal(cfg.x.shape))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_unitary_rhs_skips_are_bitwise_identical(n):
+    rng = np.random.default_rng(900 + n)
+    for drive, identity, kappa in itertools.product(("zero", "shared", "stacked"),
+                                                    (True, False), KAPPAS):
+        d = 2 + n % 3
+        u = np.array([random_unitary(rng, d) for _ in range(n)])
+        shape = {"zero": None, "shared": (d, d), "stacked": (n, d, d)}[drive]
+        h = None if shape is None else rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        cfg = make_unitary_config(u, h, kappa, None if identity else random_unitary(rng, d))
+        noise = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+        equal = np.broadcast_to(random_unitary(rng, d), u.shape).copy()
+        _assert_rhs_identity(cfg, cfg.u, cfg.u + 0.1 * noise, equal)
+
+
 # ---------------------------------------------------------------------------
 # stepping and projection
 
@@ -175,10 +274,24 @@ def test_rk4_step_is_bitwise_identical(n):
         h = rng.uniform(1e-4, 0.1)
         for cfg in (_phase_cfg(rng, n, Flavor.SINE),
                     _sphere_cfg(rng, n, 2, draw % 2 == 0, 1.0),
-                    _unitary_cfg(rng, n, 2, draw % 2 == 0)):
+                    _unitary_cfg(rng, n, 2, draw % 2 == 0)) + _default_cfgs(rng, n):
             y = dynamics.state_of(cfg)
             ours = _rk4_step(dynamics.make_rhs(cfg), y, _rk4_coefficients(h, y))
-            assert np.array_equal(ours, _oracle_rk4_step(_oracle_rhs(cfg), y, h))
+            _assert_same_bits(ours, _oracle_rk4_step(_oracle_rhs(cfg), y, h))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_dopri5_step_is_bitwise_identical(n):
+    rng = np.random.default_rng(450 + n)
+    for draw in range(DRAWS):
+        h = 10.0 ** rng.uniform(-4.0, -1.0)
+        for cfg in (_phase_cfg(rng, n, Flavor.COSINE),
+                    _sphere_cfg(rng, n, 1 + draw % 3, draw % 2 == 0, 0.7),
+                    _unitary_cfg(rng, n, 2 + draw % 2, draw % 2 == 0)) + _default_cfgs(rng, n):
+            y = dynamics.state_of(cfg)
+            ours = _dopri5_step(dynamics.make_rhs(cfg), y, h)
+            for got, want in zip(ours, _oracle_dopri5_step(_oracle_rhs(cfg), y, h)):
+                _assert_same_bits(got, want)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -186,7 +299,7 @@ def test_normalize_rows_is_bitwise_identical(n):
     rng = np.random.default_rng(500 + n)
     for draw in range(DRAWS):
         x = rng.standard_normal((n, 2 + draw % 3)) * rng.uniform(0.5, 2.0)
-        assert np.array_equal(_normalize_rows(x), _oracle_normalize_rows(x))
+        _assert_same_bits(_normalize_rows(x), _oracle_normalize_rows(x))
 
 
 @pytest.mark.parametrize("n", (1, 5, 100))
@@ -196,8 +309,8 @@ def test_polar_factor_is_bitwise_identical(n):
         d = 2 + draw % 3
         u = np.array([random_unitary(rng, d) for _ in range(n)])
         m = u + 1e-3 * (rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape))
-        assert np.array_equal(polar_factor(m), _oracle_polar_factor(m))
-        assert np.array_equal(polar_factor(m.real), _oracle_polar_factor(m.real))
+        _assert_same_bits(polar_factor(m), _oracle_polar_factor(m))
+        _assert_same_bits(polar_factor(m.real), _oracle_polar_factor(m.real))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +337,7 @@ def test_ensemble_member_is_bitwise_identical(seed):
     settings = IntegratorSettings(dt=1e-3, record_every=10 ** 9,
                                   projection=Projection.NORMALIZE)
     final = integrate(cfg, settings, 5.0).final_state
-    assert np.array_equal(final, _oracle_integrate(cfg, 1e-3, 5.0, _oracle_normalize_rows))
+    _assert_same_bits(final, _oracle_integrate(cfg, 1e-3, 5.0, _oracle_normalize_rows))
 
 
 def test_polar_projected_run_is_bitwise_identical():
@@ -233,4 +346,4 @@ def test_polar_projected_run_is_bitwise_identical():
     settings = IntegratorSettings(dt=1e-2, record_every=10 ** 9,
                                   projection=Projection.POLAR)
     final = integrate(cfg, settings, 1.0).final_state
-    assert np.array_equal(final, _oracle_integrate(cfg, 1e-2, 1.0, _oracle_polar_factor))
+    _assert_same_bits(final, _oracle_integrate(cfg, 1e-2, 1.0, _oracle_polar_factor))

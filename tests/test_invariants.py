@@ -205,9 +205,11 @@ def test_pair_distance_product_verdict_at_large_n(n, dt, passes):
 
 
 def _config_of_model(name, n=4):
-    # a configuration of the model the observable is registered on
+    # a configuration of the model the observable is registered on; the
+    # cosine flavor at alpha 0, where kuramoto_J is defined
     rng = np.random.default_rng(0)
-    return {"kuramoto": make_phase_config(np.linspace(0.1, 3.5, n), kappa=1.0),
+    return {"kuramoto": make_phase_config(np.linspace(0.1, 3.5, n), kappa=1.0,
+                                          flavor=Flavor.COSINE),
             "sphere": random_sphere_config(rng, n, 2, a=0.0),
             "matrix": random_unitary_config(rng, n, 2)}[inv.OBSERVABLES[name][3]]
 

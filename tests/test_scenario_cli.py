@@ -531,9 +531,11 @@ def test_non_finite_dt_override_is_a_scenario_error(tmp_path, capsys, value):
 
 @pytest.mark.parametrize("alpha", [np.pi / 2, -np.pi / 2, np.pi / 2 - 1e-10])
 def test_kuramoto_j_at_singular_alpha_is_a_scenario_error(tmp_path, capsys, alpha):
-    # refused when the observable is built, before the run, not after it
+    # refused when the observable is built, before the run, not after it;
+    # J_alpha is the cosine flavor's invariant, singular at its |alpha| = pi/2
     doc = {"id": "jpi2", "seed": 1, "t_final": 0.1,
-           "model": {"kind": "kuramoto", "alpha": alpha, "initial": {"random": {"n": 5}}},
+           "model": {"kind": "kuramoto", "alpha": alpha, "flavor": "cosine",
+                     "initial": {"random": {"n": 5}}},
            "observables": [{"name": "kuramoto_J"}]}
     message = "$.observables[0]: J_alpha is singular at |alpha| = pi/2 (tan blows up)"
     res = run_scenario(doc, tmp_path / "out", quiet=True)
@@ -543,6 +545,23 @@ def test_kuramoto_j_at_singular_alpha_is_a_scenario_error(tmp_path, capsys, alph
     assert main(["--scenario", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_kuramoto_j_on_a_sine_model_is_its_cosine_equivalent(tmp_path):
+    # a sine model at alpha is the cosine flow at pi/2 - alpha: J_alpha is
+    # conserved there to round-off, and singular at sine alpha 0
+    doc = {"id": "jsine", "seed": 3, "t_final": 2.0,
+           "model": {"kind": "kuramoto", "alpha": 0.3, "flavor": "sine",
+                     "initial": {"random": {"n": 6}}},
+           "integrator": {"dt": 1e-3, "record_every": 100},
+           "observables": [{"name": "kuramoto_J"}]}
+    res = run_scenario(doc, tmp_path, quiet=True)
+    assert res.exit_code == 0, res
+    (report,) = json.loads((tmp_path / "jsine_drift.json").read_text())
+    assert report["verdict"] == "pass" and report["max_abs_dev"] < 1e-11
+    doc["model"]["alpha"] = 0.0
+    res = run_scenario(doc, tmp_path / "singular", quiet=True)
+    assert res.exit_code == 1 and "J_alpha is singular" in res.error
 
 
 def test_run_result_fields_and_manifest_keys(tmp_path):

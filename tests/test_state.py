@@ -152,6 +152,10 @@ def test_stacked_split_quaternion_equals_per_matrix_calls():
 
 
 _NAN_SKEW = np.array([[0.0, np.nan, 0.0], [np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]])
+# skew-symmetric, so A + A^T adds inf to -inf: the structural checks skip a
+# field already reported non-finite instead of warning
+_INF_SKEW = np.array([[0.0, np.inf, 0.0], [-np.inf, 0.0, 0.0], [0.0, 0.0, 0.0]])
+_INF_DIAG = np.array([[np.inf, 0.0], [0.0, 1.0]])
 
 
 @pytest.mark.parametrize("cfg, names", [
@@ -163,8 +167,13 @@ _NAN_SKEW = np.array([[0.0, np.nan, 0.0], [np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]])
     (make_sphere_config(np.eye(3), w=_NAN_SKEW), ["w"]),
     (make_unitary_config([np.eye(2)], kappa=np.nan), ["kappa"]),
     (make_unitary_config([np.eye(2)], h=np.full((2, 2), np.nan)), ["h"]),
+    (make_sphere_config(np.eye(3), w=_INF_SKEW), ["w"]),
+    (make_sphere_config(np.eye(3), omega=_INF_SKEW), ["omega"]),
+    (make_unitary_config([_INF_DIAG]), ["u"]),
+    (make_unitary_config([np.eye(2)], v=_INF_DIAG), ["v"]),
 ], ids=["phase-kappa", "phase-alpha", "phase-theta-nu", "sphere-kappa-a", "sphere-a",
-        "sphere-w", "unitary-kappa", "unitary-h"])
+        "sphere-w", "unitary-kappa", "unitary-h", "sphere-w-inf", "sphere-omega-inf",
+        "unitary-u-inf", "unitary-v-inf"])
 def test_validate_names_each_non_finite_field(cfg, names):
     # parameters too: kappa on every model and a on the sphere used to pass
     assert validate(cfg) == [f"{name}: non-finite entries present" for name in names]
