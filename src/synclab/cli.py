@@ -38,9 +38,7 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _print_table(results, quiet: bool) -> None:
-    if quiet:
-        return
+def _print_table(results) -> None:
     width = max((len(r.name) for r in results), default=20) + 2
     print("-" * (width + 30))
     for r in results:
@@ -55,6 +53,9 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     if bool(args.scenario) == bool(args.suite):
         print("exactly one of --scenario or --suite is required", file=sys.stderr)
+        return 1
+    if args.suite and (args.seed is not None or args.dt is not None):
+        print("error: --seed and --dt apply to --scenario only", file=sys.stderr)
         return 1
 
     if args.scenario:
@@ -74,7 +75,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _print_table(results, args.quiet)
+    if not args.quiet:
+        _print_table(results)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {
         "suite": args.suite,

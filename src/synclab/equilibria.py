@@ -18,7 +18,7 @@ import numpy as np
 from . import dynamics
 from .integrate import IntegratorSettings, integrate_functional, natural_projection
 from .invariants import matrix_diameter
-from .state import UnitaryConfig, hermitian_part, make_unitary_config
+from .state import UnitaryConfig, hermitian_part
 
 EQUILIBRIUM_TOL = 1e-10
 RICCATI_SLACK = 1e-3
@@ -104,13 +104,6 @@ def symmetric_standard_rep(n: int) -> FiniteGroupRep:
         for j, q in enumerate(perms):
             table[i, j] = index[tuple(p[qk] for qk in q)]
     return FiniteGroupRep(table=table, matrices=mats.astype(complex))
-
-
-def config_from_rep(rep: FiniteGroupRep, kappa: float = 1.0,
-                    v: np.ndarray | None = None) -> UnitaryConfig:
-    """Zero-Hamiltonian configuration whose oscillators are the image of
-    the representation."""
-    return make_unitary_config(rep.matrices, h=None, kappa=kappa, v=v)
 
 
 def is_equilibrium(cfg: UnitaryConfig) -> tuple[bool, float]:

@@ -216,6 +216,11 @@ def _check_finite(y):
         raise IntegrationError("non-finite state detected during integration")
 
 
+def _fixed_step_count(t_final: float, dt: float) -> int:
+    """Steps of the uniform step h = t_final/n <= dt that divides t_final."""
+    return max(1, int(math.ceil(t_final / dt - 1e-9)))
+
+
 def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
                      t_final: float, project=None, record=None):
     """Core integration loop on a raw state array.
@@ -236,8 +241,7 @@ def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
         return np.zeros(1), np.asarray(first)[np.newaxis], y
 
     if settings.scheme is Scheme.RK4:
-        # uniform step h <= dt that divides t_final exactly
-        n_steps = max(1, int(math.ceil(t_final / settings.dt - 1e-9)))
+        n_steps = _fixed_step_count(t_final, settings.dt)
         h = t_final / n_steps
         coef = _rk4_coefficients(h, y)
         every = settings.record_every
@@ -283,10 +287,8 @@ def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
             accepted += 1
             if accepted % settings.record_every == 0 or t >= t_final:
                 _check_finite(y)
-                # avoid duplicate record when the stride lands on the end
-                if t > times[-1]:
-                    times.append(t)
-                    states.append(y if record is None else record(y))
+                times.append(t)
+                states.append(y if record is None else record(y))
         if err_norm == 0.0:
             factor = 5.0
         elif math.isfinite(err_norm):
@@ -337,27 +339,28 @@ class OrderEstimate:
 
 def convergence_order(cfg: Config, scheme: Scheme, t_final: float = 1.0,
                       dt: float = 0.02) -> OrderEstimate:
-    """Richardson order estimate from a halving sequence of fixed steps.
-
-    Both schemes are driven at fixed steps (DOPRI5 propagates its 5th-order
-    solution).  When the step-halving differences vanish, the scheme is exact
-    on this problem and ``exact`` is reported instead of an order.
+    """Richardson order estimate from runs of n, 2n and 4n fixed steps that
+    each end at ``t_final``, n being the RK4 step count at ``dt`` (DOPRI5
+    propagates its 5th-order solution).  A non-finite run raises
+    IntegrationError; when the step-halving differences vanish, the scheme
+    is exact on this problem and ``exact`` is reported instead of an order.
     """
     rhs = dynamics.make_rhs(cfg)
     y0 = dynamics.state_of(cfg)
+    n = _fixed_step_count(t_final, dt)
 
-    def run(h):
-        n = int(round(t_final / h))
-        y = np.array(y0, copy=True)
-        coef = _rk4_coefficients(h, y)
-        for _ in range(n):
-            if scheme is Scheme.RK4:
-                y = _rk4_step(rhs, y, coef)
-            else:
-                y, _ = _dopri5_step(rhs, y, h)
+    def run(steps):
+        h = t_final / steps
+        if scheme is Scheme.RK4:
+            settings = IntegratorSettings(dt=h, record_every=steps)
+            return _integrate_array(rhs, y0, settings, t_final)[2]
+        y = y0
+        for _ in range(steps):
+            y, _ = _dopri5_step(rhs, y, h)
+        _check_finite(y)
         return y
 
-    y1, y2, y3 = run(dt), run(dt / 2), run(dt / 4)
+    y1, y2, y3 = run(n), run(2 * n), run(4 * n)
     e1 = np.max(np.abs(y1 - y2))
     e2 = np.max(np.abs(y2 - y3))
     scale = max(1.0, float(np.max(np.abs(y3))))

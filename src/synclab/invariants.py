@@ -42,8 +42,8 @@ def functional_I(theta: np.ndarray) -> float:
 
 
 def _check_j_alpha(alpha: float) -> None:
-    """ValueError at |alpha| within 1e-9 of pi/2, where tan(alpha) blows up."""
-    if abs(alpha) >= np.pi / 2 - 1e-9:
+    """ValueError where |cos alpha| < 1e-9 (near pi/2 + k pi): tan blows up."""
+    if abs(np.cos(alpha)) < 1e-9:
         raise ValueError("J_alpha is singular at |alpha| = pi/2 (tan blows up)")
 
 
@@ -374,8 +374,9 @@ def make_observable(name: str, config: Config, indices=None,
     log-valued functional takes 'conserved-log' and never 'conserved', a
     linear one never 'conserved-log'.  ``config`` must belong to the
     functional's model.  An unknown name, a bad index list, a refused
-    override, a foreign model or ``kuramoto_J`` at |alpha| = pi/2 in the
-    cosine flavor (alpha = 0 or pi in the sine flavor) raises ValueError.
+    override, a foreign model or ``kuramoto_J`` where the cosine flavor's
+    alpha lies within about 1e-9 of pi/2 + k pi (the sine flavor's within
+    it of k pi) raises ValueError.
     """
     if name not in OBSERVABLES:
         raise ValueError(f"unknown functional name {name!r}")

@@ -25,7 +25,7 @@ from .integrate import (
     integrate,
     integrate_functional,
 )
-from .invariants import drift, make_observable, order_parameter_R
+from .invariants import drift, make_observable, order_parameter_R, phase_diameter
 from .state import Flavor, PhaseConfig, alpha_in, make_phase_config
 
 COINCIDENCE_TOL = 1e-12
@@ -77,12 +77,6 @@ class ProjectedPhaseData:
         return self.x0.size + self.m
 
 
-def as_sine_alpha(cfg: PhaseConfig) -> float:
-    """Frustration of the equivalent sine-flavor flow, the flavor the
-    reduction is derived in."""
-    return alpha_in(cfg, Flavor.SINE)
-
-
 def project_phase_config(cfg: PhaseConfig) -> ProjectedPhaseData:
     """Build the projected initial data, rearranging coincident oscillators
     to the trailing positions (they stay coincident by autonomy).
@@ -98,7 +92,7 @@ def project_phase_config(cfg: PhaseConfig) -> ProjectedPhaseData:
     perm = np.concatenate([leading, np.flatnonzero(coincident), [theta.size - 1]])
     return ProjectedPhaseData(x0=project_phases(theta[leading], ref),
                               m=int(coincident.sum()) + 1, kappa=cfg.kappa,
-                              alpha=as_sine_alpha(cfg), perm=perm)
+                              alpha=alpha_in(cfg, Flavor.SINE), perm=perm)
 
 
 def ab_coefficients(x: np.ndarray, m: int, kappa: float,
@@ -229,7 +223,8 @@ def dichotomy_check(theta0: np.ndarray, alpha: float, kappa: float, t_final: flo
 
     Branch SyncR1 requires alpha in (0, pi/2) with initial diameter below
     2 alpha; branch IncoherenceR0 requires alpha in (-pi/2, 0) with pairwise
-    distinct phases.  A violated precondition is reported but the run still
+    distinct phases: no two agree mod 2pi within 1e-12, the circle chart's
+    pole rule.  A violated precondition is reported but the run still
     proceeds (Inconclusive is then an admissible outcome).  The run keeps the
     total phase at each record point and the final state, not the trajectory;
     ``drift`` judges it, so a run of one record (t_final 0) raises ValueError.
@@ -239,11 +234,13 @@ def dichotomy_check(theta0: np.ndarray, alpha: float, kappa: float, t_final: flo
         settings = IntegratorSettings(dt=1e-2, record_every=10)
     precondition_ok = True
     if alpha > 0:
-        spread = float(theta0.max() - theta0.min()) if theta0.size else 0.0
+        spread = phase_diameter(theta0) if theta0.size else 0.0
         precondition_ok = 0 < alpha < np.pi / 2 and spread < 2 * alpha
     elif alpha < 0:
-        wrapped = np.mod(theta0, 2.0 * np.pi)
-        distinct = len(np.unique(np.round(wrapped, 12))) == theta0.size
+        # the closest pair on the circle is a neighbour pair in sorted order
+        wrapped = np.sort(np.mod(theta0, 2.0 * np.pi))
+        distinct = wrapped.size < 2 or not np.any(
+            _coincident(np.diff(wrapped, append=wrapped[0])))
         precondition_ok = -np.pi / 2 < alpha < 0 and distinct
     cfg = make_phase_config(theta0, 0.0, kappa, alpha, Flavor.COSINE)
     _, sums, final = integrate_functional(cfg, settings, t_final, np.sum)

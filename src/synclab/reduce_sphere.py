@@ -30,7 +30,8 @@ from .integrate import (
     natural_projection,
     polar_factor,
 )
-from .invariants import aggregation_diameter, max_pairwise_distance, min_pairwise_distance
+from .invariants import (aggregation_diameter, max_pairwise_distance,
+                         min_pairwise_distance, sphere_order_parameter)
 from .state import SphereConfig
 
 COINCIDENCE_TOL = 1e-12
@@ -108,7 +109,6 @@ class StereoTrajectory:
     times: np.ndarray
     y: np.ndarray      # (T, N-1, d+1)
     x_n: np.ndarray    # (T, d+1)
-    data: ProjectedSphereData
 
 
 def _chart_centroid(ys: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
@@ -153,8 +153,7 @@ def integrate_stereo_full(data: ProjectedSphereData, settings: IntegratorSetting
 
     times, states, _ = _integrate_array(
         lambda s: _stereo_rhs(s, kappa, n), state0, settings, t_final, project=project)
-    return StereoTrajectory(times=times, y=states[:, :-1],
-                            x_n=states[:, -1], data=data)
+    return StereoTrajectory(times=times, y=states[:, :-1], x_n=states[:, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +299,7 @@ def reduction_chain_report(cfg: SphereConfig, settings: IntegratorSettings,
 
     rho_dev = 0.0
     for idx in range(len(full.times)):
-        from_points = float(np.linalg.norm(full.states[idx].mean(axis=0))) ** 2
+        from_points = sphere_order_parameter(full.states[idx]) ** 2
         from_reduced = rho_squared_reduced(reduced.a[idx], reduced.b[idx], data)
         rho_dev = max(rho_dev, abs(from_points - from_reduced))
 

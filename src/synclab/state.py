@@ -212,13 +212,14 @@ def make_sphere_config(x, omega=None, kappa=1.0, a=1.0, w=None) -> SphereConfig:
 
 
 def make_unitary_config(u, h=None, kappa=1.0, v=None) -> UnitaryConfig:
-    """Build a unitary configuration, Hermitizing h.  ``u`` and ``v`` are
-    stored as given; validate() reports any unitarity violation."""
+    """Build a unitary configuration, Hermitizing a finite h.  ``u``, ``v``
+    and a non-finite h are stored as given; validate() reports any
+    unitarity violation or non-finite entry."""
     u = np.asarray(u, dtype=complex)
     d = u.shape[-1]
-    if h is None:
-        h = np.zeros((d, d), dtype=complex)
-    h = hermitian_part(np.asarray(h, dtype=complex))
+    h = np.zeros((d, d), dtype=complex) if h is None else np.asarray(h, dtype=complex)
+    if np.all(np.isfinite(h)):
+        h = hermitian_part(h)
     if v is None:
         v = np.eye(d, dtype=complex)
     return UnitaryConfig(u=u, h=h, kappa=float(kappa), v=np.asarray(v, dtype=complex))

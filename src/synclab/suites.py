@@ -186,7 +186,7 @@ def _equilibria_pack(out_dir):
     results = []
     for n in (3, 4, 5):
         rep = equilibria.cyclic_rep(n)
-        cfg = equilibria.config_from_rep(rep)
+        cfg = make_unitary_config(rep.matrices)
         ok, res = equilibria.is_equilibrium(cfg)
         results.append(CheckResult(f"cyclic rep Z_{n} equilibrium (V=I)",
                                    ok and res < 1e-12, f"residual = {res:.2e}"))
@@ -194,7 +194,7 @@ def _equilibria_pack(out_dir):
     for n in (3, 4):
         rep = equilibria.symmetric_standard_rep(n)
         v = random_unitary(rng, n - 1)
-        cfg = equilibria.config_from_rep(rep, v=v)
+        cfg = make_unitary_config(rep.matrices, v=v)
         ok, res = equilibria.is_equilibrium(cfg)
         diam_ok = abs(matrix_diameter(rep.matrices) - np.sqrt(2 * n)) < 1e-10
         results.append(CheckResult(

@@ -282,7 +282,7 @@ def test_criterion_13_group_representation_equilibria():
     worst_move = 0.0
     worst_diam = 0.0
     for n in (3, 4, 5):
-        cfg = equilibria.config_from_rep(equilibria.cyclic_rep(n), kappa=1.0)
+        cfg = make_unitary_config(equilibria.cyclic_rep(n).matrices, kappa=1.0)
         _, res = equilibria.is_equilibrium(cfg)
         worst_res = max(worst_res, res)
         traj = integrate(cfg, settings, 10.0)
@@ -290,8 +290,8 @@ def test_criterion_13_group_representation_equilibria():
             np.linalg.norm(traj.final_state - cfg.u, axis=(1, 2)))))
     for n in (3, 4):
         rep = equilibria.symmetric_standard_rep(n)
-        cfg = equilibria.config_from_rep(rep, kappa=1.0,
-                                         v=random_unitary(rng, n - 1))
+        cfg = make_unitary_config(rep.matrices, kappa=1.0,
+                                  v=random_unitary(rng, n - 1))
         _, res = equilibria.is_equilibrium(cfg)
         worst_res = max(worst_res, res)
         worst_diam = max(worst_diam, abs(

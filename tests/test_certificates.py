@@ -103,8 +103,9 @@ def _dichotomy_oracle(theta0, alpha, kappa, t_final, eps=1e-3, settings=None):
         spread = float(theta0.max() - theta0.min()) if theta0.size else 0.0
         precondition_ok = 0 < alpha < np.pi / 2 and spread < 2 * alpha
     elif alpha < 0:
-        wrapped = np.mod(theta0, 2.0 * np.pi)
-        distinct = len(np.unique(np.round(wrapped, 12))) == theta0.size
+        # the circle chart's coincidence rule on every pair
+        i, j = np.triu_indices(theta0.size, 1)
+        distinct = not np.any(rk._coincident(theta0[i] - theta0[j]))
         precondition_ok = -np.pi / 2 < alpha < 0 and distinct
     cfg = make_phase_config(theta0, 0.0, kappa, alpha, Flavor.COSINE)
     traj = integrate(cfg, settings, t_final)
@@ -145,7 +146,7 @@ def _frustrated_matrix():
 
 
 def _group_matrix_dopri5():
-    cfg = eq.config_from_rep(eq.symmetric_standard_rep(3), kappa=1.0)
+    cfg = make_unitary_config(eq.symmetric_standard_rep(3).matrices, kappa=1.0)
     return cfg, 2.0, IntegratorSettings(scheme=Scheme.DOPRI5, dt=1e-2, record_every=2)
 
 
@@ -200,6 +201,9 @@ DICHOTOMY_CASES = {
     "n40-stride-remainder": lambda: (
         (np.random.default_rng(11).uniform(0, 2 * np.pi, 40), -0.3, 2.0, 5.0),
         dict(settings=IntegratorSettings(dt=1e-2, record_every=7))),
+    # coincident across 0 = 2 pi by the circle chart's 1e-12 rule
+    "coincident-across-zero": lambda: (
+        (np.array([0.0, 1.0, 2 * np.pi - 1e-13, 4.0]), -0.5, 1.0, 2.0), {}),
     "dopri5-precondition-violated": lambda: (
         (np.array([0.0, 3.0, 1.0]), 0.5, 1.0, 4.0),
         dict(settings=IntegratorSettings(scheme=Scheme.DOPRI5, dt=1e-2))),

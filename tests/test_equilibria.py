@@ -64,7 +64,7 @@ def test_rep_matrices_are_reproducible():
 
 
 def test_cyclic_equilibrium_with_identity_frustration():
-    cfg = eq.config_from_rep(eq.cyclic_rep(4))
+    cfg = make_unitary_config(eq.cyclic_rep(4).matrices)
     ok, res = eq.is_equilibrium(cfg)
     assert ok and res < 1e-12
 
@@ -72,7 +72,7 @@ def test_cyclic_equilibrium_with_identity_frustration():
 def test_symmetric_equilibrium_with_random_frustration():
     rng = np.random.default_rng(0)
     rep = eq.symmetric_standard_rep(3)
-    cfg = eq.config_from_rep(rep, v=random_unitary(rng, 2))
+    cfg = make_unitary_config(rep.matrices, v=random_unitary(rng, 2))
     ok, res = eq.is_equilibrium(cfg)
     assert ok and res < 1e-10
 
@@ -159,7 +159,7 @@ def test_matrix_aggregation_inside_certified_region():
 
 def test_group_equilibrium_neither_moves_nor_aggregates():
     rep = eq.symmetric_standard_rep(3)        # diameter sqrt(6) > sqrt(2)
-    cfg = eq.config_from_rep(rep, kappa=1.0)
+    cfg = make_unitary_config(rep.matrices, kappa=1.0)
     res = eq.matrix_aggregation_check(cfg, 5.0,
                                       IntegratorSettings(dt=2e-3, record_every=10))
     assert not res.hypothesis_ok

@@ -184,6 +184,36 @@ def test_convergence_order_dopri5_on_sphere():
     assert 4.6 <= est.order <= 5.4
 
 
+_ORDER_MODELS = {
+    "sphere": lambda: random_sphere_config(np.random.default_rng(11), 5, 2),
+    "phase": lambda: random_phase_config(np.random.default_rng(10), 5, kappa=1.0,
+                                         alpha=0.2),
+    "matrix": lambda: random_unitary_config(np.random.default_rng(12), 4, 2),
+}
+
+
+@pytest.mark.parametrize("dt", [0.03, 0.045, 0.07])
+@pytest.mark.parametrize("model", sorted(_ORDER_MODELS))
+def test_convergence_order_where_dt_does_not_divide_t_final(model, dt):
+    # the three runs must end at the same time for their differences to
+    # measure the error at t_final
+    cfg = _ORDER_MODELS[model]()
+    est = convergence_order(cfg, Scheme.RK4, t_final=1.0, dt=dt)
+    assert not est.exact and 3.7 <= est.order <= 4.3
+    if model != "phase":
+        est = convergence_order(cfg, Scheme.DOPRI5, t_final=1.0, dt=dt)
+        assert not est.exact and 4.6 <= est.order <= 5.6
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_convergence_order_raises_on_a_run_that_blows_up(scheme):
+    # phases driven at 1e308 overflow by t = 2
+    cfg = make_phase_config([0.0, 1.0], nu=[1e308, -1e308], kappa=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError, match="non-finite"):
+            convergence_order(cfg, scheme, t_final=2.0)
+
+
 def test_polar_factor_restores_unitarity():
     rng = np.random.default_rng(12)
     u = random_unitary_config(rng, 1, 3).u[0]

@@ -7,7 +7,7 @@ from synclab import reduce_kuramoto as rk
 from synclab.errors import CoincidentPhase
 from synclab.integrate import IntegratorSettings, integrate
 from synclab.invariants import drift, make_observable
-from synclab.state import Flavor, make_phase_config, random_phase_config
+from synclab.state import Flavor, alpha_in, make_phase_config, random_phase_config
 
 
 def test_projection_closed_forms():
@@ -268,11 +268,27 @@ def test_dichotomy_precondition_reporting():
     assert res.verdict in ("SyncR1", "IncoherenceR0", "Inconclusive")
 
 
-def test_as_sine_alpha_conversion():
-    sine_cfg = make_phase_config([0.0], alpha=0.7, flavor=Flavor.SINE)
-    cos_cfg = make_phase_config([0.0], alpha=0.7, flavor=Flavor.COSINE)
-    assert rk.as_sine_alpha(sine_cfg) == 0.7
-    assert rk.as_sine_alpha(cos_cfg) == pytest.approx(np.pi / 2 - 0.7)
+@pytest.mark.parametrize("theta0, distinct", [
+    ([0.0, 1.0, 2 * np.pi - 1e-13, 4.0], False),       # coincident across 0 = 2 pi
+    # 2.2e-16 apart, on either side of a 12-decimal rounding boundary
+    ([0.0, np.nextafter(0.5000000000005, 0.0), np.nextafter(0.5000000000005, 1.0),
+      5.0], False),
+    ([0.0, 1e-11, 2 * np.pi - 1e-11], True),
+    ([0.3], True),
+], ids=["across-zero", "two-ulp", "1e-11-apart", "one-phase"])
+def test_dichotomy_branch_2_distinct_phases_by_the_chart_rule(theta0, distinct):
+    # two phases coincide when they agree mod 2 pi within 1e-12
+    res = rk.dichotomy_check(np.array(theta0), -0.5, 1.0, 1.0)
+    assert res.precondition_ok is distinct
+
+
+def test_alpha_in_sine_conversion():
+    # the reduction runs at the frustration of the equivalent sine flow
+    sine_cfg = make_phase_config([0.0, 1.0], alpha=0.7, flavor=Flavor.SINE)
+    cos_cfg = make_phase_config([0.0, 1.0], alpha=0.7, flavor=Flavor.COSINE)
+    assert alpha_in(sine_cfg, Flavor.SINE) == 0.7
+    assert alpha_in(cos_cfg, Flavor.SINE) == pytest.approx(np.pi / 2 - 0.7)
+    assert rk.project_phase_config(cos_cfg).alpha == alpha_in(cos_cfg, Flavor.SINE)
 
 
 def test_dichotomy_refuses_a_run_of_one_record():

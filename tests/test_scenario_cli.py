@@ -529,10 +529,11 @@ def test_non_finite_dt_override_is_a_scenario_error(tmp_path, capsys, value):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("alpha", [np.pi / 2, -np.pi / 2, np.pi / 2 - 1e-10])
+@pytest.mark.parametrize("alpha", [np.pi / 2, -np.pi / 2, np.pi / 2 - 1e-10,
+                                   3 * np.pi / 2])
 def test_kuramoto_j_at_singular_alpha_is_a_scenario_error(tmp_path, capsys, alpha):
     # refused when the observable is built, before the run, not after it;
-    # J_alpha is the cosine flavor's invariant, singular at its |alpha| = pi/2
+    # J_alpha is the cosine flavor's invariant, singular where cos alpha = 0
     doc = {"id": "jpi2", "seed": 1, "t_final": 0.1,
            "model": {"kind": "kuramoto", "alpha": alpha, "flavor": "cosine",
                      "initial": {"random": {"n": 5}}},
@@ -545,6 +546,28 @@ def test_kuramoto_j_at_singular_alpha_is_a_scenario_error(tmp_path, capsys, alph
     assert main(["--scenario", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("alpha, flavor", [
+    (2.0, "cosine"), (np.pi, "cosine"), (-2.5, "cosine"), (4.0, "cosine"),
+    (-np.pi / 2, "sine"),                    # the cosine flow at alpha = pi
+])
+def test_kuramoto_j_past_pi_over_2_is_conserved(tmp_path, alpha, flavor):
+    # tan(alpha) is finite away from pi/2 + k pi, and J_alpha is conserved
+    # there while the total phase moves
+    doc = {"id": "jwide", "seed": 3, "t_final": 2.0,
+           "model": {"kind": "kuramoto", "alpha": alpha, "flavor": flavor,
+                     "initial": {"random": {"n": 6}}},
+           "integrator": {"dt": 1e-3, "record_every": 100},
+           "observables": [{"name": "kuramoto_J"}, {"name": "total_phase",
+                                                    "check": "record"}]}
+    res = run_scenario(doc, tmp_path, quiet=True)
+    assert res.exit_code == 0, res
+    j_report, _ = json.loads((tmp_path / "jwide_drift.json").read_text())
+    assert j_report["verdict"] == "pass" and j_report["max_abs_dev"] < 1e-12
+    total_phase = np.loadtxt(tmp_path / "jwide_observables.csv", delimiter=",",
+                             skiprows=1)[:, 2]
+    assert np.ptp(total_phase) > 0.1
 
 
 def test_kuramoto_j_on_a_sine_model_is_its_cosine_equivalent(tmp_path):
@@ -804,6 +827,18 @@ def test_cli_malformed_scenario_exits_1(tmp_path):
     path2 = tmp_path / "schema.json"
     path2.write_text(json.dumps({"id": "x"}))
     assert main(["--scenario", str(path2), "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("flags", [["--seed", "5"], ["--dt", "0.5"],
+                                   ["--seed", "5", "--dt", "0.5"]])
+def test_cli_scenario_flags_with_a_suite_exit_1(tmp_path, capsys, flags):
+    # a suite has no seed or step to override: refused, not ignored
+    assert main(["--suite", "kuramoto-invariants", "--out", str(tmp_path / "out"),
+                 *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed and --dt apply to --scenario only\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_unknown_suite_exits_1(tmp_path):

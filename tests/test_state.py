@@ -171,9 +171,11 @@ _INF_DIAG = np.array([[np.inf, 0.0], [0.0, 1.0]])
     (make_sphere_config(np.eye(3), omega=_INF_SKEW), ["omega"]),
     (make_unitary_config([_INF_DIAG]), ["u"]),
     (make_unitary_config([np.eye(2)], v=_INF_DIAG), ["v"]),
+    # Hermitizing an infinite h would divide inf * 0 by 2: it is stored as given
+    (make_unitary_config([np.eye(2)], h=[[np.inf, 0], [0, 0]]), ["h"]),
 ], ids=["phase-kappa", "phase-alpha", "phase-theta-nu", "sphere-kappa-a", "sphere-a",
         "sphere-w", "unitary-kappa", "unitary-h", "sphere-w-inf", "sphere-omega-inf",
-        "unitary-u-inf", "unitary-v-inf"])
+        "unitary-u-inf", "unitary-v-inf", "unitary-h-inf"])
 def test_validate_names_each_non_finite_field(cfg, names):
     # parameters too: kappa on every model and a on the sphere used to pass
     assert validate(cfg) == [f"{name}: non-finite entries present" for name in names]
