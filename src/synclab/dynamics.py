@@ -21,6 +21,15 @@ differs only where a state entry is -0.0, which no step creates but by
 underflow.  ``tests/test_hotpath_identity.py`` holds the plain formulas as
 the oracle; a rewrite that changes any other bit is a behaviour change.
 
+:func:`make_batch_rhs` binds a batch of circle or sphere configurations of
+one shape into a kernel on their stacked states.  The circle kernel is the
+single one with its constants as (B, 1) columns and the phase sum taken
+along the last axis; the sphere kernel is a second implementation whose
+stacked ``np.matmul`` products round like the single kernel's ``np.dot``
+(a fact about this numpy, which ``tests/test_batch.py`` checks).  Each
+member's tangent equals its single kernel's bit for bit, up to the sign of
+the zeros that a term dropped for one member but kept for the batch leaves.
+
 Sign convention for the cosine flavor: the coupling is
 cos(theta_j - theta_k + alpha), equivalently cos(theta_k - theta_j - alpha).
 With this convention the functional I * exp(tan(alpha) * sum theta) is
@@ -53,7 +62,7 @@ def make_rhs(cfg: Config):
     It is meant for states of the configuration's own size N.
     """
     if isinstance(cfg, PhaseConfig):
-        return _bind_phase(cfg)
+        return _bind_phase([cfg], stacked=False)
     if isinstance(cfg, SphereConfig):
         return _bind_sphere(cfg)
     if isinstance(cfg, UnitaryConfig):
@@ -68,15 +77,22 @@ def _scalars(dtype, *values) -> list[np.ndarray]:
     return [np.array(c, dtype=dtype) for c in values]
 
 
-def _bind_phase(cfg: PhaseConfig):
-    nu = cfg.nu if cfg.nu.any() else None
-    sine = cfg.flavor is Flavor.SINE
-    alpha, k_n = _scalars(float, cfg.alpha, cfg.kappa / cfg.n)
+def _bind_phase(cfgs: list[PhaseConfig], stacked: bool):
+    """The kernel of one configuration on its (N,) phases, its constants 0-d,
+    or with ``stacked`` of a batch of one flavor on their (B, N) stack, its
+    constants (B, 1) columns and its nu added when any member's is nonzero."""
+    nu = np.stack([c.nu for c in cfgs]) if stacked else cfgs[0].nu
+    nu = nu if nu.any() else None
+    sine = cfgs[0].flavor is Flavor.SINE
+    shape = (len(cfgs), 1) if stacked else ()
+    column = lambda values: np.array(values, dtype=float).reshape(shape)
+    alpha, k_n = column([c.alpha for c in cfgs]), column([c.kappa / c.n for c in cfgs])
     i, minus_i = _scalars(complex, 1j, -1j)
     exp, add_reduce = np.exp, np.add.reduce
+    total = (lambda z: add_reduce(z, -1, keepdims=True)) if stacked else add_reduce
 
     def rhs(theta):
-        s = add_reduce(exp(i * theta))
+        s = total(exp(i * theta))
         if sine:
             dtheta = k_n * (exp(i * (alpha - theta)) * s).imag
         else:
@@ -109,6 +125,76 @@ def _bind_sphere(cfg: SphereConfig):
         dx = vxc - dot(x, vxc)[:, None] * x
         dx = dx if gain is None else gain * dx
         return dx if drive is None else drive(x) + dx
+    return rhs
+
+
+def _bind_sphere_batch(cfgs: list[SphereConfig]):
+    """The sphere kernel on the (B, N, d+1) stack of a batch of one Omega
+    form: the single kernel's steps with each member's V, kappa and Omega
+    stacked, each ``np.dot`` a stacked ``np.matmul``.  A term is dropped only
+    where every member drops it."""
+    v = np.stack([c.v for c in cfgs]) if any(
+        c.a != 1.0 or c.w.any() for c in cfgs) else None
+    n, = _scalars(float, cfgs[0].n)
+    kappa = np.array([c.kappa for c in cfgs])[:, None, None]
+    gain = None if (kappa == 1.0).all() else kappa
+    matmul, add_reduce = np.matmul, np.add.reduce
+    drive = None
+    if not cfgs[0].shared_omega:
+        omega = np.stack([c.omega for c in cfgs])
+
+        def drive(x):
+            return np.einsum("bnij,bnj->bni", omega, x)
+    elif any(c.omega.any() for c in cfgs):
+        omega_t = np.stack([c.omega.T for c in cfgs])
+
+        def drive(x):
+            return matmul(x, omega_t)
+
+    def rhs(x):
+        # V x_c of each member as a (B, d+1, 1) column
+        vxc = (add_reduce(x, 1) / n)[..., None]
+        vxc = vxc if v is None else matmul(v, vxc)
+        dx = vxc.swapaxes(1, 2) - matmul(x, vxc) * x
+        dx = dx if gain is None else gain * dx
+        return dx if drive is None else drive(x) + dx
+    return rhs
+
+
+def batch_key(cfg: Config):
+    """Configurations with equal keys share a batch kernel: one class, one
+    state shape and, on the circle, one flavor, on the sphere one Omega form
+    (shared or per particle).  None for a configuration without one: the
+    matrix model integrates singly."""
+    if isinstance(cfg, PhaseConfig):
+        return PhaseConfig, cfg.theta.shape, cfg.flavor
+    if isinstance(cfg, SphereConfig):
+        return SphereConfig, cfg.x.shape, cfg.shared_omega
+    return None
+
+
+def make_batch_rhs(cfgs: list[Config]):
+    """One rhs for configurations of one :func:`batch_key`.
+
+    Given the (b, ...) stack of the first b >= 2 members' states it returns
+    their stacked tangents, through a kernel bound once per b; given a state
+    of one member's rank it is the first member's :func:`make_rhs` kernel.
+    """
+    first = make_rhs(cfgs[0])
+    rank = state_of(cfgs[0]).ndim
+    if isinstance(cfgs[0], PhaseConfig):
+        bind = lambda members: _bind_phase(members, stacked=True)
+    else:
+        bind = _bind_sphere_batch
+    kernels = {}
+
+    def rhs(y):
+        if y.ndim == rank:
+            return first(y)
+        kernel = kernels.get(len(y))
+        if kernel is None:
+            kernel = kernels[len(y)] = bind(cfgs[:len(y)])
+        return kernel(y)
     return rhs
 
 

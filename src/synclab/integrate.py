@@ -22,12 +22,19 @@ around their reductions.  None of this changes an operation or its order, so
 steps match the plain formulas kept as the oracle in
 ``tests/test_hotpath_identity.py`` bit for bit, up to the sign of a zero
 that ``dynamics`` describes.
+
+Runs that share a model shape integrate together through
+:func:`integrate_batch`: RK4 members advance in one ragged lockstep loop on
+a batch kernel, each member's records and final state equal to its single
+run's, so at small N a step of many members costs the numpy calls of about
+one.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,7 +72,7 @@ class IntegratorSettings:
             raise ValueError("dt must be positive")
         if not (0 < self.rtol <= 1e-2 and 0 < self.atol <= 1e-2):
             raise ValueError("tolerances must lie in (0, 1e-2]")
-        if self.record_every < 1:
+        if not (isinstance(self.record_every, numbers.Integral) and self.record_every >= 1):
             raise ValueError("record_every must be a positive integer")
 
 
@@ -180,8 +187,9 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 _DP_TERMS = np.array([a for row in _DP_A for a in row] + [b for b in _DP_B4 if b])
 
 
-def _rk4_coefficients(h: float, y: np.ndarray) -> list[np.ndarray]:
-    """h/2, h, h/6 and 2 for :func:`_rk4_step`, made once per integration."""
+def _rk4_coefficients(h, y: np.ndarray) -> list[np.ndarray]:
+    """h/2, h, h/6 and 2 for :func:`_rk4_step`, made once per integration;
+    ``h`` is a float, or a column of the steps of a batch's members."""
     return dynamics._scalars(np.result_type(y, 0.5), 0.5 * h, h, h / 6.0, 2.0)
 
 
@@ -232,10 +240,16 @@ def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
     refuses; a state is checked finite before it is recorded.  With
     ``record``, row i is ``record(state)`` instead of the state, and the
     loop holds no state but the current one.
+
+    A batch of RK4 runs passes ``y0``, ``settings``, ``t_final`` and
+    ``record`` as lists with one entry per member, and gets one such triple
+    per member back; see :func:`_integrate_ragged`.
     """
+    if not isinstance(settings, IntegratorSettings):
+        return _integrate_ragged(rhs, y0, settings, t_final, project, record)
+    if not 0.0 <= t_final < math.inf:
+        raise ValueError("t_final must be finite and non-negative")
     y = np.array(y0, copy=True)
-    if t_final < 0:
-        raise ValueError("t_final must be non-negative")
     first = y if record is None else record(y)
     if t_final == 0.0:
         return np.zeros(1), np.asarray(first)[np.newaxis], y
@@ -301,6 +315,66 @@ def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
     return np.array(times), np.array(states), y
 
 
+def _integrate_ragged(rhs, y0s, settings, t_finals, project, records):
+    """RK4 runs of equal state shape advanced in lockstep on their stack.
+
+    Member m takes its own n_m steps of t_final_m/n_m, records at its own
+    stride, checks its own records finite and keeps its own preallocated
+    records, exactly as its single run would.  Members come in order of
+    non-increasing step count, so a member retires after its last step and
+    the active ones are always a prefix of the batch: ``rhs`` is called on
+    the stack of the first b members while b >= 2 and, once one member is
+    left, on that member's state alone, with 0-d coefficients as in a single
+    run.  ``project`` must act row by row.  The loop stops only at steps
+    where some member records, so a step costs no per-member test.
+    """
+    steps = [_fixed_step_count(t, s.dt) for t, s in zip(t_finals, settings)]
+    if steps != sorted(steps, reverse=True):
+        raise ValueError("batch members must come in order of non-increasing step count")
+    h = np.array([t / n for t, n in zip(t_finals, steps)])
+    every = [s.record_every for s in settings]
+    y = np.array(y0s)
+    col = (len(y),) + (1,) * (y.ndim - 1)
+    times, recs, finals = [], [], [None] * len(y)
+    for m, (n, k, record) in enumerate(zip(steps, every, records)):
+        first = y[m] if record is None else record(y[m])
+        times.append(np.empty(1 + n // k + (n % k != 0)))
+        recs.append(np.empty((times[m].size,) + np.shape(first),
+                             np.result_type(first, 0.5)))
+        times[m][0] = 0.0
+        recs[m][0] = first
+    due = [min(k, n) for k, n in zip(every, steps)]   # next record step
+    written = [1] * len(y)
+    b, i, stacked = len(y), 0, True
+    coef = _rk4_coefficients(h.reshape(col), y)
+    while b:
+        stop = min(due[:b])
+        for _ in range(stop - i):
+            y = _rk4_step(rhs, y, coef)
+            if project is not None:
+                y = project(y)
+        i = stop
+        for m in range(b):
+            if due[m] == i:
+                ym = y[m] if stacked else y
+                _check_finite(ym)
+                times[m][written[m]] = i * h[m]
+                recs[m][written[m]] = ym if records[m] is None else records[m](ym)
+                written[m] += 1
+                due[m] = min(i + every[m], steps[m])
+        active = b
+        while b and steps[b - 1] == i:
+            b -= 1
+            finals[b] = y[b] if stacked else y
+        if b == 1 and stacked:
+            y, stacked = y[0], False
+            coef = _rk4_coefficients(h[0], y)
+        elif 1 < b < active:
+            y = y[:b]
+            coef = _rk4_coefficients(h[:b].reshape((b,) + col[1:]), y)
+    return list(zip(times, recs, finals))
+
+
 def integrate(cfg: Config, settings: IntegratorSettings, t_final: float) -> Trajectory:
     """Integrate a model configuration on [0, t_final]."""
     rhs = dynamics.make_rhs(cfg)
@@ -327,6 +401,60 @@ def integrate_functional(cfg: Config, settings: IntegratorSettings, t_final: flo
                             project=project, record=functional)
 
 
+def integrate_batch(runs) -> list:
+    """Integrate many runs, each ``(config, settings, t_final, record)``.
+
+    Returns, per run and in the order given, what
+    ``integrate_functional(config, settings, t_final, record)`` returns,
+    with the states as the records when ``record`` is None; a run that
+    fails holds, in place of its triple, the exception its single run
+    raises.  RK4 runs of one :func:`dynamics.batch_key` and one projection
+    (NONE or NORMALIZE), with t_final > 0 and finite, advance as one batch
+    on :func:`dynamics.make_batch_rhs` through :func:`_integrate_ragged`;
+    each member's times, records and final state equal its single run's bit
+    for bit, up to the sign of a zero that ``dynamics`` describes.  Every
+    other run integrates singly: DOPRI5, whose step control is per run, and
+    POLAR, whose Newton iteration stops on the largest update over the whole
+    stack, so that a batch would change a member's iteration count and its
+    bits.  When a batch raises, its members integrate singly, so a member
+    fails alone.
+    """
+    runs = list(runs)
+    groups = {}
+    for k, (cfg, settings, t_final, _) in enumerate(runs):
+        key = dynamics.batch_key(cfg)
+        if (key is None or settings.scheme is not Scheme.RK4
+                or settings.projection is Projection.POLAR or not 0.0 < t_final < math.inf):
+            key = k
+        groups.setdefault((key, settings.projection), []).append(k)
+    out = [None] * len(runs)
+    for members in groups.values():
+        results = None
+        if len(members) > 1:
+            members.sort(key=lambda k: -_fixed_step_count(runs[k][2], runs[k][1].dt))
+            cfgs, settings, t_finals, records = zip(*(runs[k] for k in members))
+            try:
+                results = _integrate_array(
+                    dynamics.make_batch_rhs(cfgs), [dynamics.state_of(c) for c in cfgs],
+                    list(settings), list(t_finals),
+                    _projector(cfgs[0], settings[0].projection), list(records))
+            except Exception:  # noqa: BLE001 - each member then raises its own
+                pass
+        if results is None:
+            results = [_integrate_or_fail(runs[k]) for k in members]
+        for k, result in zip(members, results):
+            out[k] = result
+    return out
+
+
+def _integrate_or_fail(run):
+    """``integrate_functional(*run)``, or the exception it raises."""
+    try:
+        return integrate_functional(*run)
+    except Exception as exc:  # noqa: BLE001 - the run's own failure, returned
+        return exc
+
+
 # ---------------------------------------------------------------------------
 # order verification
 
@@ -344,7 +472,10 @@ def convergence_order(cfg: Config, scheme: Scheme, t_final: float = 1.0,
     propagates its 5th-order solution).  A non-finite run raises
     IntegrationError; when the step-halving differences vanish, the scheme
     is exact on this problem and ``exact`` is reported instead of an order.
+    A t_final that is not finite and positive raises ValueError.
     """
+    if not 0.0 < t_final < math.inf:
+        raise ValueError("t_final must be finite and positive")
     rhs = dynamics.make_rhs(cfg)
     y0 = dynamics.state_of(cfg)
     n = _fixed_step_count(t_final, dt)

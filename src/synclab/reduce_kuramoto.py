@@ -215,20 +215,40 @@ class DichotomyResult:
     total_phase_monotone: bool
 
 
-def dichotomy_check(theta0: np.ndarray, alpha: float, kappa: float, t_final: float,
-                    settings: IntegratorSettings | None = None) -> DichotomyResult:
-    """Classify the long-run order parameter of the frustrated cosine flow:
-    SyncR1 when the final R exceeds 1 - ``DICHOTOMY_EPS`` (1e-3),
-    IncoherenceR0 when it is below ``DICHOTOMY_EPS``, Inconclusive otherwise.
+@dataclass(frozen=True)
+class DichotomyPlan:
+    """What :func:`dichotomy_check` integrates, and its verdict on the run."""
 
-    Branch SyncR1 requires alpha in (0, pi/2) with initial diameter below
-    2 alpha; branch IncoherenceR0 requires alpha in (-pi/2, 0) with pairwise
-    distinct phases: no two agree mod 2pi within 1e-12, the circle chart's
-    pole rule.  A violated precondition is reported but the run still
-    proceeds (Inconclusive is then an admissible outcome).  The run keeps the
-    total phase at each record point and the final state, not the trajectory;
-    ``drift`` judges it, so a run of one record (t_final 0) raises ValueError.
-    """
+    cfg: PhaseConfig
+    settings: IntegratorSettings
+    t_final: float
+    precondition_ok: bool
+
+    @property
+    def run(self):
+        """The run, as ``integrate_functional`` and ``integrate_batch`` take
+        it: the total phase is kept at each record point."""
+        return self.cfg, self.settings, self.t_final, np.sum
+
+    def judge(self, integrated) -> DichotomyResult:
+        """The verdict on ``(times, total phases, final state)`` of the run."""
+        _, sums, final = integrated
+        monotone = drift(make_observable("total_phase", self.cfg), sums, 1e-9).verdict
+        r_final, _ = order_parameter_R(final)
+        if r_final > 1.0 - DICHOTOMY_EPS:
+            verdict = "SyncR1"
+        elif r_final < DICHOTOMY_EPS:
+            verdict = "IncoherenceR0"
+        else:
+            verdict = "Inconclusive"
+        return DichotomyResult(verdict=verdict, r_final=r_final,
+                               precondition_ok=self.precondition_ok,
+                               total_phase_monotone=monotone)
+
+
+def plan_dichotomy(theta0: np.ndarray, alpha: float, kappa: float, t_final: float,
+                   settings: IntegratorSettings | None = None) -> DichotomyPlan:
+    """The run of :func:`dichotomy_check` and its precondition."""
     theta0 = np.asarray(theta0, dtype=float)
     if settings is None:
         settings = IntegratorSettings(dt=1e-2, record_every=10)
@@ -243,15 +263,22 @@ def dichotomy_check(theta0: np.ndarray, alpha: float, kappa: float, t_final: flo
             _coincident(np.diff(wrapped, append=wrapped[0])))
         precondition_ok = -np.pi / 2 < alpha < 0 and distinct
     cfg = make_phase_config(theta0, 0.0, kappa, alpha, Flavor.COSINE)
-    _, sums, final = integrate_functional(cfg, settings, t_final, np.sum)
-    monotone = drift(make_observable("total_phase", cfg), sums, 1e-9).verdict
-    r_final, _ = order_parameter_R(final)
-    if r_final > 1.0 - DICHOTOMY_EPS:
-        verdict = "SyncR1"
-    elif r_final < DICHOTOMY_EPS:
-        verdict = "IncoherenceR0"
-    else:
-        verdict = "Inconclusive"
-    return DichotomyResult(verdict=verdict, r_final=r_final,
-                           precondition_ok=precondition_ok,
-                           total_phase_monotone=monotone)
+    return DichotomyPlan(cfg, settings, t_final, precondition_ok)
+
+
+def dichotomy_check(theta0: np.ndarray, alpha: float, kappa: float, t_final: float,
+                    settings: IntegratorSettings | None = None) -> DichotomyResult:
+    """Classify the long-run order parameter of the frustrated cosine flow:
+    SyncR1 when the final R exceeds 1 - ``DICHOTOMY_EPS`` (1e-3),
+    IncoherenceR0 when it is below ``DICHOTOMY_EPS``, Inconclusive otherwise.
+
+    Branch SyncR1 requires alpha in (0, pi/2) with initial diameter below
+    2 alpha; branch IncoherenceR0 requires alpha in (-pi/2, 0) with pairwise
+    distinct phases: no two agree mod 2pi within 1e-12, the circle chart's
+    pole rule.  A violated precondition is reported but the run still
+    proceeds (Inconclusive is then an admissible outcome).  The run keeps the
+    total phase at each record point and the final state, not the trajectory;
+    ``drift`` judges it, so a run of one record (t_final 0) raises ValueError.
+    """
+    plan = plan_dichotomy(theta0, alpha, kappa, t_final, settings)
+    return plan.judge(integrate_functional(*plan.run))

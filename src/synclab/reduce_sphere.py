@@ -333,6 +333,61 @@ class SphereAggregationResult:
         return "Aggregated" if self.aggregated else "NotAggregated"
 
 
+@dataclass(frozen=True)
+class SphereAggregationPlan:
+    """What :func:`sphere_aggregation_check` integrates, and its verdict on
+    the run."""
+
+    cfg: SphereConfig
+    settings: IntegratorSettings
+    t_final: float
+
+    @property
+    def run(self):
+        """The run, as ``integrate_functional`` and ``integrate_batch`` take
+        it: the aggregation diameter is kept at each record point."""
+        return self.cfg, self.settings, self.t_final, aggregation_diameter
+
+    def judge(self, integrated) -> SphereAggregationResult:
+        """The verdict on ``(times, diameters, final state)`` of the run."""
+        cfg = self.cfg
+        times, diam, final = integrated
+        w_op = float(np.linalg.norm(cfg.w, 2))
+        w_fro = float(np.linalg.norm(cfg.w))
+        gap0 = diam[0]
+        hypothesis = (cfg.a > 0 and w_op < cfg.a and cfg.shared_omega is True
+                      and gap0 < 1.0 - w_op / cfg.a)
+        final_dist = max_pairwise_distance(final)
+
+        predicted = 2.0 * cfg.kappa * (cfg.a - w_op)
+        fit_mask = (diam > 1e-24) & (diam < gap0 / 4.0) if gap0 > 0 else np.zeros_like(diam, bool)
+        if np.count_nonzero(fit_mask) >= 2:
+            slope = np.polyfit(times[fit_mask], np.log(diam[fit_mask]), 1)[0]
+            fitted = -float(slope)
+        else:
+            fitted = float("nan")
+        consistent = bool(np.isfinite(fitted) and fitted >= 0.5 * predicted)
+
+        return SphereAggregationResult(
+            hypothesis_ok=bool(hypothesis), w_norm_op=w_op, w_norm_fro=w_fro,
+            initial_gap=float(gap0), aggregated=bool(final_dist < AGGREGATED_DISTANCE),
+            final_max_distance=float(final_dist), fitted_rate=fitted,
+            predicted_rate=predicted, rate_consistent=consistent)
+
+
+def plan_sphere_aggregation(cfg: SphereConfig, t_final: float,
+                            settings: IntegratorSettings | None = None
+                            ) -> SphereAggregationPlan:
+    """The run of :func:`sphere_aggregation_check`; a t_final that is not
+    positive raises ValueError, since a run of no step certifies nothing."""
+    if not t_final > 0:
+        raise ValueError("sphere_aggregation_check needs t_final > 0")
+    if settings is None:
+        settings = IntegratorSettings(dt=1e-3, record_every=25)
+    return SphereAggregationPlan(
+        cfg, _replace(settings, projection=natural_projection(cfg)), t_final)
+
+
 def sphere_aggregation_check(cfg: SphereConfig, t_final: float,
                              settings: IntegratorSettings | None = None
                              ) -> SphereAggregationResult:
@@ -346,31 +401,7 @@ def sphere_aggregation_check(cfg: SphereConfig, t_final: float,
     reach at least half of it.  The ensemble counts as aggregated when its
     final largest chord is below ``AGGREGATED_DISTANCE`` (1e-4).  The run
     keeps the aggregation diameter at each record point and the final
-    state, not the trajectory.
+    state, not the trajectory; t_final must be positive.
     """
-    if settings is None:
-        settings = IntegratorSettings(dt=1e-3, record_every=25)
-    settings = _replace(settings, projection=natural_projection(cfg))
-    w_op = float(np.linalg.norm(cfg.w, 2))
-    w_fro = float(np.linalg.norm(cfg.w))
-    times, diam, final = integrate_functional(cfg, settings, t_final,
-                                              aggregation_diameter)
-    gap0 = diam[0]
-    hypothesis = (cfg.a > 0 and w_op < cfg.a and cfg.shared_omega is True
-                  and gap0 < 1.0 - w_op / cfg.a)
-    final_dist = max_pairwise_distance(final)
-
-    predicted = 2.0 * cfg.kappa * (cfg.a - w_op)
-    fit_mask = (diam > 1e-24) & (diam < gap0 / 4.0) if gap0 > 0 else np.zeros_like(diam, bool)
-    if np.count_nonzero(fit_mask) >= 2:
-        slope = np.polyfit(times[fit_mask], np.log(diam[fit_mask]), 1)[0]
-        fitted = -float(slope)
-    else:
-        fitted = float("nan")
-    consistent = bool(np.isfinite(fitted) and fitted >= 0.5 * predicted)
-
-    return SphereAggregationResult(
-        hypothesis_ok=bool(hypothesis), w_norm_op=w_op, w_norm_fro=w_fro,
-        initial_gap=float(gap0), aggregated=bool(final_dist < AGGREGATED_DISTANCE),
-        final_max_distance=float(final_dist), fitted_rate=fitted,
-        predicted_rate=predicted, rate_consistent=consistent)
+    plan = plan_sphere_aggregation(cfg, t_final, settings)
+    return plan.judge(integrate_functional(*plan.run))

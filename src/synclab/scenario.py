@@ -7,7 +7,9 @@ observables CSV, a drift-report JSON, and a run manifest JSON.  The CSVs (and
 the optional ``.dat`` mirror of the observables) are written one row at a
 time, straight to their files.  All numbers are printed with 17 significant
 digits, so two runs of the same scenario produce byte-identical files; the
-only exception is the manifest's ``duration_seconds``, the run's wall time.
+only exception is the manifest's ``duration_seconds``: the integration time
+(of the whole batch, for a scenario integrated in one) plus the time of the
+observable series and drift reports.
 
 Random initial data comes from numpy's seeded PCG64 generator; the schema
 requires a seed wherever the initial data is random, and the seed and
@@ -234,56 +236,41 @@ class RunResult:
     error: str | None = None
 
 
-def run_scenario(doc: dict, out_dir, seed_override: int | None = None,
-                 dt_override: float | None = None, quiet: bool = False) -> RunResult:
-    """Execute one scenario document and write its artifacts.
+# the failures a scenario run reports as exit code 1 instead of raising
+RUN_ERRORS = (ScenarioError, SynclabError, OSError)
 
-    Exit code contract: 0 on success, 2 if any invariant verdict failed,
-    1 on scenario, I/O, or integration errors.  An error is returned in
-    ``RunResult.error``, not printed; ``quiet`` drops the per-check lines.
-    A NaN or an infinity in the document or an override is a scenario error.
-    """
-    out_dir = Path(out_dir)
-    try:
-        # an override goes into objects only; any other shape fails validation
-        resolved = doc
-        if isinstance(doc, dict):
-            resolved = dict(doc)
-            if seed_override is not None:
-                resolved["seed"] = seed_override
-            integ = resolved.get("integrator", {})
-            if dt_override is not None and isinstance(integ, dict):
-                resolved["integrator"] = {**integ, "dt": dt_override}
-        try:  # deep copy, JSON-canonical types, finite numbers
-            resolved = json.loads(json.dumps(resolved, allow_nan=False))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"$: not a JSON document ({exc})") from exc
-        # the document that runs, overrides included, is the one validated
-        validate_scenario(resolved)
+
+@dataclass(frozen=True)
+class ScenarioPlan:
+    """A validated scenario document, resolved into what it integrates and
+    what it checks; :meth:`judge` turns the integrated run into artifacts."""
+
+    resolved: dict
+    cfg: Config
+    settings: IntegratorSettings
+    checks: list
+    t_final: float
+
+    @property
+    def run(self):
+        """The run, as ``integrate_batch`` takes it: the states are kept."""
+        return self.cfg, self.settings, self.t_final, None
+
+    def judge(self, traj: Trajectory, integration_s: float, out_dir,
+              quiet: bool = False) -> RunResult:
+        """Evaluate the observables on ``traj``, judge their drift and write
+        the artifacts.  The manifest's ``duration_seconds`` is
+        ``integration_s`` plus the time taken here by the series and drift.
+        Raises what ``run_scenario`` reports as an error."""
+        out_dir = Path(out_dir)
+        resolved, checks = self.resolved, self.checks
         sid, seed = resolved["id"], resolved.get("seed")
-        rng = np.random.default_rng(seed)
-        try:
-            cfg = _build_config(resolved["model"], rng)
-        except ValueError as exc:  # shapes the schema cannot see
-            raise ScenarioError(f"$.model: {exc}") from exc
-        bad = validate(cfg)
-        if bad:
-            raise ScenarioError(f"$.model: configuration invalid: {'; '.join(bad)}")
-        settings = _build_settings(resolved, cfg)
-        checks = _build_observables(resolved, cfg)
-        t_final = float(resolved["t_final"])
-        judged = [ob.label for ob, _ in checks if ob.kind is not Kind.RECORD]
-        if judged and t_final == 0.0:
-            raise ScenarioError(f"$.t_final: the {judged[0]} check needs t_final > 0; "
-                                "a run of one record has no drift to judge")
-
         start = time.perf_counter()
-        traj = integrate(cfg, settings, t_final)
         series = {ob.label: ob.series(traj) for ob, _ in checks}
         reports = []
         if len(traj) > 1:  # else every observable is a record: no verdicts
             reports = [drift(ob, series[ob.label], tol) for ob, tol in checks]
-        duration = time.perf_counter() - start
+        duration = integration_s + (time.perf_counter() - start)
 
         out_dir.mkdir(parents=True, exist_ok=True)
         obs_table = _observables_table(traj, series)
@@ -313,7 +300,59 @@ def run_scenario(doc: dict, out_dir, seed_override: int | None = None,
             for r in reports:
                 print(f"  [{'PASS' if r.verdict else 'FAIL'}] {sid}:{r.name} "
                       f"(max_rel_dev = {r.max_rel_dev:.3e})")
-        code = 2 if failed else 0
-        return RunResult(exit_code=code, failed_checks=failed)
-    except (ScenarioError, SynclabError, OSError) as exc:
+        return RunResult(exit_code=2 if failed else 0, failed_checks=failed)
+
+
+def plan_scenario(doc: dict, seed_override: int | None = None,
+                  dt_override: float | None = None) -> ScenarioPlan:
+    """Validate ``doc`` with its overrides applied and resolve it; raises
+    ScenarioError on a document that cannot run."""
+    # an override goes into objects only; any other shape fails validation
+    resolved = doc
+    if isinstance(doc, dict):
+        resolved = dict(doc)
+        if seed_override is not None:
+            resolved["seed"] = seed_override
+        integ = resolved.get("integrator", {})
+        if dt_override is not None and isinstance(integ, dict):
+            resolved["integrator"] = {**integ, "dt": dt_override}
+    try:  # deep copy, JSON-canonical types, finite numbers
+        resolved = json.loads(json.dumps(resolved, allow_nan=False))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"$: not a JSON document ({exc})") from exc
+    # the document that runs, overrides included, is the one validated
+    validate_scenario(resolved)
+    rng = np.random.default_rng(resolved.get("seed"))
+    try:
+        cfg = _build_config(resolved["model"], rng)
+    except ValueError as exc:  # shapes the schema cannot see
+        raise ScenarioError(f"$.model: {exc}") from exc
+    bad = validate(cfg)
+    if bad:
+        raise ScenarioError(f"$.model: configuration invalid: {'; '.join(bad)}")
+    settings = _build_settings(resolved, cfg)
+    checks = _build_observables(resolved, cfg)
+    t_final = float(resolved["t_final"])
+    judged = [ob.label for ob, _ in checks if ob.kind is not Kind.RECORD]
+    if judged and t_final == 0.0:
+        raise ScenarioError(f"$.t_final: the {judged[0]} check needs t_final > 0; "
+                            "a run of one record has no drift to judge")
+    return ScenarioPlan(resolved, cfg, settings, checks, t_final)
+
+
+def run_scenario(doc: dict, out_dir, seed_override: int | None = None,
+                 dt_override: float | None = None, quiet: bool = False) -> RunResult:
+    """Execute one scenario document and write its artifacts.
+
+    Exit code contract: 0 on success, 2 if any invariant verdict failed,
+    1 on scenario, I/O, or integration errors.  An error is returned in
+    ``RunResult.error``, not printed; ``quiet`` drops the per-check lines.
+    A NaN or an infinity in the document or an override is a scenario error.
+    """
+    try:
+        plan = plan_scenario(doc, seed_override, dt_override)
+        start = time.perf_counter()
+        traj = integrate(plan.cfg, plan.settings, plan.t_final)
+        return plan.judge(traj, time.perf_counter() - start, out_dir, quiet)
+    except RUN_ERRORS as exc:
         return RunResult(exit_code=1, failed_checks=[], error=str(exc))

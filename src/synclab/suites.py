@@ -4,19 +4,24 @@ Each pack is a list of named checks.  Scenario-shaped checks run through the
 ordinary scenario machinery (and leave their artifacts in the output
 directory); reduction and equilibrium checks call the library directly since
 they compare co-integrated systems rather than a single trajectory.
+
+The kuramoto and sphere packs integrate the runs of all their checks with one
+``integrate_batch`` call, so their same-shaped runs advance as one batch;
+each check is planned before it and judged after it, in the pack's order.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from . import equilibria, reduce_kuramoto, reduce_sphere
-from .integrate import IntegratorSettings
+from .integrate import IntegratorSettings, Trajectory, integrate_batch
 from .invariants import matrix_diameter
-from .scenario import run_scenario
+from .scenario import RUN_ERRORS, RunResult, plan_scenario, run_scenario
 from .state import (
     Flavor,
     make_phase_config,
@@ -33,13 +38,48 @@ class CheckResult:
     detail: str
 
 
-def _scenario_check(name: str, doc: dict, out_dir) -> CheckResult:
-    res = run_scenario(doc, out_dir, quiet=True)
+def _check_result(name: str, res: RunResult) -> CheckResult:
     if res.error is not None:
         return CheckResult(name, False, f"error: {res.error}")
     if res.failed_checks:
         return CheckResult(name, False, f"failed: {', '.join(res.failed_checks)}")
     return CheckResult(name, True, "all drift verdicts pass")
+
+
+def _batched(checks, out_dir, plans):
+    """The results of the scenario checks ``checks``, (name, document) pairs,
+    and the verdicts of the certificate ``plans``, every run integrated by
+    one ``integrate_batch`` call; each scenario's manifest counts that call's
+    time as its integration time.  A certificate whose run failed raises."""
+    scenarios = []
+    for _, doc in checks:
+        try:
+            scenarios.append(plan_scenario(doc))
+        except RUN_ERRORS as exc:
+            scenarios.append(exc)
+    planned = [p for p in scenarios if not isinstance(p, Exception)]
+    start = time.perf_counter()
+    runs = iter(integrate_batch([p.run for p in planned + plans]))
+    seconds = time.perf_counter() - start
+    results = []
+    for (name, _), plan in zip(checks, scenarios):
+        try:
+            if isinstance(plan, Exception):
+                raise plan
+            times, states, final = _outcome(next(runs))
+            res = plan.judge(Trajectory(times, states, plan.cfg), seconds, out_dir,
+                             quiet=True)
+        except RUN_ERRORS as exc:
+            res = RunResult(exit_code=1, failed_checks=[], error=str(exc))
+        results.append(_check_result(name, res))
+    return results, [plan.judge(_outcome(run)) for plan, run in zip(plans, runs)]
+
+
+def _outcome(run):
+    """An ``integrate_batch`` result; raises the exception its run raised."""
+    if isinstance(run, Exception):
+        raise run
+    return run
 
 
 def _conservation_scenario(sid, model, t_final, observables, seed=12345):
@@ -71,19 +111,21 @@ def _kuramoto_pack(out_dir):
     doc = _conservation_scenario(
         "suite-kuramoto-K", {**base, "kappa": 1.0, "alpha": np.pi / 2}, 5.0, quads)
     checks.append(("kuramoto K conserved at alpha=pi/2 (15 quadruples)", doc))
-    results = [_scenario_check(n, d, out_dir) for n, d in checks]
-
-    r = reduce_kuramoto.dichotomy_check(np.linspace(0.0, 0.9, 6), 0.5, 1.0, 60.0)
-    results.append(CheckResult("dichotomy branch 1 -> sync",
-                               r.verdict == "SyncR1" and r.precondition_ok,
-                               f"R(60) = {r.r_final:.6f}"))
     rng = np.random.default_rng(2024)
-    r = reduce_kuramoto.dichotomy_check(np.sort(rng.uniform(0, 2 * np.pi, 6)),
-                                        -0.5, 1.0, 200.0)
+    branches = [
+        reduce_kuramoto.plan_dichotomy(np.linspace(0.0, 0.9, 6), 0.5, 1.0, 60.0),
+        reduce_kuramoto.plan_dichotomy(np.sort(rng.uniform(0, 2 * np.pi, 6)),
+                                       -0.5, 1.0, 200.0)]
+    results, (sync, incoherence) = _batched(checks, out_dir, branches)
+
+    results.append(CheckResult("dichotomy branch 1 -> sync",
+                               sync.verdict == "SyncR1" and sync.precondition_ok,
+                               f"R(60) = {sync.r_final:.6f}"))
     results.append(CheckResult(
         "dichotomy branch 2 -> incoherence",
-        r.verdict == "IncoherenceR0" and r.total_phase_monotone,
-        f"R(200) = {r.r_final:.3e}, total phase monotone: {r.total_phase_monotone}"))
+        incoherence.verdict == "IncoherenceR0" and incoherence.total_phase_monotone,
+        f"R(200) = {incoherence.r_final:.3e}, "
+        f"total phase monotone: {incoherence.total_phase_monotone}"))
     return results
 
 
@@ -120,12 +162,12 @@ def _sphere_pack(out_dir):
         5.0,
         [{"name": "pair_distance_product", "tolerance": 1e-6}])
     checks.append(("skew-frustration distance product conserved", doc))
-    results = [_scenario_check(n, d, out_dir) for n, d in checks]
-
     x = rng.standard_normal((6, 3))
     x = 2.0 * np.array([0.0, 0.0, 1.0]) + 0.5 * x
     cfg = make_sphere_config(x, None, 1.0, 1.0, 0.08 * (skew - skew.T))
-    r = reduce_sphere.sphere_aggregation_check(cfg, 30.0)
+    results, (r,) = _batched(checks, out_dir,
+                             [reduce_sphere.plan_sphere_aggregation(cfg, 30.0)])
+
     results.append(CheckResult(
         "sphere aggregation (Gronwall-consistent rate)",
         r.verdict == "Aggregated" and r.rate_consistent,
@@ -152,7 +194,8 @@ def _matrix_pack(out_dir):
         "suite-matrix-crossratio",
         {"kind": "matrix", "kappa": 1.0, "initial": {"random": {"n": 5, "d": 2}}},
         3.0, quads, seed=8)
-    results.append(_scenario_check("matrix cross-ratio spectra conserved", doc, out_dir))
+    results.append(_check_result("matrix cross-ratio spectra conserved",
+                                 run_scenario(doc, out_dir, quiet=True)))
     return results
 
 

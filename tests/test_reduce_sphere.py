@@ -420,3 +420,12 @@ def test_aggregation_initial_gap_is_the_first_record():
     cfg = random_sphere_config(np.random.default_rng(5), 5, 2, a=1.0, w_scale=0.1)
     res = rs.sphere_aggregation_check(cfg, 0.5, IntegratorSettings(dt=1e-2))
     assert res.initial_gap == aggregation_diameter(cfg.x)
+
+
+@pytest.mark.parametrize("t_final", [0.0, -1.0, np.nan])
+def test_aggregation_refuses_a_run_of_no_step(t_final):
+    # three points 1.6e-6 apart would read Aggregated at t_final 0
+    x = np.array([[0.0, 0.0, 1.0], [1.6e-6, 0.0, 1.0], [0.0, 1.6e-6, 1.0]])
+    cfg = make_sphere_config(x)
+    with pytest.raises(ValueError, match="needs t_final > 0"):
+        rs.sphere_aggregation_check(cfg, t_final)
