@@ -93,12 +93,14 @@ def validate_scenario(doc: dict) -> None:
 
 
 def load_scenario(path):
-    """The JSON document in ``path``, parsed but not validated:
-    :func:`run_scenario` validates the document it runs."""
+    """The JSON document in ``path``, read as UTF-8 and parsed but not
+    validated: :func:`run_scenario` validates the document it runs.  Bytes
+    that are not UTF-8, text that is not JSON and nesting too deep to parse
+    are each a ScenarioError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
 
 
@@ -318,7 +320,7 @@ def plan_scenario(doc: dict, seed_override: int | None = None,
             resolved["integrator"] = {**integ, "dt": dt_override}
     try:  # deep copy, JSON-canonical types, finite numbers
         resolved = json.loads(json.dumps(resolved, allow_nan=False))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ScenarioError(f"$: not a JSON document ({exc})") from exc
     # the document that runs, overrides included, is the one validated
     validate_scenario(resolved)

@@ -5,20 +5,43 @@ ordinary scenario machinery (and leave their artifacts in the output
 directory); reduction and equilibrium checks call the library directly since
 they compare co-integrated systems rather than a single trajectory.
 
-The kuramoto and sphere packs integrate the runs of all their checks with one
-``integrate_batch`` call, so their same-shaped runs advance as one batch;
-each check is planned before it and judged after it, in the pack's order.
+The kuramoto pack integrates all its runs, and the sphere pack its N = 6
+runs, with one ``integrate_batch`` call, so same-shaped runs advance as one
+batch; each check is planned before it and judged after it, in the pack's
+order.
+
+Three packs split into two independent jobs, the longer one first:
+
+- ``sphere-invariants``: the N = 6 batch (the H, D_M / rho^2 and kappa = -1
+  scenarios with the aggregation certificate), then the N = 5 skew scenario;
+- ``matrix``: the aggregation certificate, then the cross-ratio scenario;
+- ``reductions``: the sphere reduction chain, then the kuramoto (f, g)
+  co-integration.
+
+When the process may run on at least two CPUs, a pack's second job runs in a
+forked child while the first runs in the calling process (see
+:func:`_run_jobs`); otherwise the jobs run one after the other.  Every random
+input is drawn before the jobs start, in one order, so the checks, their
+details and every artifact are byte for byte the same either way, and a
+scenario's ``duration_seconds`` is still the time of its own integration (or
+of its batch's), series and drift reports.  ``kuramoto-invariants`` is one
+batch and ``equilibria`` takes milliseconds: each is one job.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import sys
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from . import equilibria, reduce_kuramoto, reduce_sphere
+from .errors import SynclabError
 from .integrate import IntegratorSettings, Trajectory, integrate_batch
 from .invariants import matrix_diameter
 from .scenario import RUN_ERRORS, RunResult, plan_scenario, run_scenario
@@ -36,6 +59,115 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+def _run_jobs(jobs) -> list:
+    """The results of ``jobs``, zero-argument callables, in order.
+
+    The first job runs in the calling process and each other job in a child
+    made by ``os.fork()``, which sends back its pickled result, or the
+    exception it raised, through a pipe; so results and exceptions must
+    pickle.  The jobs fork only where ``os.fork`` exists and the process may
+    run on at least as many CPUs as there are jobs; otherwise they run one
+    after the other in the calling process, which then does exactly the work
+    the forked jobs do.
+
+    A failure is raised after every child has been reaped, the first in job
+    order winning: a child's exception with its type and message, one that
+    will not pickle as ``SynclabError("<type>: <message>")``, and a child
+    that ends without a result (killed by a signal, or ``os._exit`` in the
+    job) as a ``SynclabError`` naming the job and its wait status.  When
+    the first job raises, or the caller is interrupted, the children are
+    killed and reaped before the exception propagates: no process outlives
+    the call.
+
+    Forking is safe here because synclab starts no thread, and OpenBLAS,
+    numpy's BLAS, handles a fork: it stops its thread pool before one.  In
+    a process that runs other threads, a child could deadlock on a lock one
+    of them held at the fork; Python 3.12 and later warn
+    (``DeprecationWarning``) when ``os.fork`` is called in a process they
+    see as multi-threaded, which a BLAS thread pool can make it.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if len(jobs) < 2 or not hasattr(os, "fork") or cpus < len(jobs):
+        return [job() for job in jobs]
+    # buffered output would otherwise be written by the parent and every child
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pending = []  # (job index, pid, read end of its pipe) of unreaped children
+    try:
+        for index, job in enumerate(jobs[1:], 1):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(job, read_fd, write_fd)
+            os.close(write_fd)
+            pending.append((index, pid, read_fd))
+        results = [jobs[0]()]
+        outcomes = []
+        while pending:
+            index, pid, fd = pending[0]
+            # to EOF before waiting, so a result larger than the pipe's
+            # buffer cannot block the child and, through it, the wait
+            chunks = []
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+            _, status = os.waitpid(pid, 0)
+            pending.pop(0)
+            os.close(fd)
+            try:
+                outcomes.append(pickle.loads(b"".join(chunks)))
+            except Exception:  # noqa: BLE001 - no result, whatever the bytes
+                outcomes.append((False, SynclabError(
+                    f"suite job {index} ended without a result "
+                    f"(wait status {status})")))
+    except BaseException:
+        _kill(pending)
+        raise
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _child(job, read_fd, fd) -> None:
+    """In a forked child: close the pipe's ``read_fd``, run ``job``, write
+    the pickled ``(ok, value)`` to ``fd`` and end the process.  Never
+    returns into the caller's frames."""
+    try:
+        # the parent alone reads: if it is gone, a write fails, not blocks
+        os.close(read_fd)
+        try:
+            payload = pickle.dumps((True, job()))
+        except BaseException as exc:  # noqa: BLE001 - sent to the parent
+            try:
+                payload = pickle.dumps((False, exc))
+                pickle.loads(payload)  # an exception may pickle and not load
+            except Exception:  # noqa: BLE001 - named instead
+                payload = pickle.dumps(
+                    (False, SynclabError(f"{type(exc).__name__}: {exc}")))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        sys.stdout.flush()
+        sys.stderr.flush()
+    finally:
+        os._exit(0)
+
+
+def _kill(pending) -> None:
+    """Kill and reap the children in ``pending``, closing their pipes."""
+    from signal import SIGKILL  # only on this path: no import-time cost
+
+    for _, pid, fd in pending:
+        # each may find its pipe closed or its child reaped already
+        with suppress(OSError):
+            os.close(fd)
+        with suppress(OSError):
+            os.kill(pid, SIGKILL)
+        with suppress(OSError):
+            os.waitpid(pid, 0)
 
 
 def _check_result(name: str, res: RunResult) -> CheckResult:
@@ -155,38 +287,43 @@ def _sphere_pack(out_dir):
         [{"name": "sphere_DM", "check": "non-decreasing", "tolerance": 1e-9}])
     checks.append(("sphere D_M monotone (kappa=-1)", doc))
     w = rng.standard_normal((3, 3))
-    doc = _conservation_scenario(
+    skew_doc = _conservation_scenario(
         "suite-sphere-skew",
         {"kind": "sphere", "kappa": 1.0, "a": 0.0, "w": w.tolist(),
          "initial": {"random": {"n": 5, "d": 2}}},
         5.0,
         [{"name": "pair_distance_product", "tolerance": 1e-6}])
-    checks.append(("skew-frustration distance product conserved", doc))
     x = rng.standard_normal((6, 3))
     x = 2.0 * np.array([0.0, 0.0, 1.0]) + 0.5 * x
     cfg = make_sphere_config(x, None, 1.0, 1.0, 0.08 * (skew - skew.T))
-    results, (r,) = _batched(checks, out_dir,
-                             [reduce_sphere.plan_sphere_aggregation(cfg, 30.0)])
 
-    results.append(CheckResult(
-        "sphere aggregation (Gronwall-consistent rate)",
-        r.verdict == "Aggregated" and r.rate_consistent,
-        f"max dist = {r.final_max_distance:.2e}, rate {r.fitted_rate:.2f} "
-        f"vs predicted {r.predicted_rate:.2f}"))
-    return results
+    def n6_batch():
+        results, (r,) = _batched(checks, out_dir,
+                                 [reduce_sphere.plan_sphere_aggregation(cfg, 30.0)])
+        return results, CheckResult(
+            "sphere aggregation (Gronwall-consistent rate)",
+            r.verdict == "Aggregated" and r.rate_consistent,
+            f"max dist = {r.final_max_distance:.2e}, rate {r.fitted_rate:.2f} "
+            f"vs predicted {r.predicted_rate:.2f}")
+
+    (results, aggregation), skew_result = _run_jobs([n6_batch, lambda: _check_result(
+        "skew-frustration distance product conserved",
+        run_scenario(skew_doc, out_dir, quiet=True))])
+    return [*results, skew_result, aggregation]
 
 
 def _matrix_pack(out_dir):
-    results = []
     rng = np.random.default_rng(8)
     u0 = equilibria.spread_unitary_family(rng, 5, 2, 1.2)
     cfg = make_unitary_config(u0, None, 1.0, None)
-    r = equilibria.matrix_aggregation_check(
-        cfg, 40.0, IntegratorSettings(dt=2e-3, record_every=1))
-    results.append(CheckResult(
-        "matrix aggregation V=I (D0 = 1.2)",
-        r.verdict == "Aggregated" and r.riccati_ok,
-        f"D(T) = {r.final_diameter:.2e}, riccati excess {r.max_riccati_excess:.2e}"))
+
+    def aggregation():
+        r = equilibria.matrix_aggregation_check(
+            cfg, 40.0, IntegratorSettings(dt=2e-3, record_every=1))
+        return CheckResult(
+            "matrix aggregation V=I (D0 = 1.2)",
+            r.verdict == "Aggregated" and r.riccati_ok,
+            f"D(T) = {r.final_diameter:.2e}, riccati excess {r.max_riccati_excess:.2e}")
 
     quads = [{"name": "matrix_cross_ratio", "indices": list(q), "tolerance": 1e-5}
              for q in [(0, 1, 2, 3), (0, 2, 1, 4), (1, 3, 0, 4)]]
@@ -194,35 +331,38 @@ def _matrix_pack(out_dir):
         "suite-matrix-crossratio",
         {"kind": "matrix", "kappa": 1.0, "initial": {"random": {"n": 5, "d": 2}}},
         3.0, quads, seed=8)
-    results.append(_check_result("matrix cross-ratio spectra conserved",
-                                 run_scenario(doc, out_dir, quiet=True)))
-    return results
+    return _run_jobs([aggregation, lambda: _check_result(
+        "matrix cross-ratio spectra conserved", run_scenario(doc, out_dir, quiet=True))])
 
 
 def _reductions_pack(out_dir):
-    results = []
     rng = np.random.default_rng(42)
     theta0 = np.sort(rng.uniform(0.3, 5.9, 6))
     cfg = make_phase_config(theta0, 0.0, 1.0, 0.4, Flavor.SINE)
-    rep = reduce_kuramoto.co_integrate(cfg, IntegratorSettings(dt=1e-3,
-                                                               record_every=10), 3.0)
-    results.append(CheckResult(
-        "kuramoto (f,g) reconstruction (N=6, alpha=0.4)",
-        rep.max_error < 1e-5 and rep.affine_identity_residual < 1e-6,
-        f"recon err = {rep.max_error:.2e}, affine identity "
-        f"{rep.affine_identity_residual:.2e}"))
-
     x0 = rng.standard_normal((5, 3))
     cfg_s = make_sphere_config(x0, None, 1.0)
-    srep = reduce_sphere.reduction_chain_report(
-        cfg_s, IntegratorSettings(dt=1e-3, record_every=30), 3.0)
-    results.append(CheckResult(
-        "sphere reduction chain (N=5, d=2)",
-        srep.three_way_max < 1e-4 and srep.m_orthogonality < 1e-8
-        and srep.a_min > 0,
-        f"three-way = {srep.three_way_max:.2e}, "
-        f"M orth = {srep.m_orthogonality:.2e}"))
-    return results
+
+    def kuramoto():
+        rep = reduce_kuramoto.co_integrate(cfg, IntegratorSettings(dt=1e-3,
+                                                                   record_every=10), 3.0)
+        return CheckResult(
+            "kuramoto (f,g) reconstruction (N=6, alpha=0.4)",
+            rep.max_error < 1e-5 and rep.affine_identity_residual < 1e-6,
+            f"recon err = {rep.max_error:.2e}, affine identity "
+            f"{rep.affine_identity_residual:.2e}")
+
+    def sphere():
+        srep = reduce_sphere.reduction_chain_report(
+            cfg_s, IntegratorSettings(dt=1e-3, record_every=30), 3.0)
+        return CheckResult(
+            "sphere reduction chain (N=5, d=2)",
+            srep.three_way_max < 1e-4 and srep.m_orthogonality < 1e-8
+            and srep.a_min > 0,
+            f"three-way = {srep.three_way_max:.2e}, "
+            f"M orth = {srep.m_orthogonality:.2e}")
+
+    chain, reconstruction = _run_jobs([sphere, kuramoto])
+    return [reconstruction, chain]
 
 
 def _equilibria_pack(out_dir):

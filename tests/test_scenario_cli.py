@@ -829,6 +829,32 @@ def test_cli_malformed_scenario_exits_1(tmp_path):
     assert main(["--scenario", str(path2), "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+    (b"1" * 5000, "Exceeds the limit (4300 digits)"),
+], ids=["not-utf-8", "nested-too-deep", "integer-too-long"])
+def test_cli_unreadable_scenario_is_a_scenario_error(tmp_path, capsys, content, reason):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: not valid JSON ({reason}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_deep_document_is_a_scenario_error(tmp_path):
+    nested = []
+    for _ in range(100000):
+        nested = [nested]
+    res = run_scenario(_kuramoto_doc("deep", observables=nested), tmp_path / "out")
+    assert res.exit_code == 1
+    assert res.error.startswith("$: not a JSON document (maximum recursion depth")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flags", [["--seed", "5"], ["--dt", "0.5"],
                                    ["--seed", "5", "--dt", "0.5"]])
 def test_cli_scenario_flags_with_a_suite_exit_1(tmp_path, capsys, flags):
