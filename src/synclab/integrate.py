@@ -18,7 +18,10 @@ more in dispatch than in arithmetic.  The rhs kernel is bound once (see
 tableau times h once per step size, as 0-d arrays of the state's dtype; the
 row normalization calls the ufuncs that ``np.linalg.norm`` runs for real
 input, and the polar factor and the finiteness check skip the wrappers
-around their reductions.  None of this changes an operation or its order, so
+around their reductions.  DOPRI5 evaluates f once per point: its last stage
+is f at the step's solution, so an unprojected run starts the next step
+from it, and a rejected step's retry reuses its first stage (6 rhs calls per
+attempted step, plus 1).  None of this changes an operation or its order, so
 steps match the plain formulas kept as the oracle in
 ``tests/test_hotpath_identity.py`` bit for bit, up to the sign of a zero
 that ``dynamics`` describes.
@@ -202,11 +205,15 @@ def _rk4_step(f, y, coef):
     return y + sixth_h * (k1 + two * k2 + two * k3 + k4)
 
 
-def _dopri5_step(f, y, h):
+def _dopri5_step(f, y, h, k1=None):
+    """One step of size h from y: the fifth-order solution, its difference
+    from the fourth-order one and f at the fifth-order solution, which is
+    the next step's first stage wherever no projection moves the state
+    (first same as last).  ``k1`` is f(y), evaluated here when not given."""
     # the rows of _DP_A, then the nonzero weights of _DP_B4, times h
     scaled = (h * _DP_TERMS).astype(np.result_type(y, 0.5), copy=False)
     coef = iter([scaled[j, ...] for j in range(scaled.size)])
-    ks = [f(y)]
+    ks = [f(y) if k1 is None else k1]
     for _ in range(6):
         yi = y
         for k in ks:
@@ -216,7 +223,7 @@ def _dopri5_step(f, y, h):
     for b4, k in zip(_DP_B4, ks):
         if b4:
             y4 = y4 + next(coef) * k
-    return yi, yi - y4
+    return yi, yi - y4, ks[-1]
 
 
 def _check_finite(y):
@@ -281,23 +288,28 @@ def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
     # DOPRI5 with standard error-per-step control; the record count is not
     # known in advance, so records are listed and stacked once at the end.
     # No step writes into an array it was given, so no record needs a copy.
+    # A rejected step keeps its first stage, f(y), for the next attempt, and
+    # an accepted one hands on its last unless a projection moves the state.
     times = [0.0]
     states = [first]
     t = 0.0
     h = min(settings.dt, t_final)
     accepted = 0
+    k1 = None
     while t < t_final:
         h = min(h, t_final - t)
         if h < 16 * np.finfo(float).eps * max(1.0, abs(t)):
             raise StepSizeUnderflow(f"step size underflow at t = {t:.6g}")
-        y_new, err = _dopri5_step(rhs, y, h)
+        if k1 is None:
+            k1 = rhs(y)
+        y_new, err, k_last = _dopri5_step(rhs, y, h, k1)
         sc = settings.atol + settings.rtol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = np.sqrt(np.mean(np.abs(err / sc) ** 2))
         if err_norm <= 1.0:
             t += h
-            y = y_new
+            y, k1 = y_new, k_last
             if project is not None:
-                y = project(y)
+                y, k1 = project(y), None
             accepted += 1
             if accepted % settings.record_every == 0 or t >= t_final:
                 _check_finite(y)
@@ -485,9 +497,9 @@ def convergence_order(cfg: Config, scheme: Scheme, t_final: float = 1.0,
         if scheme is Scheme.RK4:
             settings = IntegratorSettings(dt=h, record_every=steps)
             return _integrate_array(rhs, y0, settings, t_final)[2]
-        y = y0
+        y, k1 = y0, None
         for _ in range(steps):
-            y, _ = _dopri5_step(rhs, y, h)
+            y, _, k1 = _dopri5_step(rhs, y, h, k1)
         _check_finite(y)
         return y
 

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import CoincidentPoint, IntegrationError, PassedThroughProjectionPoint
 from .integrate import (
     IntegratorSettings,
+    Trajectory,
     _integrate_array,
     integrate,
     integrate_functional,
@@ -258,56 +259,90 @@ class SphereReductionReport:
         return max(self.full_vs_stereo, self.stereo_vs_abm, self.full_vs_abm)
 
 
+@dataclass(frozen=True)
+class ReductionChainPlan:
+    """What :func:`reduction_chain_report` integrates, as three independent
+    runs that may run apart, and its comparison of them."""
+
+    cfg: SphereConfig
+    settings: IntegratorSettings
+    t_final: float
+    data: ProjectedSphereData
+
+    def full(self) -> Trajectory:
+        """The full flow, projected after each step as its model is."""
+        cfg = self.cfg
+        return integrate(cfg, _replace(self.settings, projection=natural_projection(cfg)),
+                         self.t_final)
+
+    def stereo(self) -> StereoTrajectory:
+        """The projected (y, x_N) system."""
+        return integrate_stereo_full(self.data, self.settings, self.t_final)
+
+    def reduced(self) -> ReducedSphereTrajectory:
+        """The (a, b, M) system."""
+        return integrate_abM(self.data, self.settings, self.t_final)
+
+    def judge(self, full: Trajectory, stereo: StereoTrajectory,
+              reduced: ReducedSphereTrajectory) -> SphereReductionReport:
+        """Every pairwise discrepancy of the three runs on the record grid,
+        and the structural invariants of the reduced representation."""
+        data = self.data
+        # (y, x_N) of each system on the whole record grid
+        by_full = (project_all(full.states), full.states[:, -1])
+        by_stereo = (stereo.y, stereo.x_n)
+        by_abm = reconstruct_abM(reduced)
+        err_fs, err_sa, err_fa = (
+            max(0.0, *(float(np.max(np.abs(u - v))) for u, v in zip(p, q)))
+            for p, q in ((by_full, by_stereo), (by_stereo, by_abm), (by_full, by_abm)))
+
+        m_orth = float(np.max(np.linalg.norm(
+            np.swapaxes(reduced.m, 1, 2) @ reduced.m - np.eye(data.dim), axis=(1, 2))))
+        b_orth = float(np.max(np.abs(reduced.b @ data.x_n0)))
+
+        # difference inner products scale by a(t)^2: <y_i-y_j, y_k-y_l>(t)
+        # against a^2 <y_i-y_j, y_k-y_l>(0), each quadruple normalised by
+        # max(1, |lhs|), in one (N-1)^3 block of stacked dots per i; the rows
+        # with i = j or k = l are exact zeros on both sides
+        diffs = lambda y: y[:, None, :] - y[None, :, :]
+        law = 0.0
+        checked = [(reduced.a[idx] ** 2, diffs(stereo.y[idx]))
+                   for idx in (len(full.times) - 1, len(full.times) // 2)]
+        d0 = diffs(data.y0)
+        for i in range(data.n - 1):
+            base = d0[i][:, None, None, None, :] @ d0[..., None]
+            for a2, dt in checked:
+                lhs = dt[i][:, None, None, None, :] @ dt[..., None]
+                law = max(law, float(np.max(np.abs(lhs - a2 * base)
+                                            / np.maximum(1.0, np.abs(lhs)))))
+
+        rho_dev = 0.0
+        for idx in range(len(full.times)):
+            from_points = sphere_order_parameter(full.states[idx]) ** 2
+            from_reduced = rho_squared_reduced(reduced.a[idx], reduced.b[idx], data)
+            rho_dev = max(rho_dev, abs(from_points - from_reduced))
+
+        return SphereReductionReport(
+            full_vs_stereo=err_fs, stereo_vs_abm=err_sa, full_vs_abm=err_fa,
+            m_orthogonality=m_orth, a_min=float(reduced.a.min()),
+            b_orthogonality=b_orth, inner_product_law_residual=law,
+            rho_consistency=rho_dev)
+
+
+def plan_reduction_chain(cfg: SphereConfig, settings: IntegratorSettings,
+                         t_final: float) -> ReductionChainPlan:
+    """The runs of :func:`reduction_chain_report`; initial data the
+    reduction does not cover raises here, before any integration."""
+    return ReductionChainPlan(cfg, settings, t_final, project_sphere_config(cfg))
+
+
 def reduction_chain_report(cfg: SphereConfig, settings: IntegratorSettings,
                            t_final: float) -> SphereReductionReport:
     """Co-integrate the full flow, the projected system, and the (a, b, M)
     system on one grid; report every pairwise discrepancy plus the
     structural invariants of the reduced representation."""
-    data = project_sphere_config(cfg)
-    full = integrate(cfg, _replace(settings, projection=natural_projection(cfg)),
-                     t_final)
-    stereo = integrate_stereo_full(data, settings, t_final)
-    reduced = integrate_abM(data, settings, t_final)
-
-    # (y, x_N) of each system on the whole record grid
-    by_full = (project_all(full.states), full.states[:, -1])
-    by_stereo = (stereo.y, stereo.x_n)
-    by_abm = reconstruct_abM(reduced)
-    err_fs, err_sa, err_fa = (
-        max(0.0, *(float(np.max(np.abs(u - v))) for u, v in zip(p, q)))
-        for p, q in ((by_full, by_stereo), (by_stereo, by_abm), (by_full, by_abm)))
-
-    m_orth = float(np.max(np.linalg.norm(
-        np.swapaxes(reduced.m, 1, 2) @ reduced.m - np.eye(data.dim), axis=(1, 2))))
-    b_orth = float(np.max(np.abs(reduced.b @ data.x_n0)))
-
-    # difference inner products scale by a(t)^2: <y_i-y_j, y_k-y_l>(t) against
-    # a^2 <y_i-y_j, y_k-y_l>(0), each quadruple normalised by max(1, |lhs|),
-    # in one (N-1)^3 block of stacked dots per i; the rows with i = j or
-    # k = l are exact zeros on both sides
-    diffs = lambda y: y[:, None, :] - y[None, :, :]
-    law = 0.0
-    checked = [(reduced.a[idx] ** 2, diffs(stereo.y[idx]))
-               for idx in (len(full.times) - 1, len(full.times) // 2)]
-    d0 = diffs(data.y0)
-    for i in range(data.n - 1):
-        base = d0[i][:, None, None, None, :] @ d0[..., None]
-        for a2, dt in checked:
-            lhs = dt[i][:, None, None, None, :] @ dt[..., None]
-            law = max(law, float(np.max(np.abs(lhs - a2 * base)
-                                        / np.maximum(1.0, np.abs(lhs)))))
-
-    rho_dev = 0.0
-    for idx in range(len(full.times)):
-        from_points = sphere_order_parameter(full.states[idx]) ** 2
-        from_reduced = rho_squared_reduced(reduced.a[idx], reduced.b[idx], data)
-        rho_dev = max(rho_dev, abs(from_points - from_reduced))
-
-    return SphereReductionReport(
-        full_vs_stereo=err_fs, stereo_vs_abm=err_sa, full_vs_abm=err_fa,
-        m_orthogonality=m_orth, a_min=float(reduced.a.min()),
-        b_orthogonality=b_orth, inner_product_law_residual=law,
-        rho_consistency=rho_dev)
+    plan = plan_reduction_chain(cfg, settings, t_final)
+    return plan.judge(plan.full(), plan.stereo(), plan.reduced())
 
 
 # ---------------------------------------------------------------------------

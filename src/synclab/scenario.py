@@ -84,12 +84,20 @@ def decode_complex(data) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+_SHOWN = 40  # characters of an offending value that an error message shows
+
+
 def validate_scenario(doc: dict) -> None:
-    """Schema validation; the raised message carries a JSON pointer."""
+    """Schema validation; the raised message carries a JSON pointer and
+    what the schema expects there, with the offending value cut to
+    ``_SHOWN`` characters, so that a huge value cannot flood the line."""
     errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: e.json_path)
     if errors:
         e = errors[0]
-        raise ScenarioError(f"{e.json_path}: {e.message}")
+        message, shown = e.message, repr(e.instance)  # as e.message renders it
+        if len(shown) > _SHOWN:
+            message = message.replace(shown, f"{shown[:_SHOWN]}...")
+        raise ScenarioError(f"{e.json_path}: {message}")
 
 
 def load_scenario(path):

@@ -5,18 +5,25 @@ ordinary scenario machinery (and leave their artifacts in the output
 directory); reduction and equilibrium checks call the library directly since
 they compare co-integrated systems rather than a single trajectory.
 
-The kuramoto pack integrates all its runs, and the sphere pack its N = 6
-runs, with one ``integrate_batch`` call, so same-shaped runs advance as one
-batch; each check is planned before it and judged after it, in the pack's
-order.
+Four packs split their runs into two independent jobs, the longer one first,
+so that the one long run that certifies an asymptotic result has a CPU of its
+own:
 
-Three packs split into two independent jobs, the longer one first:
-
-- ``sphere-invariants``: the N = 6 batch (the H, D_M / rho^2 and kappa = -1
-  scenarios with the aggregation certificate), then the N = 5 skew scenario;
+- ``kuramoto-invariants``: the incoherence branch of the dichotomy (T = 200),
+  then the I, J and K scenarios with the synchronizing branch (T = 60);
+- ``sphere-invariants``: the aggregation certificate (T = 30), then the H,
+  D_M / rho^2 and kappa = -1 scenarios and the N = 5 skew scenario;
 - ``matrix``: the aggregation certificate, then the cross-ratio scenario;
-- ``reductions``: the sphere reduction chain, then the kuramoto (f, g)
-  co-integration.
+- ``reductions``: the projected system of the sphere reduction chain and
+  the kuramoto (f, g) co-integration, then the chain's full flow and its
+  (a, b, M) system, which come back to the calling process for the chain's
+  comparisons.
+
+The two certificates stay out of the batches their shapes fit: a ragged
+batch's longest member runs alone for most of its steps, so batching it saves
+little and holds back every check judged after the batch.  The runs that do
+share a shape integrate with one ``integrate_batch`` call, as one batch; each
+check is planned before it and judged after it, in the pack's order.
 
 When the process may run on at least two CPUs, a pack's second job runs in a
 forked child while the first runs in the calling process (see
@@ -24,8 +31,8 @@ forked child while the first runs in the calling process (see
 input is drawn before the jobs start, in one order, so the checks, their
 details and every artifact are byte for byte the same either way, and a
 scenario's ``duration_seconds`` is still the time of its own integration (or
-of its batch's), series and drift reports.  ``kuramoto-invariants`` is one
-batch and ``equilibria`` takes milliseconds: each is one job.
+of its batch's), series and drift reports.  ``equilibria`` takes
+milliseconds and is one job.
 """
 
 from __future__ import annotations
@@ -244,11 +251,11 @@ def _kuramoto_pack(out_dir):
         "suite-kuramoto-K", {**base, "kappa": 1.0, "alpha": np.pi / 2}, 5.0, quads)
     checks.append(("kuramoto K conserved at alpha=pi/2 (15 quadruples)", doc))
     rng = np.random.default_rng(2024)
-    branches = [
-        reduce_kuramoto.plan_dichotomy(np.linspace(0.0, 0.9, 6), 0.5, 1.0, 60.0),
-        reduce_kuramoto.plan_dichotomy(np.sort(rng.uniform(0, 2 * np.pi, 6)),
-                                       -0.5, 1.0, 200.0)]
-    results, (sync, incoherence) = _batched(checks, out_dir, branches)
+    sync_plan = reduce_kuramoto.plan_dichotomy(np.linspace(0.0, 0.9, 6), 0.5, 1.0, 60.0)
+    theta2 = np.sort(rng.uniform(0, 2 * np.pi, 6))
+    incoherence, (results, (sync,)) = _run_jobs([
+        lambda: reduce_kuramoto.dichotomy_check(theta2, -0.5, 1.0, 200.0),
+        lambda: _batched(checks, out_dir, [sync_plan])])
 
     results.append(CheckResult("dichotomy branch 1 -> sync",
                                sync.verdict == "SyncR1" and sync.precondition_ok,
@@ -297,19 +304,18 @@ def _sphere_pack(out_dir):
     x = 2.0 * np.array([0.0, 0.0, 1.0]) + 0.5 * x
     cfg = make_sphere_config(x, None, 1.0, 1.0, 0.08 * (skew - skew.T))
 
-    def n6_batch():
-        results, (r,) = _batched(checks, out_dir,
-                                 [reduce_sphere.plan_sphere_aggregation(cfg, 30.0)])
-        return results, CheckResult(
-            "sphere aggregation (Gronwall-consistent rate)",
-            r.verdict == "Aggregated" and r.rate_consistent,
-            f"max dist = {r.final_max_distance:.2e}, rate {r.fitted_rate:.2f} "
-            f"vs predicted {r.predicted_rate:.2f}")
+    def scenarios():
+        results, _ = _batched(checks, out_dir, [])
+        return [*results, _check_result("skew-frustration distance product conserved",
+                                        run_scenario(skew_doc, out_dir, quiet=True))]
 
-    (results, aggregation), skew_result = _run_jobs([n6_batch, lambda: _check_result(
-        "skew-frustration distance product conserved",
-        run_scenario(skew_doc, out_dir, quiet=True))])
-    return [*results, skew_result, aggregation]
+    r, results = _run_jobs([lambda: reduce_sphere.sphere_aggregation_check(cfg, 30.0),
+                            scenarios])
+    return [*results, CheckResult(
+        "sphere aggregation (Gronwall-consistent rate)",
+        r.verdict == "Aggregated" and r.rate_consistent,
+        f"max dist = {r.final_max_distance:.2e}, rate {r.fitted_rate:.2f} "
+        f"vs predicted {r.predicted_rate:.2f}")]
 
 
 def _matrix_pack(out_dir):
@@ -340,29 +346,27 @@ def _reductions_pack(out_dir):
     theta0 = np.sort(rng.uniform(0.3, 5.9, 6))
     cfg = make_phase_config(theta0, 0.0, 1.0, 0.4, Flavor.SINE)
     x0 = rng.standard_normal((5, 3))
-    cfg_s = make_sphere_config(x0, None, 1.0)
+    chain = reduce_sphere.plan_reduction_chain(
+        make_sphere_config(x0, None, 1.0), IntegratorSettings(dt=1e-3, record_every=30),
+        3.0)
 
-    def kuramoto():
+    def stereo_then_kuramoto():
+        stereo = chain.stereo()
         rep = reduce_kuramoto.co_integrate(cfg, IntegratorSettings(dt=1e-3,
                                                                    record_every=10), 3.0)
-        return CheckResult(
+        return stereo, CheckResult(
             "kuramoto (f,g) reconstruction (N=6, alpha=0.4)",
             rep.max_error < 1e-5 and rep.affine_identity_residual < 1e-6,
             f"recon err = {rep.max_error:.2e}, affine identity "
             f"{rep.affine_identity_residual:.2e}")
 
-    def sphere():
-        srep = reduce_sphere.reduction_chain_report(
-            cfg_s, IntegratorSettings(dt=1e-3, record_every=30), 3.0)
-        return CheckResult(
-            "sphere reduction chain (N=5, d=2)",
-            srep.three_way_max < 1e-4 and srep.m_orthogonality < 1e-8
-            and srep.a_min > 0,
-            f"three-way = {srep.three_way_max:.2e}, "
-            f"M orth = {srep.m_orthogonality:.2e}")
-
-    chain, reconstruction = _run_jobs([sphere, kuramoto])
-    return [reconstruction, chain]
+    (stereo, reconstruction), (full, reduced) = _run_jobs([
+        stereo_then_kuramoto, lambda: (chain.full(), chain.reduced())])
+    srep = chain.judge(full, stereo, reduced)
+    return [reconstruction, CheckResult(
+        "sphere reduction chain (N=5, d=2)",
+        srep.three_way_max < 1e-4 and srep.m_orthogonality < 1e-8 and srep.a_min > 0,
+        f"three-way = {srep.three_way_max:.2e}, M orth = {srep.m_orthogonality:.2e}")]
 
 
 def _equilibria_pack(out_dir):

@@ -19,7 +19,9 @@ from synclab import dynamics
 from synclab.integrate import (
     IntegratorSettings,
     Projection,
+    Scheme,
     _dopri5_step,
+    _integrate_array,
     _normalize_rows,
     _rk4_coefficients,
     _rk4_step,
@@ -347,3 +349,50 @@ def test_polar_projected_run_is_bitwise_identical():
                                   projection=Projection.POLAR)
     final = integrate(cfg, settings, 1.0).final_state
     _assert_same_bits(final, _oracle_integrate(cfg, 1e-2, 1.0, _oracle_polar_factor))
+
+
+def _oracle_dopri5_run(f, y, settings, t_final):
+    """The adaptive DOPRI5 loop on the plain step, which evaluates all seven
+    stages of every attempt: (times, records, attempts, rejections)."""
+    times, states = [0.0], [y]
+    t, h, accepted, attempts, rejected = 0.0, min(settings.dt, t_final), 0, 0, 0
+    while t < t_final:
+        h = min(h, t_final - t)
+        y_new, err = _oracle_dopri5_step(f, y, h)
+        attempts += 1
+        sc = settings.atol + settings.rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err_norm = np.sqrt(np.mean(np.abs(err / sc) ** 2))
+        if err_norm <= 1.0:
+            t, y, accepted = t + h, y_new, accepted + 1
+            if accepted % settings.record_every == 0 or t >= t_final:
+                times.append(t)
+                states.append(y)
+        else:
+            rejected += 1
+        h *= min(5.0, max(0.2, 5.0 if err_norm == 0.0 else 0.9 * err_norm ** -0.2))
+    return np.array(times), np.array(states), attempts, rejected
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_unprojected_dopri5_run_is_bitwise_identical(flavor):
+    # no projection moves a phase state, so each accepted step hands its
+    # last stage on as the next first stage and a rejected step's retry
+    # reuses its first: 6 rhs calls per attempted step, plus the first f(y0)
+    rng = np.random.default_rng(700)
+    cfg = _phase_cfg(rng, 8, flavor)
+    settings = IntegratorSettings(scheme=Scheme.DOPRI5, dt=0.5, rtol=1e-9, atol=1e-12,
+                                  record_every=3)
+    rhs, calls = dynamics.make_rhs(cfg), []
+
+    def counted(y):
+        calls.append(1)
+        return rhs(y)
+
+    times, states, final = _integrate_array(counted, cfg.theta, settings, 5.0)
+    want_times, want_states, attempts, rejected = _oracle_dopri5_run(
+        _oracle_rhs(cfg), cfg.theta, settings, 5.0)
+    assert rejected > 0
+    assert times.tobytes() == want_times.tobytes()
+    _assert_same_bits(states, want_states)
+    _assert_same_bits(final, want_states[-1])
+    assert len(calls) == 6 * attempts + 1

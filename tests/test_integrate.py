@@ -263,7 +263,7 @@ def _integrate_lists(rhs, y0, settings, t_final, project=None):
         h = min(h, t_final - t)
         if h < 16 * np.finfo(float).eps * max(1.0, abs(t)):
             raise integ.StepSizeUnderflow(f"step size underflow at t = {t:.6g}")
-        y_new, err = integ._dopri5_step(rhs, y, h)
+        y_new, err, _ = integ._dopri5_step(rhs, y, h)
         sc = settings.atol + settings.rtol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = np.sqrt(np.mean(np.abs(err / sc) ** 2))
         if err_norm <= 1.0:

@@ -855,6 +855,32 @@ def test_deep_document_is_a_scenario_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def _nested(depth):
+    value = 0.0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("theta0, shown", [
+    ("a" * 5000, "'" + "a" * 39 + "..."),
+    (_nested(300), "[" * 40 + "..."),
+], ids=["long-string", "nested-300"])
+def test_a_huge_offending_value_is_cut_in_the_error(tmp_path, capsys, theta0, shown):
+    doc = _kuramoto_doc("huge", model={"kind": "kuramoto",
+                                       "initial": {"theta": [theta0, 1.0]}})
+    want = f"$.model.initial.theta[0]: {shown} is not of type 'number'"
+    res = run_scenario(doc, tmp_path / "out")
+    assert (res.exit_code, res.error) == (1, want)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {want}\n")
+    assert len(err) < 200
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flags", [["--seed", "5"], ["--dt", "0.5"],
                                    ["--seed", "5", "--dt", "0.5"]])
 def test_cli_scenario_flags_with_a_suite_exit_1(tmp_path, capsys, flags):

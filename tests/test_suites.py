@@ -1,13 +1,17 @@
 """The suites' job runner and the packs it splits."""
 
+import dataclasses
 import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
-from synclab import suites
+from synclab import reduce_sphere, suites
 from synclab.errors import SynclabError
+from synclab.integrate import IntegratorSettings
+from synclab.state import make_sphere_config
 from synclab.suites import _run_jobs
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
@@ -126,7 +130,7 @@ def test_one_job_or_one_cpu_runs_inline(monkeypatch, no_child_left, cpus, jobs):
 
 
 @needs_fork
-@pytest.mark.parametrize("pack, forks", [("kuramoto-invariants", 0),
+@pytest.mark.parametrize("pack, forks", [("kuramoto-invariants", 1),
                                          ("sphere-invariants", 1),
                                          ("matrix", 1),
                                          ("reductions", 1)])
@@ -147,3 +151,21 @@ def test_a_pack_keeps_its_bytes_with_or_without_forks(tmp_path, monkeypatch,
                 if not p.name.endswith("_manifest.json")}
 
     assert artifacts("forked") == artifacts("inline")
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus, forks", [(2, 1), (1, 0)])
+def test_the_chain_runs_in_two_jobs_give_the_chain_report(monkeypatch, no_child_left,
+                                                          cpus, forks):
+    rng = np.random.default_rng(42)
+    cfg = make_sphere_config(rng.standard_normal((5, 3)), None, 1.0)
+    settings = IntegratorSettings(dt=1e-3, record_every=30)
+    want = reduce_sphere.reduction_chain_report(cfg, settings, 1.5)
+    plan = reduce_sphere.plan_reduction_chain(cfg, settings, 1.5)
+    _set_cpus(monkeypatch, cpus)
+    counted = _count_forks(monkeypatch)
+    stereo, (full, reduced) = _run_jobs([plan.stereo, lambda: (plan.full(), plan.reduced())])
+    assert len(counted) == forks
+    got = plan.judge(full, stereo, reduced)
+    assert ([float(v).hex() for v in dataclasses.astuple(got)]
+            == [float(v).hex() for v in dataclasses.astuple(want)])
