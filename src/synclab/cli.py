@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ScenarioError
+from .errors import ScenarioError, SynclabError
 from .scenario import load_scenario, run_scenario
 from .suites import SUITE_NAMES, run_suite
 
@@ -72,20 +72,19 @@ def main(argv=None) -> int:
 
     try:
         results = run_suite(args.suite, out_dir)
-    except ValueError as exc:
+        summary = {
+            "suite": args.suite,
+            "passed": bool(all(r.passed for r in results)),
+            "results": [{"name": r.name, "passed": bool(r.passed), "detail": r.detail}
+                        for r in results],
+        }
+        (out_dir / f"suite_{args.suite}.json").write_text(
+            json.dumps(summary, indent=2) + "\n")
+    except (ValueError, SynclabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not args.quiet:
         _print_table(results)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary = {
-        "suite": args.suite,
-        "passed": bool(all(r.passed for r in results)),
-        "results": [{"name": r.name, "passed": bool(r.passed), "detail": r.detail}
-                    for r in results],
-    }
-    (out_dir / f"suite_{args.suite}.json").write_text(
-        json.dumps(summary, indent=2) + "\n")
     return 0 if summary["passed"] else 2
 
 

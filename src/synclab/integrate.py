@@ -115,6 +115,7 @@ class Trajectory:
 
 POLAR_TOL = 1e-14
 POLAR_MAX_ITER = 50
+_POLAR_HALF = {}  # dtype -> 1/2 as a 0-d array of it, bound on first use
 
 
 def polar_factor(m: np.ndarray) -> np.ndarray:
@@ -125,10 +126,13 @@ def polar_factor(m: np.ndarray) -> np.ndarray:
     here is small (<= 16), so no external decomposition is needed.  The
     iteration stops once no entry moves by ``POLAR_TOL`` or more, and after
     ``POLAR_MAX_ITER`` steps at the latest.  Accepts a single matrix or a
-    stack.
+    stack.  ``m`` is not copied: no update writes into it, and the result
+    is always a new array.
     """
-    u = np.array(m, dtype=m.dtype if np.iscomplexobj(m) else float, copy=True)
-    (half,) = dynamics._scalars(u.dtype, 0.5)
+    u = np.asarray(m, dtype=m.dtype if np.iscomplexobj(m) else float)
+    half = _POLAR_HALF.get(u.dtype)
+    if half is None:
+        (half,) = _POLAR_HALF[u.dtype] = dynamics._scalars(u.dtype, 0.5)
     inv, max_reduce = np.linalg.inv, np.maximum.reduce
     for _ in range(POLAR_MAX_ITER):
         nxt = half * (u + inv(u.swapaxes(-1, -2).conj()))
@@ -236,6 +240,21 @@ def _fixed_step_count(t_final: float, dt: float) -> int:
     return max(1, int(math.ceil(t_final / dt - 1e-9)))
 
 
+def _record_grid(n_steps: int, every: int, first) -> tuple[np.ndarray, np.ndarray]:
+    """Empty times and records of an RK4 run of ``n_steps`` steps recording
+    every ``every`` steps and at the last, ``first`` being its first record;
+    a grid too large to allocate raises IntegrationError."""
+    n_records = 1 + n_steps // every + (n_steps % every != 0)
+    try:
+        # each step returns the coefficients' dtype, y0's promoted to float;
+        # a functional's records take its own dtype, promoted the same way
+        return (np.empty(n_records), np.empty((n_records,) + np.shape(first),
+                                              np.result_type(first, 0.5)))
+    except (MemoryError, ValueError) as exc:  # numpy's too large, too many
+        raise IntegrationError(f"cannot allocate {n_records:.4g} records of shape "
+                               f"{np.shape(first)}: {exc}") from exc
+
+
 def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
                      t_final: float, project=None, record=None):
     """Core integration loop on a raw state array.
@@ -266,11 +285,7 @@ def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
         h = t_final / n_steps
         coef = _rk4_coefficients(h, y)
         every = settings.record_every
-        n_records = 1 + n_steps // every + (n_steps % every != 0)
-        times = np.empty(n_records)
-        # each step returns the coefficients' dtype, y0's promoted to float;
-        # a functional's records take its own dtype, promoted the same way
-        states = np.empty((n_records,) + np.shape(first), np.result_type(first, 0.5))
+        times, states = _record_grid(n_steps, every, first)
         times[0] = 0.0
         states[0] = first
         j = 1
@@ -350,9 +365,9 @@ def _integrate_ragged(rhs, y0s, settings, t_finals, project, records):
     times, recs, finals = [], [], [None] * len(y)
     for m, (n, k, record) in enumerate(zip(steps, every, records)):
         first = y[m] if record is None else record(y[m])
-        times.append(np.empty(1 + n // k + (n % k != 0)))
-        recs.append(np.empty((times[m].size,) + np.shape(first),
-                             np.result_type(first, 0.5)))
+        grid_times, grid = _record_grid(n, k, first)
+        times.append(grid_times)
+        recs.append(grid)
         times[m][0] = 0.0
         recs[m][0] = first
     due = [min(k, n) for k, n in zip(every, steps)]   # next record step

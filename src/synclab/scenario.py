@@ -11,6 +11,15 @@ only exception is the manifest's ``duration_seconds``: the integration time
 (of the whole batch, for a scenario integrated in one) plus the time of the
 observable series and drift reports.
 
+Writing the trajectory table and computing the observable series are
+independent jobs, run through :func:`_run_jobs`, which this module also
+keeps for the suites.  A table of at least ``_FORK_MIN`` numbers, such as
+the 120 600 of an N = 200 sphere run of 201 records, is formatted in a
+forked child while the calling process computes the series and writes the
+observables tables; a smaller one, or a process limited to one CPU, writes
+it in the calling process.  The bytes are the same either way, and the
+drift report and the manifest are written after both jobs.
+
 Random initial data comes from numpy's seeded PCG64 generator; the schema
 requires a seed wherever the initial data is random, and the seed and
 generator name are recorded in the manifest.  There is no unseeded
@@ -22,7 +31,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import pickle
+import sys
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -227,12 +240,141 @@ def _observables_table(traj: Trajectory,
     return labels, np.column_stack(cols) if cols else np.empty((len(traj), 0))
 
 
+def _write_tables(out_dir: Path, times: np.ndarray, tables: dict) -> None:
+    """Write each ``name: (format, (labels, table))`` of ``tables`` to its
+    file in ``out_dir``, which is made if missing."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (fmt, table) in tables.items():
+        with (out_dir / name).open("w") as fh:
+            _write_table(fh, fmt, times, *table)
+
+
 def trajectory_csv(traj: Trajectory) -> str:
     """t plus the flattened state per row, complex entries as (re, im), as
     ``run_scenario`` writes it to ``<id>_trajectory.csv``."""
     buf = io.StringIO()
     _write_table(buf, _CSV, traj.times, *_trajectory_table(traj))
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# independent jobs, forked onto the CPUs the process may use
+
+# set in a process that :func:`_child` runs a job in
+_in_child = False
+
+
+def _run_jobs(jobs) -> list:
+    """The results of ``jobs``, zero-argument callables, in order.
+
+    The first job runs in the calling process and each other job in a child
+    made by ``os.fork()``, which sends back its pickled result, or the
+    exception it raised, through a pipe; so results and exceptions must
+    pickle.  The jobs fork only where ``os.fork`` exists and the process may
+    run on at least as many CPUs as there are jobs; otherwise they run one
+    after the other in the calling process, which then does exactly the work
+    the forked jobs do.  Jobs do not nest forks: a job running in a forked
+    child runs its own ``_run_jobs`` calls inline, so a large scenario judged
+    in a suite pack's child never puts a third process on two CPUs.
+
+    A failure is raised after every child has been reaped, the first in job
+    order winning: a child's exception with its type and message, one that
+    will not pickle as ``SynclabError("<type>: <message>")``, and a child
+    that ends without a result (killed by a signal, or ``os._exit`` in the
+    job) as a ``SynclabError`` naming the job and its wait status.  When
+    the first job raises, or the caller is interrupted, the children are
+    killed and reaped before the exception propagates: no process outlives
+    the call.
+
+    Forking is safe here because synclab starts no thread, and OpenBLAS,
+    numpy's BLAS, handles a fork: it stops its thread pool before one.  In
+    a process that runs other threads, a child could deadlock on a lock one
+    of them held at the fork; Python 3.12 and later warn
+    (``DeprecationWarning``) when ``os.fork`` is called in a process they
+    see as multi-threaded, which a BLAS thread pool can make it.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if len(jobs) < 2 or _in_child or not hasattr(os, "fork") or cpus < len(jobs):
+        return [job() for job in jobs]
+    # buffered output would otherwise be written by the parent and every child
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pending = []  # (job index, pid, read end of its pipe) of unreaped children
+    try:
+        for index, job in enumerate(jobs[1:], 1):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(job, read_fd, write_fd)
+            os.close(write_fd)
+            pending.append((index, pid, read_fd))
+        results = [jobs[0]()]
+        outcomes = []
+        while pending:
+            index, pid, fd = pending[0]
+            # to EOF before waiting, so a result larger than the pipe's
+            # buffer cannot block the child and, through it, the wait
+            chunks = []
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+            _, status = os.waitpid(pid, 0)
+            pending.pop(0)
+            os.close(fd)
+            try:
+                outcomes.append(pickle.loads(b"".join(chunks)))
+            except Exception:  # noqa: BLE001 - no result, whatever the bytes
+                outcomes.append((False, SynclabError(
+                    f"job {index} ended without a result "
+                    f"(wait status {status})")))
+    except BaseException:
+        _kill(pending)
+        raise
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _child(job, read_fd, fd) -> None:
+    """In a forked child: mark the process as one, close the pipe's
+    ``read_fd``, run ``job``, write the pickled ``(ok, value)`` to ``fd`` and
+    end the process.  Never returns into the caller's frames."""
+    global _in_child
+    try:
+        _in_child = True
+        # the parent alone reads: if it is gone, a write fails, not blocks
+        os.close(read_fd)
+        try:
+            payload = pickle.dumps((True, job()))
+        except BaseException as exc:  # noqa: BLE001 - sent to the parent
+            try:
+                payload = pickle.dumps((False, exc))
+                pickle.loads(payload)  # an exception may pickle and not load
+            except Exception:  # noqa: BLE001 - named instead
+                payload = pickle.dumps(
+                    (False, SynclabError(f"{type(exc).__name__}: {exc}")))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        sys.stdout.flush()
+        sys.stderr.flush()
+    finally:
+        os._exit(0)
+
+
+def _kill(pending) -> None:
+    """Kill and reap the children in ``pending``, closing their pipes."""
+    from signal import SIGKILL  # only on this path: no import-time cost
+
+    for _, pid, fd in pending:
+        # each may find its pipe closed or its child reaped already
+        with suppress(OSError):
+            os.close(fd)
+        with suppress(OSError):
+            os.kill(pid, SIGKILL)
+        with suppress(OSError):
+            os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +390,11 @@ class RunResult:
 
 # the failures a scenario run reports as exit code 1 instead of raising
 RUN_ERRORS = (ScenarioError, SynclabError, OSError)
+
+# the fewest numbers in a trajectory table that :meth:`ScenarioPlan.judge`
+# formats in a forked child: at about 0.5 us a number, 2**16 take 30 ms or
+# more, against some 2 ms for ``_run_jobs`` to fork a child and reap it
+_FORK_MIN = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -271,26 +418,39 @@ class ScenarioPlan:
         """Evaluate the observables on ``traj``, judge their drift and write
         the artifacts.  The manifest's ``duration_seconds`` is
         ``integration_s`` plus the time taken here by the series and drift.
-        Raises what ``run_scenario`` reports as an error."""
+        Raises what ``run_scenario`` reports as an error.
+
+        Two independent jobs go through :func:`_run_jobs`: the series, drift
+        reports and observables tables, then the trajectory table.  A
+        trajectory table of at least ``_FORK_MIN`` numbers is formatted in a
+        forked child meanwhile; a smaller one takes less time to format than
+        a fork costs, and follows in this process.  The drift report and the
+        manifest are written once both jobs are done, so a run that fails
+        writes no manifest."""
         out_dir = Path(out_dir)
         resolved, checks = self.resolved, self.checks
         sid, seed = resolved["id"], resolved.get("seed")
-        start = time.perf_counter()
-        series = {ob.label: ob.series(traj) for ob, _ in checks}
-        reports = []
-        if len(traj) > 1:  # else every observable is a record: no verdicts
-            reports = [drift(ob, series[ob.label], tol) for ob, tol in checks]
-        duration = integration_s + (time.perf_counter() - start)
-
-        out_dir.mkdir(parents=True, exist_ok=True)
-        obs_table = _observables_table(traj, series)
-        tables = {f"{sid}_trajectory.csv": (_CSV, _trajectory_table(traj)),
-                  f"{sid}_observables.csv": (_CSV, obs_table)}
+        table = _trajectory_table(traj)
+        trajectory = {f"{sid}_trajectory.csv": (_CSV, table)}
+        formats = {f"{sid}_observables.csv": _CSV}
         if resolved.get("output", {}).get("dat_mirror"):
-            tables[f"{sid}_observables.dat"] = (_DAT, obs_table)
-        for name, (fmt, table) in tables.items():
-            with (out_dir / name).open("w") as fh:
-                _write_table(fh, fmt, traj.times, *table)
+            formats[f"{sid}_observables.dat"] = _DAT
+
+        def observables():
+            start = time.perf_counter()
+            series = {ob.label: ob.series(traj) for ob, _ in checks}
+            reports = []
+            if len(traj) > 1:  # else every observable is a record: no verdicts
+                reports = [drift(ob, series[ob.label], tol) for ob, tol in checks]
+            duration = integration_s + (time.perf_counter() - start)
+            obs_table = _observables_table(traj, series)
+            _write_tables(out_dir, traj.times,
+                          {name: (fmt, obs_table) for name, fmt in formats.items()})
+            return reports, duration
+
+        jobs = [observables, lambda: _write_tables(out_dir, traj.times, trajectory)]
+        (reports, duration), _ = (_run_jobs(jobs) if table[1].size >= _FORK_MIN
+                                  else [job() for job in jobs])
         texts = {f"{sid}_drift.json": drift_reports_to_json(reports) + "\n"}
 
         manifest = {
@@ -298,7 +458,7 @@ class ScenarioPlan:
             "content_hash": content_hash(resolved),
             "prng": {"name": PRNG_NAME, "seed": seed},
             "resolved": resolved,
-            "outputs": sorted([*tables, *texts]) + [f"{sid}_manifest.json"],
+            "outputs": sorted([*trajectory, *formats, *texts]) + [f"{sid}_manifest.json"],
             "duration_seconds": duration,
         }
         texts[f"{sid}_manifest.json"] = json.dumps(manifest, indent=2) + "\n"

@@ -27,31 +27,31 @@ check is planned before it and judged after it, in the pack's order.
 
 When the process may run on at least two CPUs, a pack's second job runs in a
 forked child while the first runs in the calling process (see
-:func:`_run_jobs`); otherwise the jobs run one after the other.  Every random
-input is drawn before the jobs start, in one order, so the checks, their
-details and every artifact are byte for byte the same either way, and a
-scenario's ``duration_seconds`` is still the time of its own integration (or
-of its batch's), series and drift reports.  ``equilibria`` takes
-milliseconds and is one job.
+:func:`synclab.scenario._run_jobs`, the job runner the scenarios use as
+well); otherwise the jobs run one after the other.  A job in a pack's
+child runs its own jobs inline, so a scenario judged there never forks
+again; every suite scenario's trajectory table is in any case smaller than
+a scenario forks for, the largest, the matrix cross-ratio scenario's, being
+40 x 301 = 12 040 numbers.  Every random input is drawn before the jobs
+start, in one order, so the checks, their details and every artifact are
+byte for byte the same either way, and a scenario's ``duration_seconds`` is
+still the time of its own integration (or of its batch's), series and drift
+reports.  ``equilibria`` takes milliseconds and is one job.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import sys
 import time
-from contextlib import suppress
 from dataclasses import dataclass
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
 from . import equilibria, reduce_kuramoto, reduce_sphere
-from .errors import SynclabError
 from .integrate import IntegratorSettings, Trajectory, integrate_batch
 from .invariants import matrix_diameter
-from .scenario import RUN_ERRORS, RunResult, plan_scenario, run_scenario
+from .scenario import RUN_ERRORS, RunResult, _run_jobs, plan_scenario, run_scenario
 from .state import (
     Flavor,
     make_phase_config,
@@ -66,115 +66,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _run_jobs(jobs) -> list:
-    """The results of ``jobs``, zero-argument callables, in order.
-
-    The first job runs in the calling process and each other job in a child
-    made by ``os.fork()``, which sends back its pickled result, or the
-    exception it raised, through a pipe; so results and exceptions must
-    pickle.  The jobs fork only where ``os.fork`` exists and the process may
-    run on at least as many CPUs as there are jobs; otherwise they run one
-    after the other in the calling process, which then does exactly the work
-    the forked jobs do.
-
-    A failure is raised after every child has been reaped, the first in job
-    order winning: a child's exception with its type and message, one that
-    will not pickle as ``SynclabError("<type>: <message>")``, and a child
-    that ends without a result (killed by a signal, or ``os._exit`` in the
-    job) as a ``SynclabError`` naming the job and its wait status.  When
-    the first job raises, or the caller is interrupted, the children are
-    killed and reaped before the exception propagates: no process outlives
-    the call.
-
-    Forking is safe here because synclab starts no thread, and OpenBLAS,
-    numpy's BLAS, handles a fork: it stops its thread pool before one.  In
-    a process that runs other threads, a child could deadlock on a lock one
-    of them held at the fork; Python 3.12 and later warn
-    (``DeprecationWarning``) when ``os.fork`` is called in a process they
-    see as multi-threaded, which a BLAS thread pool can make it.
-    """
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    if len(jobs) < 2 or not hasattr(os, "fork") or cpus < len(jobs):
-        return [job() for job in jobs]
-    # buffered output would otherwise be written by the parent and every child
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pending = []  # (job index, pid, read end of its pipe) of unreaped children
-    try:
-        for index, job in enumerate(jobs[1:], 1):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _child(job, read_fd, write_fd)
-            os.close(write_fd)
-            pending.append((index, pid, read_fd))
-        results = [jobs[0]()]
-        outcomes = []
-        while pending:
-            index, pid, fd = pending[0]
-            # to EOF before waiting, so a result larger than the pipe's
-            # buffer cannot block the child and, through it, the wait
-            chunks = []
-            while chunk := os.read(fd, 1 << 16):
-                chunks.append(chunk)
-            _, status = os.waitpid(pid, 0)
-            pending.pop(0)
-            os.close(fd)
-            try:
-                outcomes.append(pickle.loads(b"".join(chunks)))
-            except Exception:  # noqa: BLE001 - no result, whatever the bytes
-                outcomes.append((False, SynclabError(
-                    f"suite job {index} ended without a result "
-                    f"(wait status {status})")))
-    except BaseException:
-        _kill(pending)
-        raise
-    for ok, value in outcomes:
-        if not ok:
-            raise value
-        results.append(value)
-    return results
-
-
-def _child(job, read_fd, fd) -> None:
-    """In a forked child: close the pipe's ``read_fd``, run ``job``, write
-    the pickled ``(ok, value)`` to ``fd`` and end the process.  Never
-    returns into the caller's frames."""
-    try:
-        # the parent alone reads: if it is gone, a write fails, not blocks
-        os.close(read_fd)
-        try:
-            payload = pickle.dumps((True, job()))
-        except BaseException as exc:  # noqa: BLE001 - sent to the parent
-            try:
-                payload = pickle.dumps((False, exc))
-                pickle.loads(payload)  # an exception may pickle and not load
-            except Exception:  # noqa: BLE001 - named instead
-                payload = pickle.dumps(
-                    (False, SynclabError(f"{type(exc).__name__}: {exc}")))
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        sys.stdout.flush()
-        sys.stderr.flush()
-    finally:
-        os._exit(0)
-
-
-def _kill(pending) -> None:
-    """Kill and reap the children in ``pending``, closing their pipes."""
-    from signal import SIGKILL  # only on this path: no import-time cost
-
-    for _, pid, fd in pending:
-        # each may find its pipe closed or its child reaped already
-        with suppress(OSError):
-            os.close(fd)
-        with suppress(OSError):
-            os.kill(pid, SIGKILL)
-        with suppress(OSError):
-            os.waitpid(pid, 0)
 
 
 def _check_result(name: str, res: RunResult) -> CheckResult:
@@ -404,12 +295,13 @@ SUITE_NAMES = tuple(_PACKS) + ("all",)
 def run_suite(name: str, out_dir, quiet: bool = False) -> list[CheckResult]:
     """Run the pack ``name``, or every pack for "all", leaving scenario
     artifacts in ``out_dir``.  Nothing is printed whatever ``quiet`` says:
-    printing the results belongs to the command line front end."""
-    if name == "all":
-        results = []
-        for pack in _PACKS.values():
-            results.extend(pack(out_dir))
-        return results
-    if name not in _PACKS:
+    printing the results belongs to the command line front end.  An unknown
+    name raises ValueError; ``out_dir`` is made before any pack runs, so an
+    output path that cannot be a directory raises its OSError at once."""
+    if name != "all" and name not in _PACKS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    return _PACKS[name](out_dir)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    results = []
+    for pack in _PACKS.values() if name == "all" else [_PACKS[name]]:
+        results.extend(pack(out_dir))
+    return results

@@ -132,6 +132,25 @@ def test_nonfinite_state_detected():
             integrate(cfg, IntegratorSettings(dt=1e3, record_every=1), 2e3)
 
 
+@pytest.mark.parametrize("loop", ["single", "ragged"])
+@pytest.mark.parametrize("dt", [1e-15, 1e-300])
+def test_a_record_grid_too_large_to_allocate_is_an_integration_error(dt, loop):
+    # 2e16 records of times alone take 142 PiB and 2e301 exceed numpy's
+    # largest dimension: numpy refuses either grid before the first step
+    cfg = make_sphere_config(np.eye(3))
+    y0, settings = state_of(cfg), IntegratorSettings(dt=dt)
+
+    def rhs(y):
+        pytest.fail("stepped")
+
+    args = (rhs, y0, settings, 20.0)
+    if loop == "ragged":
+        args = (rhs, [y0, y0], [settings] * 2, [20.0] * 2, None, [None] * 2)
+    with pytest.raises(IntegrationError, match=r"^cannot allocate 2e\+(16|301) "
+                                               r"records of shape \(3, 3\): "):
+        _integrate_array(*args)
+
+
 def test_dopri5_nan_error_estimate_ends_the_run():
     # y' = y turns NaN once |y| > 1.5 (at t = ln 1.5): every later error
     # estimate is NaN, which must shrink the step until it underflows

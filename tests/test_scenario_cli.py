@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import io
 import json
+import os
 import re
 import tracemalloc
 from pathlib import Path
@@ -10,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synclab import invariants, scenario
+from synclab import invariants, scenario, suites
 from synclab.cli import main
-from synclab.errors import ScenarioError
+from synclab.errors import ScenarioError, SynclabError
 from synclab.integrate import IntegratorSettings, Trajectory, default_settings, integrate
 from synclab.scenario import (
     _state_columns,
@@ -235,9 +236,12 @@ def test_special_values_stream_byte_identical(tmp_path, monkeypatch):
         "0.33333333333333331,-2.4999999999999999e-17,123456789"
 
 
-def test_run_scenario_streams_its_tables(tmp_path):
+def test_run_scenario_streams_its_tables(tmp_path, monkeypatch):
     # the N=200 large-n document: the trajectory text is about five times
-    # the size of the states, so holding it whole would exceed the bound
+    # the size of the states, so holding it whole would exceed the bound;
+    # on one CPU its table is written in this process, where it is traced
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     w = np.random.default_rng(1000).standard_normal((3, 3))
     doc = {"id": "big", "seed": 1000, "t_final": 2.0,
            "model": {"kind": "sphere", "kappa": 1.0, "a": 0.0, "w": (w - w.T).tolist(),
@@ -895,6 +899,44 @@ def test_cli_scenario_flags_with_a_suite_exit_1(tmp_path, capsys, flags):
 
 def test_cli_unknown_suite_exits_1(tmp_path):
     assert main(["--suite", "nope", "--out", str(tmp_path)]) == 1
+
+
+def _file(path):
+    path.write_text("")
+    return path
+
+
+def _failing_pack(out_dir):
+    raise SynclabError("the certificate run failed")
+
+
+@pytest.mark.parametrize("make_out, message", [
+    (lambda tmp, mp: _file(tmp / "out"), "File exists"),
+    (lambda tmp, mp: _file(tmp / "file") / "out", "Not a directory"),
+    (lambda tmp, mp: mp.setitem(suites._PACKS, "equilibria", _failing_pack) or tmp,
+     "the certificate run failed"),
+], ids=["out-is-a-file", "out-under-a-file", "pack-raises"])
+def test_cli_suite_error_exits_1(tmp_path, capsys, monkeypatch, make_out, message):
+    out = make_out(tmp_path, monkeypatch)
+    assert main(["--suite", "equilibria", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dt", [1e-15, 1e-300])
+def test_cli_record_grid_too_large_exits_1(tmp_path, capsys, dt):
+    # 2e16 records would take 142 PiB; 2e301 exceed numpy's largest dimension
+    doc = {"id": "grid", "seed": 3, "t_final": 20.0,
+           "model": {"kind": "sphere", "initial": {"random": {"n": 4, "d": 2}}}}
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "out"),
+                 "--dt", repr(dt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot allocate 2e+") and "records" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_requires_exactly_one_mode(tmp_path):

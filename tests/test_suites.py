@@ -1,6 +1,7 @@
-"""The suites' job runner and the packs it splits."""
+"""The job runner, the suite packs it splits and the scenarios it forks."""
 
 import dataclasses
+import json
 import os
 import signal
 import time
@@ -8,11 +9,12 @@ import time
 import numpy as np
 import pytest
 
-from synclab import reduce_sphere, suites
+from synclab import reduce_sphere, scenario, suites
+from synclab.cli import main
 from synclab.errors import SynclabError
 from synclab.integrate import IntegratorSettings
+from synclab.scenario import _run_jobs
 from synclab.state import make_sphere_config
-from synclab.suites import _run_jobs
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
@@ -106,7 +108,7 @@ def test_an_exception_that_does_not_pickle_is_named(monkeypatch, no_child_left,
 def test_a_child_without_a_result_raises(monkeypatch, no_child_left, end):
     _set_cpus(monkeypatch, 3)
     start = time.perf_counter()
-    with pytest.raises(SynclabError, match=r"^suite job 2 ended without a result "
+    with pytest.raises(SynclabError, match=r"^job 2 ended without a result "
                                            r"\(wait status \d+\)$"):
         _run_jobs([lambda: 1, lambda: 2, end])
     assert time.perf_counter() - start < 30
@@ -120,6 +122,15 @@ def test_a_failing_first_job_kills_its_children(monkeypatch, no_child_left, exc)
     with pytest.raises(type(exc)):
         _run_jobs([lambda: _raise(exc), lambda: time.sleep(60)])
     assert time.perf_counter() - start < 30
+
+
+@needs_fork
+def test_a_job_in_a_child_runs_its_jobs_inline(monkeypatch, no_child_left):
+    _set_cpus(monkeypatch, 4)
+    forks = _count_forks(monkeypatch)
+    parent, nested = _run_jobs([os.getpid, lambda: _run_jobs([os.getpid, os.getpid])])
+    assert len(forks) == 1
+    assert nested[0] == nested[1] != parent == os.getpid()
 
 
 @pytest.mark.parametrize("cpus, jobs", [(8, [os.getpid]), (1, [os.getpid] * 2)])
@@ -145,12 +156,14 @@ def test_a_pack_keeps_its_bytes_with_or_without_forks(tmp_path, monkeypatch,
     assert len(counted) == forks
     assert forked == inline
     assert all(r.passed for r in forked)
+    assert _artifacts(tmp_path / "forked") == _artifacts(tmp_path / "inline")
 
-    def artifacts(name):
-        return {p.name: p.read_bytes() for p in (tmp_path / name).glob("*")
-                if not p.name.endswith("_manifest.json")}
 
-    assert artifacts("forked") == artifacts("inline")
+def _artifacts(out_dir):
+    """The bytes of each artifact in ``out_dir`` but the manifests, which
+    hold a wall time."""
+    return {p.name: p.read_bytes() for p in out_dir.glob("*")
+            if not p.name.endswith("_manifest.json")}
 
 
 @needs_fork
@@ -169,3 +182,55 @@ def test_the_chain_runs_in_two_jobs_give_the_chain_report(monkeypatch, no_child_
     got = plan.judge(full, stereo, reduced)
     assert ([float(v).hex() for v in dataclasses.astuple(got)]
             == [float(v).hex() for v in dataclasses.astuple(want)])
+
+
+def _phase_scenario(t_final):
+    """A 256-oscillator scenario recording every step of 1e-3: t_final 0.255
+    gives 256 records, a trajectory table of 2**16 numbers."""
+    return {"id": "wide", "seed": 11, "t_final": t_final,
+            "model": {"kind": "kuramoto", "kappa": 2.0, "alpha": 0.0,
+                      "initial": {"random": {"n": 256}}},
+            "integrator": {"dt": 1e-3, "record_every": 1},
+            "observables": [{"name": "total_phase", "tolerance": 1e-9},
+                            {"name": "order_R"}],
+            "output": {"dat_mirror": True}}
+
+
+@needs_fork
+@pytest.mark.parametrize("t_final, records, forks", [(0.255, 256, 1), (0.254, 255, 0)],
+                         ids=["2**16-numbers", "fewer"])
+def test_a_large_trajectory_table_keeps_its_bytes_with_or_without_a_fork(
+        tmp_path, monkeypatch, no_child_left, t_final, records, forks):
+    doc = _phase_scenario(t_final)
+    _set_cpus(monkeypatch, 2)
+    counted = _count_forks(monkeypatch)
+    forked = scenario.run_scenario(doc, tmp_path / "forked", quiet=True)
+    assert len(counted) == forks
+    _set_cpus(monkeypatch, 1)
+    inline = scenario.run_scenario(doc, tmp_path / "inline", quiet=True)
+    assert len(counted) == forks
+    assert forked == inline
+    assert forked.exit_code == 0
+    artifacts = _artifacts(tmp_path / "forked")
+    assert artifacts == _artifacts(tmp_path / "inline")
+    manifest = json.loads((tmp_path / "forked" / "wide_manifest.json").read_text())
+    assert manifest["outputs"] == sorted(artifacts) + ["wide_manifest.json"]
+    assert len(artifacts["wide_trajectory.csv"].splitlines()) == 1 + records
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus, forks", [(2, 1), (1, 0)])
+def test_a_failing_trajectory_job_is_an_error(tmp_path, monkeypatch, capsys,
+                                              no_child_left, cpus, forks):
+    path, out = tmp_path / "wide.json", tmp_path / "out"
+    path.write_text(json.dumps(_phase_scenario(0.255)))
+    (out / "wide_trajectory.csv").mkdir(parents=True)
+    _set_cpus(monkeypatch, cpus)
+    counted = _count_forks(monkeypatch)
+    assert main(["--scenario", str(path), "--out", str(out), "--quiet"]) == 1
+    assert len(counted) == forks
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 21] Is a directory: ")
+    assert str(out / "wide_trajectory.csv") in err
+    assert not (out / "wide_manifest.json").exists()
+    assert not (out / "wide_drift.json").exists()
