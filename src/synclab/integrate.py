@@ -115,7 +115,6 @@ class Trajectory:
 
 POLAR_TOL = 1e-14
 POLAR_MAX_ITER = 50
-_POLAR_HALF = {}  # dtype -> 1/2 as a 0-d array of it, bound on first use
 
 
 def polar_factor(m: np.ndarray) -> np.ndarray:
@@ -130,9 +129,7 @@ def polar_factor(m: np.ndarray) -> np.ndarray:
     is always a new array.
     """
     u = np.asarray(m, dtype=m.dtype if np.iscomplexobj(m) else float)
-    half = _POLAR_HALF.get(u.dtype)
-    if half is None:
-        (half,) = _POLAR_HALF[u.dtype] = dynamics._scalars(u.dtype, 0.5)
+    (half,) = dynamics._scalars(u.dtype, 0.5)
     inv, max_reduce = np.linalg.inv, np.maximum.reduce
     for _ in range(POLAR_MAX_ITER):
         nxt = half * (u + inv(u.swapaxes(-1, -2).conj()))

@@ -260,8 +260,9 @@ def trajectory_csv(traj: Trajectory) -> str:
 # ---------------------------------------------------------------------------
 # independent jobs, forked onto the CPUs the process may use
 
-# set in a process that :func:`_child` runs a job in
-_in_child = False
+# true while jobs are forked: in the calling process until its children are
+# reaped, and in each child, which inherits it at the fork
+_forking = False
 
 
 def _run_jobs(jobs) -> list:
@@ -273,9 +274,12 @@ def _run_jobs(jobs) -> list:
     pickle.  The jobs fork only where ``os.fork`` exists and the process may
     run on at least as many CPUs as there are jobs; otherwise they run one
     after the other in the calling process, which then does exactly the work
-    the forked jobs do.  Jobs do not nest forks: a job running in a forked
-    child runs its own ``_run_jobs`` calls inline, so a large scenario judged
-    in a suite pack's child never puts a third process on two CPUs.
+    the forked jobs do.  Jobs do not nest forks: while jobs are forked, a
+    ``_run_jobs`` call from any of them, the first in the calling process or
+    another in its child, runs its jobs inline.  So no more processes run
+    jobs than the CPUs the outermost call saw, and a large scenario judged
+    in either job of a split suite pack never puts a third process on two
+    CPUs.
 
     A failure is raised after every child has been reaped, the first in job
     order winning: a child's exception with its type and message, one that
@@ -293,14 +297,16 @@ def _run_jobs(jobs) -> list:
     (``DeprecationWarning``) when ``os.fork`` is called in a process they
     see as multi-threaded, which a BLAS thread pool can make it.
     """
+    global _forking
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    if len(jobs) < 2 or _in_child or not hasattr(os, "fork") or cpus < len(jobs):
+    if len(jobs) < 2 or _forking or not hasattr(os, "fork") or cpus < len(jobs):
         return [job() for job in jobs]
     # buffered output would otherwise be written by the parent and every child
     sys.stdout.flush()
     sys.stderr.flush()
     pending = []  # (job index, pid, read end of its pipe) of unreaped children
+    _forking = True
     try:
         for index, job in enumerate(jobs[1:], 1):
             read_fd, write_fd = os.pipe()
@@ -330,6 +336,8 @@ def _run_jobs(jobs) -> list:
     except BaseException:
         _kill(pending)
         raise
+    finally:
+        _forking = False
     for ok, value in outcomes:
         if not ok:
             raise value
@@ -338,12 +346,10 @@ def _run_jobs(jobs) -> list:
 
 
 def _child(job, read_fd, fd) -> None:
-    """In a forked child: mark the process as one, close the pipe's
-    ``read_fd``, run ``job``, write the pickled ``(ok, value)`` to ``fd`` and
-    end the process.  Never returns into the caller's frames."""
-    global _in_child
+    """In a forked child: close the pipe's ``read_fd``, run ``job``, write
+    the pickled ``(ok, value)`` to ``fd`` and end the process.  Never
+    returns into the caller's frames."""
     try:
-        _in_child = True
         # the parent alone reads: if it is gone, a write fails, not blocks
         os.close(read_fd)
         try:
@@ -426,7 +432,8 @@ class ScenarioPlan:
         forked child meanwhile; a smaller one takes less time to format than
         a fork costs, and follows in this process.  The drift report and the
         manifest are written once both jobs are done, so a run that fails
-        writes no manifest."""
+        writes no manifest; it leaves no trajectory table either, as a
+        forked child may have written part of one when the series failed."""
         out_dir = Path(out_dir)
         resolved, checks = self.resolved, self.checks
         sid, seed = resolved["id"], resolved.get("seed")
@@ -449,8 +456,13 @@ class ScenarioPlan:
             return reports, duration
 
         jobs = [observables, lambda: _write_tables(out_dir, traj.times, trajectory)]
-        (reports, duration), _ = (_run_jobs(jobs) if table[1].size >= _FORK_MIN
-                                  else [job() for job in jobs])
+        try:
+            (reports, duration), _ = (_run_jobs(jobs) if table[1].size >= _FORK_MIN
+                                      else [job() for job in jobs])
+        except BaseException:
+            with suppress(OSError):  # none written, or a directory in its place
+                (out_dir / f"{sid}_trajectory.csv").unlink()
+            raise
         texts = {f"{sid}_drift.json": drift_reports_to_json(reports) + "\n"}
 
         manifest = {

@@ -28,10 +28,10 @@ check is planned before it and judged after it, in the pack's order.
 When the process may run on at least two CPUs, a pack's second job runs in a
 forked child while the first runs in the calling process (see
 :func:`synclab.scenario._run_jobs`, the job runner the scenarios use as
-well); otherwise the jobs run one after the other.  A job in a pack's
-child runs its own jobs inline, so a scenario judged there never forks
-again; every suite scenario's trajectory table is in any case smaller than
-a scenario forks for, the largest, the matrix cross-ratio scenario's, being
+well); otherwise the jobs run one after the other.  While a pack's jobs
+are forked, either job runs its own jobs inline, so a scenario judged in
+one never forks again; every suite scenario's trajectory table is in any
+case smaller than a scenario forks for, the largest, the matrix cross-ratio scenario's, being
 40 x 301 = 12 040 numbers.  Every random input is drawn before the jobs
 start, in one order, so the checks, their details and every artifact are
 byte for byte the same either way, and a scenario's ``duration_seconds`` is

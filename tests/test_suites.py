@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from synclab import reduce_sphere, scenario, suites
+from synclab import invariants, reduce_sphere, scenario, suites
 from synclab.cli import main
 from synclab.errors import SynclabError
 from synclab.integrate import IntegratorSettings
@@ -125,12 +125,21 @@ def test_a_failing_first_job_kills_its_children(monkeypatch, no_child_left, exc)
 
 
 @needs_fork
-def test_a_job_in_a_child_runs_its_jobs_inline(monkeypatch, no_child_left):
+def test_jobs_of_a_forked_job_run_inline(monkeypatch, no_child_left):
+    # the first job, in this process, and the second, in its child, each
+    # run their own jobs in their own process; the next call forks again
     _set_cpus(monkeypatch, 4)
     forks = _count_forks(monkeypatch)
-    parent, nested = _run_jobs([os.getpid, lambda: _run_jobs([os.getpid, os.getpid])])
+
+    def nested():
+        return _run_jobs([os.getpid, os.getpid])
+
+    first, second = _run_jobs([nested, nested])
     assert len(forks) == 1
-    assert nested[0] == nested[1] != parent == os.getpid()
+    assert first == [os.getpid()] * 2
+    assert second[0] == second[1] != os.getpid()
+    assert _run_jobs([os.getpid, os.getpid])[1] != os.getpid()
+    assert len(forks) == 2
 
 
 @pytest.mark.parametrize("cpus, jobs", [(8, [os.getpid]), (1, [os.getpid] * 2)])
@@ -220,17 +229,37 @@ def test_a_large_trajectory_table_keeps_its_bytes_with_or_without_a_fork(
 
 @needs_fork
 @pytest.mark.parametrize("cpus, forks", [(2, 1), (1, 0)])
-def test_a_failing_trajectory_job_is_an_error(tmp_path, monkeypatch, capsys,
-                                              no_child_left, cpus, forks):
+@pytest.mark.parametrize("failing", ["table", "series"])
+def test_a_failing_trajectory_job_is_an_error(tmp_path, monkeypatch, capsys, no_child_left,
+                                              failing, cpus, forks):
+    # the table's path is a directory, or the series fail: forked, once the
+    # child has begun the table, which must then be removed; inline, the
+    # series come first and no table is begun
     path, out = tmp_path / "wide.json", tmp_path / "out"
     path.write_text(json.dumps(_phase_scenario(0.255)))
-    (out / "wide_trajectory.csv").mkdir(parents=True)
+    table = out / "wide_trajectory.csv"
+    if failing == "table":
+        table.mkdir(parents=True)
+
+    def order_R(s):
+        deadline = time.perf_counter() + 30
+        while forks and not (table.exists() and table.stat().st_size):
+            assert time.perf_counter() < deadline
+            time.sleep(1e-3)
+        raise SynclabError("the series failed")
+
+    if failing == "series":
+        monkeypatch.setattr(invariants, "order_parameter_R", order_R)
     _set_cpus(monkeypatch, cpus)
     counted = _count_forks(monkeypatch)
     assert main(["--scenario", str(path), "--out", str(out), "--quiet"]) == 1
     assert len(counted) == forks
     err = capsys.readouterr().err
-    assert err.startswith("error: [Errno 21] Is a directory: ")
-    assert str(out / "wide_trajectory.csv") in err
+    if failing == "table":
+        assert err.startswith("error: [Errno 21] Is a directory: ")
+        assert str(table) in err
+    else:
+        assert err == "error: the series failed\n"
+        assert not table.exists()
     assert not (out / "wide_manifest.json").exists()
     assert not (out / "wide_drift.json").exists()
