@@ -26,6 +26,20 @@ steps match the plain formulas kept as the oracle in
 ``tests/test_hotpath_identity.py`` bit for bit, up to the sign of a zero
 that ``dynamics`` describes.
 
+Both fixed-step loops, the single run's and the ragged batch's, step through
+one :class:`_RK4Stepper` bound per run, which runs the steps between two
+records as an inner loop.  The stepper owns the loop's workspace: a stage
+buffer and two accumulators, which take turns as the current state and as
+the next sum, NORMALIZE's row squares and its result.  The kernel owns its
+own scratch.  A step therefore allocates only the four tangents the kernel
+returns and, under NORMALIZE, the column of row norms (a POLAR or a
+caller's projection returns a new state).  Records are copies, and a batch
+member's final state is copied out of the workspace when it retires, so no
+array a run returns is written again.  A complex product rounds differently
+when written into one of its inputs (see ``dynamics``), so each one writes
+into a buffer that is none of them.  DOPRI5 and :func:`polar_factor`
+allocate as before.
+
 Runs that share a model shape integrate together through
 :func:`integrate_batch`: RK4 members advance in one ragged lockstep loop on
 a batch kernel, each member's records and final state equal to its single
@@ -140,9 +154,13 @@ def polar_factor(m: np.ndarray) -> np.ndarray:
     return u
 
 
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    # the operations np.linalg.norm(x, axis=-1, keepdims=True) runs on real x
-    return x / np.sqrt(np.add.reduce(x * x, -1, keepdims=True))
+def _normalize_rows(x: np.ndarray, out=None) -> np.ndarray:
+    """Each row of ``x`` divided by its norm, which is taken with the
+    operations ``np.linalg.norm(x, axis=-1, keepdims=True)`` runs on real x.
+    With ``out``, an array of x's shape that is not x, the squares and then
+    the result are written there."""
+    norms = np.add.reduce(np.multiply(x, x, out), -1, keepdims=True)
+    return np.divide(x, np.sqrt(norms, norms), out)
 
 
 # each projection with the configuration class it fits, that class's name
@@ -192,18 +210,66 @@ _DP_TERMS = np.array([a for row in _DP_A for a in row] + [b for b in _DP_B4 if b
 
 
 def _rk4_coefficients(h, y: np.ndarray) -> list[np.ndarray]:
-    """h/2, h, h/6 and 2 for :func:`_rk4_step`, made once per integration;
+    """h/2, h, h/6 and 2 for :class:`_RK4Stepper`, made once per integration;
     ``h`` is a float, or a column of the steps of a batch's members."""
     return dynamics._scalars(np.result_type(y, 0.5), 0.5 * h, h, h / 6.0, 2.0)
 
 
-def _rk4_step(f, y, coef):
-    half_h, h, sixth_h, two = coef
-    k1 = f(y)
-    k2 = f(y + half_h * k1)
-    k3 = f(y + half_h * k2)
-    k4 = f(y + h * k3)
-    return y + sixth_h * (k1 + two * k2 + two * k3 + k4)
+class _RK4Stepper:
+    """The RK4 steps of one run, in a workspace bound once for states of
+    ``y``'s shape.
+
+    The workspace is a stage buffer and two accumulators.  A step writes
+    each stage point into the stage buffer, and the weighted sum and then
+    the new state into the accumulator that does not hold the current state,
+    with the operations of ``y + h/6 (k1 + 2 k2 + 2 k3 + k4)`` in their
+    order, each output passed positionally as in ``dynamics``.  A complex
+    product may round differently in place, so each writes into a buffer
+    that is none of its inputs.  ``project`` follows each step: given as
+    :func:`_normalize_rows` itself, it writes the squares and then the
+    projected state into the other accumulator, which the step has freed;
+    any other projection returns a new state.  ``f`` must return a new
+    array.  The stepper never writes into a state it is given.
+    """
+
+    def __init__(self, f, y: np.ndarray, coef, project=None):
+        self.f, self.coef, self.project = f, coef, project
+        self.in_place = project is _normalize_rows
+        dtype = np.result_type(y, coef[0])
+        self.stage, self.a, self.b = (np.empty(np.shape(y), dtype) for _ in range(3))
+
+    def advance(self, y: np.ndarray, count: int) -> np.ndarray:
+        """The state ``count`` steps after ``y``.  It lives in the workspace
+        when it is not a projection's new array, so the next call may
+        overwrite it."""
+        f, project, in_place = self.f, self.project, self.in_place
+        half_h, h, sixth_h, two = self.coef
+        stage, a, b = self.stage, self.a, self.b
+        multiply, add = np.multiply, np.add
+        for _ in range(count):
+            acc, spare = (b, a) if y is a else (a, b)
+            k1 = f(y)
+            k2 = f(add(y, multiply(half_h, k1, stage), stage))
+            k3 = f(add(y, multiply(half_h, k2, stage), stage))
+            k4 = f(add(y, multiply(h, k3, stage), stage))
+            add(k1, multiply(two, k2, acc), acc)
+            add(acc, multiply(two, k3, stage), acc)
+            add(acc, k4, acc)
+            add(y, multiply(sixth_h, acc, stage), acc)
+            if in_place:
+                y = project(acc, spare)
+            else:
+                y = acc if project is None else project(acc)
+        return y
+
+    def narrow(self, members, coef, y: np.ndarray) -> np.ndarray:
+        """Keep the ``members`` (an index or a slice) of a stacked run whose
+        state is ``y``, stepped with ``coef`` from now on; returns their
+        state."""
+        held = y is self.a, y is self.b
+        self.stage, self.a, self.b = (w[members] for w in (self.stage, self.a, self.b))
+        self.coef = coef
+        return self.a if held[0] else self.b if held[1] else y[members]
 
 
 def _dopri5_step(f, y, h, k1=None):
@@ -233,8 +299,13 @@ def _check_finite(y):
 
 
 def _fixed_step_count(t_final: float, dt: float) -> int:
-    """Steps of the uniform step h = t_final/n <= dt that divides t_final."""
-    return max(1, int(math.ceil(t_final / dt - 1e-9)))
+    """Steps of the uniform step h = t_final/n <= dt that divides t_final;
+    a count past the float range raises IntegrationError."""
+    ratio = t_final / dt
+    if ratio == math.inf:
+        raise IntegrationError(f"the step count of t_final = {t_final!r} at "
+                               f"dt = {dt!r} overflows")
+    return max(1, int(math.ceil(ratio - 1e-9)))
 
 
 def _record_grid(n_steps: int, every: int, first) -> tuple[np.ndarray, np.ndarray]:
@@ -275,26 +346,24 @@ def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
     y = np.array(y0, copy=True)
     first = y if record is None else record(y)
     if t_final == 0.0:
-        return np.zeros(1), np.asarray(first)[np.newaxis], y
+        return np.zeros(1), np.array(first)[np.newaxis], y
 
     if settings.scheme is Scheme.RK4:
         n_steps = _fixed_step_count(t_final, settings.dt)
         h = t_final / n_steps
-        coef = _rk4_coefficients(h, y)
         every = settings.record_every
         times, states = _record_grid(n_steps, every, first)
         times[0] = 0.0
         states[0] = first
-        j = 1
-        for i in range(1, n_steps + 1):
-            y = _rk4_step(rhs, y, coef)
-            if project is not None:
-                y = project(y)
-            if i % every == 0 or i == n_steps:
-                _check_finite(y)
-                times[j] = i * h
-                states[j] = y if record is None else record(y)
-                j += 1
+        stepper = _RK4Stepper(rhs, y, _rk4_coefficients(h, y), project)
+        i = 0
+        for j in range(1, times.size):
+            stop = min(i + every, n_steps)
+            y = stepper.advance(y, stop - i)
+            i = stop
+            _check_finite(y)
+            times[j] = i * h
+            states[j] = y if record is None else record(y)
         return times, states, y
 
     # DOPRI5 with standard error-per-step control; the record count is not
@@ -370,13 +439,10 @@ def _integrate_ragged(rhs, y0s, settings, t_finals, project, records):
     due = [min(k, n) for k, n in zip(every, steps)]   # next record step
     written = [1] * len(y)
     b, i, stacked = len(y), 0, True
-    coef = _rk4_coefficients(h.reshape(col), y)
+    stepper = _RK4Stepper(rhs, y, _rk4_coefficients(h.reshape(col), y), project)
     while b:
         stop = min(due[:b])
-        for _ in range(stop - i):
-            y = _rk4_step(rhs, y, coef)
-            if project is not None:
-                y = project(y)
+        y = stepper.advance(y, stop - i)
         i = stop
         for m in range(b):
             if due[m] == i:
@@ -389,13 +455,12 @@ def _integrate_ragged(rhs, y0s, settings, t_finals, project, records):
         active = b
         while b and steps[b - 1] == i:
             b -= 1
-            finals[b] = y[b] if stacked else y
+            finals[b] = (y[b] if stacked else y).copy()   # out of the workspace
         if b == 1 and stacked:
-            y, stacked = y[0], False
-            coef = _rk4_coefficients(h[0], y)
+            y, stacked = stepper.narrow(0, _rk4_coefficients(h[0], y), y), False
         elif 1 < b < active:
-            y = y[:b]
-            coef = _rk4_coefficients(h[:b].reshape((b,) + col[1:]), y)
+            y = stepper.narrow(slice(b), _rk4_coefficients(
+                h[:b].reshape((b,) + col[1:]), y), y)
     return list(zip(times, recs, finals))
 
 
@@ -440,22 +505,25 @@ def integrate_batch(runs) -> list:
     other run integrates singly: DOPRI5, whose step control is per run, and
     POLAR, whose Newton iteration stops on the largest update over the whole
     stack, so that a batch would change a member's iteration count and its
-    bits.  When a batch raises, its members integrate singly, so a member
-    fails alone.
+    bits.  A run whose step count overflows integrates singly too, and when
+    a batch raises, its members integrate singly, so a member fails alone.
     """
     runs = list(runs)
-    groups = {}
+    groups, steps = {}, {}
     for k, (cfg, settings, t_final, _) in enumerate(runs):
         key = dynamics.batch_key(cfg)
-        if (key is None or settings.scheme is not Scheme.RK4
-                or settings.projection is Projection.POLAR or not 0.0 < t_final < math.inf):
-            key = k
-        groups.setdefault((key, settings.projection), []).append(k)
+        if (key is not None and settings.scheme is Scheme.RK4
+                and settings.projection is not Projection.POLAR and 0.0 < t_final < math.inf):
+            try:
+                steps[k] = _fixed_step_count(t_final, settings.dt)
+            except IntegrationError:  # raised again by the run's single run
+                pass
+        groups.setdefault((key if k in steps else k, settings.projection), []).append(k)
     out = [None] * len(runs)
     for members in groups.values():
         results = None
         if len(members) > 1:
-            members.sort(key=lambda k: -_fixed_step_count(runs[k][2], runs[k][1].dt))
+            members.sort(key=lambda k: -steps[k])
             cfgs, settings, t_finals, records = zip(*(runs[k] for k in members))
             try:
                 results = _integrate_array(

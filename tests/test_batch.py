@@ -148,6 +148,18 @@ def test_criterion_14_members_equal_their_single_runs(monkeypatch):
     _assert_members_match(runs, monkeypatch, loops=1)
 
 
+@pytest.mark.parametrize("projection", [Projection.NONE, Projection.NORMALIZE])
+def test_retiring_members_keep_their_final_states(projection, monkeypatch):
+    # members of 50, 35, 20, 5 and 5 steps whose records are functionals, so
+    # only the final state holds each member's state: each is copied out of
+    # the loop's workspace as its member retires, while the others step on
+    rng = np.random.default_rng(19)
+    runs = [(_sphere_cfg(rng, omega="none"), IntegratorSettings(dt=1e-2, projection=projection),
+             t_final, aggregation_diameter) for t_final in (0.5, 0.35, 0.2, 0.05, 0.05)]
+    _assert_members_match(runs, monkeypatch, loops=1)
+    assert all(final.flags.owndata for _, _, final in integrate_batch(runs))
+
+
 # ---------------------------------------------------------------------------
 # one loop per group
 
@@ -207,6 +219,21 @@ def test_a_non_finite_member_fails_alone():
             integrate_functional(*runs[1])
     assert isinstance(out[1], IntegrationError)
     assert all(_same_bits(a, b) for a, b in zip(out[0], integrate_functional(*runs[0])))
+
+
+def test_a_member_whose_step_count_overflows_fails_alone():
+    # t_final / dt overflows the float range: the members that cannot count
+    # their steps integrate singly and return the error their single run
+    # raises, and the others still run as one batch
+    rng = np.random.default_rng(21)
+    runs = [(*_phase_run(rng, Flavor.SINE, dt=dt), 20.0, np.sum)
+            for dt in (1e-320, 5e-324, 0.5, 0.25)]
+    out = integrate_batch(runs)
+    for k in (0, 1):
+        assert isinstance(out[k], IntegrationError)
+        assert "t_final = 20.0" in str(out[k]) and f"dt = {runs[k][1].dt!r}" in str(out[k])
+    for k in (2, 3):
+        assert all(_same_bits(a, b) for a, b in zip(out[k], integrate_functional(*runs[k])))
 
 
 def test_a_refused_projection_fails_each_member():

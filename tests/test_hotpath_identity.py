@@ -8,6 +8,9 @@ patterns, never a tolerance.  The one exception is the one ``dynamics``
 names: where the oracle's result holds an exact zero (a real number, or a
 real or imaginary part), the kernel that skips a zero drive, a zero nu or a
 product by the identity may return the zero of the other sign.
+
+The kernels and the RK4 stepper write into buffers bound once; the last
+section checks that what they return is never one of those buffers.
 """
 
 import itertools
@@ -23,8 +26,8 @@ from synclab.integrate import (
     _dopri5_step,
     _integrate_array,
     _normalize_rows,
+    _RK4Stepper,
     _rk4_coefficients,
-    _rk4_step,
     integrate,
     polar_factor,
 )
@@ -219,6 +222,21 @@ def test_unitary_rhs_is_bitwise_identical(shared, n):
         _assert_rhs_identity(cfg, cfg.u, cfg.u + 0.1 * noise)
 
 
+# U(1): each unitary is one complex number, and a 1-element complex product
+# written into one of its own inputs rounds differently at this numpy
+U1_SIZES = (1, 8)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-h", "stacked-h"])
+@pytest.mark.parametrize("n", U1_SIZES)
+def test_u1_rhs_is_bitwise_identical(shared, n):
+    rng = np.random.default_rng(350 + n)
+    for _ in range(DRAWS):
+        cfg = _unitary_cfg(rng, n, 1, shared)
+        noise = rng.standard_normal(cfg.u.shape) + 1j * rng.standard_normal(cfg.u.shape)
+        _assert_rhs_identity(cfg, cfg.u, cfg.u + 0.1 * noise)
+
+
 # each skip make_rhs binds (a zero nu, a zero shared Omega or H, V = I and
 # kappa = 1) on its own and with the others, with kappa = -1 beside them; the
 # exact equilibria among the states (N = 1 on the sphere, a stack of equal
@@ -278,8 +296,19 @@ def test_rk4_step_is_bitwise_identical(n):
                     _sphere_cfg(rng, n, 2, draw % 2 == 0, 1.0),
                     _unitary_cfg(rng, n, 2, draw % 2 == 0)) + _default_cfgs(rng, n):
             y = dynamics.state_of(cfg)
-            ours = _rk4_step(dynamics.make_rhs(cfg), y, _rk4_coefficients(h, y))
+            ours = _RK4Stepper(dynamics.make_rhs(cfg), y, _rk4_coefficients(h, y)).advance(y, 1)
             _assert_same_bits(ours, _oracle_rk4_step(_oracle_rhs(cfg), y, h))
+
+
+@pytest.mark.parametrize("n", U1_SIZES)
+def test_u1_rk4_step_is_bitwise_identical(n):
+    rng = np.random.default_rng(420 + n)
+    for draw in range(DRAWS):
+        h = rng.uniform(1e-4, 0.1)
+        cfg = _unitary_cfg(rng, n, 1, draw % 2 == 0)
+        y = dynamics.state_of(cfg)
+        ours = _RK4Stepper(dynamics.make_rhs(cfg), y, _rk4_coefficients(h, y)).advance(y, 1)
+        _assert_same_bits(ours, _oracle_rk4_step(_oracle_rhs(cfg), y, h))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -351,6 +380,28 @@ def test_polar_projected_run_is_bitwise_identical():
     _assert_same_bits(final, _oracle_integrate(cfg, 1e-2, 1.0, _oracle_polar_factor))
 
 
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-h", "stacked-h"])
+@pytest.mark.parametrize("n", U1_SIZES)
+def test_u1_polar_projected_run_is_bitwise_identical(shared, n):
+    rng = np.random.default_rng(70 + n)
+    cfg = _unitary_cfg(rng, n, 1, shared)
+    settings = IntegratorSettings(dt=1e-2, record_every=10 ** 9,
+                                  projection=Projection.POLAR)
+    final = integrate(cfg, settings, 1.0).final_state
+    _assert_same_bits(final, _oracle_integrate(cfg, 1e-2, 1.0, _oracle_polar_factor))
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_single_oscillator_run_is_bitwise_identical(flavor):
+    # N = 1: the phase kernel's complex rows hold one element each
+    rng = np.random.default_rng(71)
+    for _ in range(4):
+        cfg = _phase_cfg(rng, 1, flavor)
+        settings = IntegratorSettings(dt=1e-2, record_every=10 ** 9)
+        final = integrate(cfg, settings, 1.0).final_state
+        _assert_same_bits(final, _oracle_integrate(cfg, 1e-2, 1.0, lambda y: y))
+
+
 def _oracle_dopri5_run(f, y, settings, t_final):
     """The adaptive DOPRI5 loop on the plain step, which evaluates all seven
     stages of every attempt: (times, records, attempts, rejections)."""
@@ -396,3 +447,71 @@ def test_unprojected_dopri5_run_is_bitwise_identical(flavor):
     _assert_same_bits(states, want_states)
     _assert_same_bits(final, want_states[-1])
     assert len(calls) == 6 * attempts + 1
+
+
+# ---------------------------------------------------------------------------
+# workspaces: a bound kernel and the stepper write into buffers of their own,
+# and what they return must not be one of them
+
+
+def _kernel_cases(rng, n):
+    """Configurations that take each branch of the three kernels: every skip
+    on and off, the drive absent, shared and per particle."""
+    for flavor, nu in itertools.product(Flavor, (0.0, 1.0)):
+        yield make_phase_config(rng.uniform(-4.0, 10.0, n), nu * rng.standard_normal(n),
+                                rng.choice(KAPPAS), rng.uniform(-1.5, 1.5), flavor)
+    for drive, identity, kappa in itertools.product(("zero", "shared", "stacked"),
+                                                    (True, False), (1.0, 1.7)):
+        omega = {"zero": None, "shared": rng.standard_normal((3, 3)),
+                 "stacked": rng.standard_normal((n, 3, 3))}[drive]
+        a, w = (1.0, None) if identity else (1.3, rng.standard_normal((3, 3)))
+        yield make_sphere_config(rng.standard_normal((n, 3)), omega, kappa, a, w)
+        shape = {"zero": None, "shared": (2, 2), "stacked": (n, 2, 2)}[drive]
+        h = None if shape is None else rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        u = np.array([random_unitary(rng, 2) for _ in range(n)])
+        yield make_unitary_config(u, h, kappa, None if identity else random_unitary(rng, 2))
+
+
+def _assert_tangent_kept(rhs, y, other):
+    k = rhs(y)
+    kept = k.copy()
+    k_other = rhs(other)
+    assert not np.shares_memory(k, k_other)
+    assert k.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("n", (1, 8))
+def test_a_tangent_outlives_the_kernels_next_call(n):
+    rng = np.random.default_rng(1100 + n)
+    for cfg in _kernel_cases(rng, n):
+        y = dynamics.state_of(cfg)
+        _assert_tangent_kept(dynamics.make_rhs(cfg), y, y + 0.1 * rng.standard_normal(y.shape))
+
+
+@pytest.mark.parametrize("n", (1, 8))
+def test_a_batch_tangent_outlives_the_kernels_next_call(n):
+    rng = np.random.default_rng(1200 + n)
+    cfgs = [cfg for cfg in _kernel_cases(rng, n) if dynamics.batch_key(cfg) is not None]
+    for key in {dynamics.batch_key(cfg) for cfg in cfgs}:
+        group = [cfg for cfg in cfgs if dynamics.batch_key(cfg) == key]
+        group = (group * 3)[:3]
+        rhs = dynamics.make_batch_rhs(group)
+        y = np.stack([dynamics.state_of(cfg) for cfg in group])
+        for b in (3, 2):
+            _assert_tangent_kept(rhs, y[:b], y[:b] + 0.1 * rng.standard_normal(y[:b].shape))
+        _assert_tangent_kept(rhs, y[0], y[1])
+
+
+@pytest.mark.parametrize("scheme, t_final", [(Scheme.RK4, 0.5), (Scheme.DOPRI5, 0.5),
+                                             (Scheme.RK4, 0.0)], ids=["rk4", "dopri5", "t0"])
+@pytest.mark.parametrize("projection", [Projection.NONE, Projection.NORMALIZE])
+def test_the_final_state_shares_no_memory_with_the_records(scheme, t_final, projection):
+    cfg = make_sphere_config(np.random.default_rng(13).standard_normal((5, 3)))
+    settings = IntegratorSettings(scheme=scheme, dt=1e-2, record_every=7,
+                                  projection=projection)
+    project = {Projection.NONE: None, Projection.NORMALIZE: _normalize_rows}[projection]
+    times, states, final = _integrate_array(dynamics.make_rhs(cfg), cfg.x, settings,
+                                            t_final, project)
+    assert not np.shares_memory(final, states)
+    assert not np.shares_memory(final, cfg.x)
+    _assert_same_bits(final, states[-1])

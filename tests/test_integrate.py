@@ -151,6 +151,13 @@ def test_a_record_grid_too_large_to_allocate_is_an_integration_error(dt, loop):
         _integrate_array(*args)
 
 
+@pytest.mark.parametrize("dt", [1e-320, 5e-324])
+def test_a_step_count_past_the_float_range_is_an_integration_error(dt):
+    cfg = random_phase_config(np.random.default_rng(3), 4)
+    with pytest.raises(IntegrationError, match=rf"t_final = 20\.0 at dt = {dt!r} overflows"):
+        integrate(cfg, IntegratorSettings(dt=dt), 20.0)
+
+
 def test_dopri5_nan_error_estimate_ends_the_run():
     # y' = y turns NaN once |y| > 1.5 (at t = ln 1.5): every later error
     # estimate is NaN, which must shrink the step until it underflows
@@ -252,6 +259,14 @@ def test_package_attribute_is_the_integrate_module():
 # in-place recording
 
 
+def _rk4_step(f, y, h):
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _integrate_lists(rhs, y0, settings, t_final, project=None):
     """Oracle for ``_integrate_array``: the list-append recording loop it
     replaced, which appends a copy of every record and stacks both lists at
@@ -265,9 +280,8 @@ def _integrate_lists(rhs, y0, settings, t_final, project=None):
     if settings.scheme is Scheme.RK4:
         n_steps = max(1, int(np.ceil(t_final / settings.dt - 1e-9)))
         h = t_final / n_steps
-        coef = integ._rk4_coefficients(h, y)
         for i in range(1, n_steps + 1):
-            y = integ._rk4_step(rhs, y, coef)
+            y = _rk4_step(rhs, y, h)
             if project is not None:
                 y = project(y)
             if i % settings.record_every == 0 or i == n_steps:

@@ -809,6 +809,18 @@ def test_cli_dt_override_causes_failure_exit(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("dt", ["1e-320", "5e-324"])
+def test_cli_step_count_overflow_is_an_integration_error(tmp_path, capsys, dt):
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(_kuramoto_doc("overflow", t_final=20.0)))
+    code = main(["--scenario", str(path), "--out", str(tmp_path / "out"), "--dt", dt,
+                 "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the step count of t_final = 20.0 at dt = ")
+    assert "overflows" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flag, value, pointer", [
     ("--seed", "-1", "$.seed: "),
     ("--dt", "-0.01", "$.integrator.dt: "),
