@@ -37,13 +37,13 @@ underflow.  ``tests/test_hotpath_identity.py`` holds the plain formulas as
 the oracle; a rewrite that changes any other bit is a behaviour change.
 
 :func:`make_batch_rhs` binds a batch of circle or sphere configurations of
-one shape into a kernel on their stacked states.  The circle kernel is the
-single one with its constants as (B, 1) columns and the phase sum taken
-along the last axis; the sphere kernel is a second implementation whose
-stacked ``np.matmul`` products round like the single kernel's ``np.dot``
-(a fact about this numpy, which ``tests/test_batch.py`` checks).  Each
-member's tangent equals its single kernel's bit for bit, up to the sign of
-the zeros that a term dropped for one member but kept for the batch leaves.
+one shape into a kernel on their stacked states, the same kernel bound
+stacked: the circle's takes its constants as (B, 1) columns and the phase
+sum along the last axis, the sphere's its constants as (B, 1, 1) blocks and
+each ``np.dot`` as a stacked ``np.matmul``, which rounds like it (a fact
+about this numpy, which ``tests/test_batch.py`` checks).  Each member's
+tangent equals its single kernel's bit for bit, up to the sign of the zeros
+that a term dropped for one member but kept for the batch leaves.
 
 Sign convention for the cosine flavor: the coupling is
 cos(theta_j - theta_k + alpha), equivalently cos(theta_k - theta_j - alpha).
@@ -80,7 +80,7 @@ def make_rhs(cfg: Config):
     if isinstance(cfg, PhaseConfig):
         return _bind_phase([cfg], stacked=False)
     if isinstance(cfg, SphereConfig):
-        return _bind_sphere(cfg)
+        return _bind_sphere([cfg], stacked=False)
     if isinstance(cfg, UnitaryConfig):
         return _bind_unitary(cfg)
     raise TypeError(f"not a model configuration: {type(cfg)!r}")
@@ -127,80 +127,56 @@ def _bind_phase(cfgs: list[PhaseConfig], stacked: bool):
     return rhs
 
 
-def _bind_sphere(cfg: SphereConfig):
-    v = None if cfg.a == 1.0 and not cfg.w.any() else cfg.v
-    n, kappa = _scalars(float, cfg.n, cfg.kappa)
-    gain = None if cfg.kappa == 1.0 else kappa
-    dot, multiply, divide, subtract = np.dot, np.multiply, np.divide, np.subtract
-    add_reduce = np.add.reduce
+def _bind_sphere(cfgs: list[SphereConfig], stacked: bool):
+    """The kernel of one configuration on its (N, d+1) rows, its constants
+    0-d and its products ``np.dot``, or with ``stacked`` of a batch of one
+    Omega form on their (B, N, d+1) stack, each member's V, kappa and Omega
+    stacked and each product a stacked ``np.matmul``, which rounds like
+    ``np.dot``.  A term is dropped only where every member drops it."""
+    stack = lambda arrays: np.stack(arrays) if stacked else arrays[0]
+    v = None if all(c.a == 1.0 and not c.w.any() for c in cfgs) else stack(
+        [c.v for c in cfgs])
+    n, = _scalars(float, cfgs[0].n)
+    shape = (len(cfgs), 1, 1) if stacked else ()
+    kappa = np.array([c.kappa for c in cfgs], dtype=float).reshape(shape)
+    size = shape[:1] + cfgs[0].x.shape
+    gain = None if (kappa == 1.0).all() else kappa
+    product = np.matmul if stacked else np.dot
+    multiply, divide, subtract = np.multiply, np.divide, np.subtract
+    add_reduce, axis = np.add.reduce, int(stacked)
     drive = None
-    if not cfg.shared_omega:
-        omega, d = cfg.omega, np.empty(cfg.x.shape)
+    if not cfgs[0].shared_omega:
+        omega, d = stack([c.omega for c in cfgs]), np.empty(size)
+        spec = "bnij,bnj->bni" if stacked else "nij,nj->ni"
 
         def drive(x):
-            return np.einsum("nij,nj->ni", omega, x, out=d)
-    elif cfg.omega.any():
-        omega_t, d = cfg.omega.T, np.empty(cfg.x.shape)
+            return np.einsum(spec, omega, x, out=d)
+    elif any(c.omega.any() for c in cfgs):
+        omega_t, d = stack([c.omega.T for c in cfgs]), np.empty(size)
 
         def drive(x):
-            return dot(x, omega_t, d)
+            return product(x, omega_t, d)
     # scratch: the centroid, V times it, <x_i, V x_c> and the coupling; a
-    # call's last operation allocates the tangent it returns
-    xc, p, dx = np.empty(cfg.x.shape[1]), np.empty(cfg.n), np.empty(cfg.x.shape)
-    vxc, column = (xc if v is None else np.empty_like(xc)), p[:, None]
+    # call's last operation allocates the tangent it returns.  Stacked, the
+    # centroid enters the products as a (B, d+1, 1) column and <x_i, V x_c>
+    # leaves them as a (B, N, 1) one
+    xc, dx = np.empty(shape[:1] + size[-1:]), np.empty(size)
+    if stacked:
+        c, p = xc[..., None], np.empty(size[:-1] + (1,))
+    else:
+        c, p = xc, np.empty(size[:-1])
+    vxc = c if v is None else np.empty(c.shape)
+    column, row = (p, vxc.swapaxes(1, 2)) if stacked else (p[:, None], vxc)
     coupled = None if gain is None and drive is None else dx
     scaled = None if drive is None else dx
 
     def rhs(x):
         # sum_k V x_k = N * V x_c, so the coupling costs one small matvec
-        divide(add_reduce(x, 0, None, xc), n, xc)
+        divide(add_reduce(x, axis, None, xc), n, xc)
         if v is not None:
-            dot(v, xc, vxc)
-        dot(x, vxc, p)
-        out = subtract(vxc, multiply(column, x, dx), coupled)
-        out = out if gain is None else multiply(gain, out, scaled)
-        return out if drive is None else drive(x) + out
-    return rhs
-
-
-def _bind_sphere_batch(cfgs: list[SphereConfig]):
-    """The sphere kernel on the (B, N, d+1) stack of a batch of one Omega
-    form: the single kernel's steps with each member's V, kappa and Omega
-    stacked, each ``np.dot`` a stacked ``np.matmul``.  A term is dropped only
-    where every member drops it."""
-    v = np.stack([c.v for c in cfgs]) if any(
-        c.a != 1.0 or c.w.any() for c in cfgs) else None
-    n, = _scalars(float, cfgs[0].n)
-    kappa = np.array([c.kappa for c in cfgs])[:, None, None]
-    gain = None if (kappa == 1.0).all() else kappa
-    matmul, multiply, divide, subtract = np.matmul, np.multiply, np.divide, np.subtract
-    add_reduce = np.add.reduce
-    size = (len(cfgs),) + cfgs[0].x.shape
-    drive = None
-    if not cfgs[0].shared_omega:
-        omega, d = np.stack([c.omega for c in cfgs]), np.empty(size)
-
-        def drive(x):
-            return np.einsum("bnij,bnj->bni", omega, x, out=d)
-    elif any(c.omega.any() for c in cfgs):
-        omega_t, d = np.stack([c.omega.T for c in cfgs]), np.empty(size)
-
-        def drive(x):
-            return matmul(x, omega_t, d)
-    # scratch as in the single kernel, V x_c of each member a (B, d+1, 1)
-    # column
-    xc, p, dx = np.empty((size[0], size[2])), np.empty(size[:2] + (1,)), np.empty(size)
-    column = xc[..., None]
-    vxc = column if v is None else np.empty(column.shape)
-    row = vxc.swapaxes(1, 2)
-    coupled = None if gain is None and drive is None else dx
-    scaled = None if drive is None else dx
-
-    def rhs(x):
-        divide(add_reduce(x, 1, None, xc), n, xc)
-        if v is not None:
-            matmul(v, column, vxc)
-        out = subtract(row, multiply(matmul(x, vxc, p), x, dx), coupled)
+            product(v, c, vxc)
+        product(x, vxc, p)
+        out = subtract(row, multiply(column, x, dx), coupled)
         out = out if gain is None else multiply(gain, out, scaled)
         return out if drive is None else drive(x) + out
     return rhs
@@ -223,14 +199,13 @@ def make_batch_rhs(cfgs: list[Config]):
 
     Given the (b, ...) stack of the first b >= 2 members' states it returns
     their stacked tangents, through a kernel bound once per b; given a state
-    of one member's rank it is the first member's :func:`make_rhs` kernel.
+    of one member's rank it is the first member's :func:`make_rhs` kernel,
+    so a batch's last member steps as its single run does, a single run
+    being the one-member case.
     """
     first = make_rhs(cfgs[0])
     rank = state_of(cfgs[0]).ndim
-    if isinstance(cfgs[0], PhaseConfig):
-        bind = lambda members: _bind_phase(members, stacked=True)
-    else:
-        bind = _bind_sphere_batch
+    bind = _bind_phase if isinstance(cfgs[0], PhaseConfig) else _bind_sphere
     kernels = {}
 
     def rhs(y):
@@ -238,7 +213,7 @@ def make_batch_rhs(cfgs: list[Config]):
             return first(y)
         kernel = kernels.get(len(y))
         if kernel is None:
-            kernel = kernels[len(y)] = bind(cfgs[:len(y)])
+            kernel = kernels[len(y)] = bind(cfgs[:len(y)], stacked=True)
         return kernel(y)
     return rhs
 

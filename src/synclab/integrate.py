@@ -26,16 +26,16 @@ steps match the plain formulas kept as the oracle in
 ``tests/test_hotpath_identity.py`` bit for bit, up to the sign of a zero
 that ``dynamics`` describes.
 
-Both fixed-step loops, the single run's and the ragged batch's, step through
-one :class:`_RK4Stepper` bound per run, which runs the steps between two
-records as an inner loop.  The stepper owns the loop's workspace: a stage
-buffer and two accumulators, which take turns as the current state and as
-the next sum, NORMALIZE's row squares and its result.  The kernel owns its
-own scratch.  A step therefore allocates only the four tangents the kernel
-returns and, under NORMALIZE, the column of row norms (a POLAR or a
-caller's projection returns a new state).  Records are copies, and a batch
-member's final state is copied out of the workspace when it retires, so no
-array a run returns is written again.  A complex product rounds differently
+There is one fixed-step loop, :func:`_integrate_ragged`, and a single RK4
+run is its one-member case.  It steps through one :class:`_RK4Stepper`
+bound per run, which runs the steps between two records as an inner loop.
+The stepper owns the loop's workspace: a stage buffer and two accumulators,
+which take turns as the current state and as the next sum, NORMALIZE's row
+squares and its result.  The kernel owns its own scratch.  A step therefore
+allocates only the four tangents the kernel returns and, under NORMALIZE,
+the column of row norms (a POLAR or a caller's projection returns a new
+state).  Records are copies, and each member's final state is copied out of
+the workspace when it retires, so no array a run returns is written again.  A complex product rounds differently
 when written into one of its inputs (see ``dynamics``), so each one writes
 into a buffer that is none of them.  DOPRI5 and :func:`polar_factor`
 allocate as before.
@@ -85,8 +85,8 @@ class IntegratorSettings:
         # a string here would fall through to DOPRI5 or fail a table lookup
         if not (isinstance(self.scheme, Scheme) and isinstance(self.projection, Projection)):
             raise ValueError("scheme and projection must be Scheme and Projection members")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and positive")
         if not (0 < self.rtol <= 1e-2 and 0 < self.atol <= 1e-2):
             raise ValueError("tolerances must lie in (0, 1e-2]")
         if not (isinstance(self.record_every, numbers.Integral) and self.record_every >= 1):
@@ -308,19 +308,21 @@ def _fixed_step_count(t_final: float, dt: float) -> int:
     return max(1, int(math.ceil(ratio - 1e-9)))
 
 
-def _record_grid(n_steps: int, every: int, first) -> tuple[np.ndarray, np.ndarray]:
-    """Empty times and records of an RK4 run of ``n_steps`` steps recording
-    every ``every`` steps and at the last, ``first`` being its first record;
-    a grid too large to allocate raises IntegrationError."""
+def _record_grid(n_steps: int, every: int, h: float, first) -> tuple[np.ndarray, np.ndarray]:
+    """The times and empty records of an RK4 run of ``n_steps`` steps of
+    ``h`` recording every ``every`` steps and at the last, ``first`` being
+    its first record; a grid too large to allocate raises IntegrationError."""
     n_records = 1 + n_steps // every + (n_steps % every != 0)
     try:
         # each step returns the coefficients' dtype, y0's promoted to float;
         # a functional's records take its own dtype, promoted the same way
-        return (np.empty(n_records), np.empty((n_records,) + np.shape(first),
-                                              np.result_type(first, 0.5)))
+        states = np.empty((n_records,) + np.shape(first), np.result_type(first, 0.5))
+        # record j follows step i = min(j * every, n_steps), at i * h
+        steps = np.arange(n_records) * float(min(every, n_steps))
     except (MemoryError, ValueError) as exc:  # numpy's too large, too many
         raise IntegrationError(f"cannot allocate {n_records:.4g} records of shape "
                                f"{np.shape(first)}: {exc}") from exc
+    return np.minimum(steps, float(n_steps)) * h, states
 
 
 def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
@@ -337,34 +339,19 @@ def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
 
     A batch of RK4 runs passes ``y0``, ``settings``, ``t_final`` and
     ``record`` as lists with one entry per member, and gets one such triple
-    per member back; see :func:`_integrate_ragged`.
+    per member back; see :func:`_integrate_ragged`, which also steps a
+    single RK4 run with t_final > 0 as a batch of one.
     """
     if not isinstance(settings, IntegratorSettings):
         return _integrate_ragged(rhs, y0, settings, t_final, project, record)
     if not 0.0 <= t_final < math.inf:
         raise ValueError("t_final must be finite and non-negative")
+    if settings.scheme is Scheme.RK4 and t_final > 0.0:
+        return _integrate_ragged(rhs, [y0], [settings], [t_final], project, [record])[0]
     y = np.array(y0, copy=True)
     first = y if record is None else record(y)
     if t_final == 0.0:
         return np.zeros(1), np.array(first)[np.newaxis], y
-
-    if settings.scheme is Scheme.RK4:
-        n_steps = _fixed_step_count(t_final, settings.dt)
-        h = t_final / n_steps
-        every = settings.record_every
-        times, states = _record_grid(n_steps, every, first)
-        times[0] = 0.0
-        states[0] = first
-        stepper = _RK4Stepper(rhs, y, _rk4_coefficients(h, y), project)
-        i = 0
-        for j in range(1, times.size):
-            stop = min(i + every, n_steps)
-            y = stepper.advance(y, stop - i)
-            i = stop
-            _check_finite(y)
-            times[j] = i * h
-            states[j] = y if record is None else record(y)
-        return times, states, y
 
     # DOPRI5 with standard error-per-step control; the record count is not
     # known in advance, so records are listed and stacked once at the end.
@@ -409,58 +396,70 @@ def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
 
 
 def _integrate_ragged(rhs, y0s, settings, t_finals, project, records):
-    """RK4 runs of equal state shape advanced in lockstep on their stack.
+    """RK4 runs of equal state shape advanced in lockstep on their stack; a
+    single run is the one-member case.
 
     Member m takes its own n_m steps of t_final_m/n_m, records at its own
     stride, checks its own records finite and keeps its own preallocated
     records, exactly as its single run would.  Members come in order of
     non-increasing step count, so a member retires after its last step and
     the active ones are always a prefix of the batch: ``rhs`` is called on
-    the stack of the first b members while b >= 2 and, once one member is
-    left, on that member's state alone, with 0-d coefficients as in a single
-    run.  ``project`` must act row by row.  The loop stops only at steps
-    where some member records, so a step costs no per-member test.
+    the stack of the first b members while b >= 2 and, from the start of a
+    single run or once one member is left, on that member's state alone,
+    with 0-d coefficients.  ``project`` must act row by row.  The loop stops
+    only at steps where some member records, so a step costs no per-member
+    test.
     """
     steps = [_fixed_step_count(t, s.dt) for t, s in zip(t_finals, settings)]
     if steps != sorted(steps, reverse=True):
         raise ValueError("batch members must come in order of non-increasing step count")
-    h = np.array([t / n for t, n in zip(t_finals, steps)])
+    h = [t / n for t, n in zip(t_finals, steps)]
     every = [s.record_every for s in settings]
-    y = np.array(y0s)
-    col = (len(y),) + (1,) * (y.ndim - 1)
-    times, recs, finals = [], [], [None] * len(y)
+    b, rank = len(y0s), np.ndim(y0s[0])
+    stacked = b > 1
+    y = np.array(y0s) if stacked else np.array(y0s[0])
+
+    def coefficients(b):
+        """The coefficients of the first b members: 0-d for one member,
+        (b, 1, ...) columns for a stack."""
+        if b == 1:
+            return _rk4_coefficients(h[0], y)
+        return _rk4_coefficients(np.reshape(h[:b], (b,) + (1,) * rank), y)
+
+    times, recs, finals = [], [], [None] * b
     for m, (n, k, record) in enumerate(zip(steps, every, records)):
-        first = y[m] if record is None else record(y[m])
-        grid_times, grid = _record_grid(n, k, first)
+        ym = y[m] if stacked else y
+        first = ym if record is None else record(ym)
+        grid_times, grid = _record_grid(n, k, h[m], first)
+        grid[0] = first
         times.append(grid_times)
         recs.append(grid)
-        times[m][0] = 0.0
-        recs[m][0] = first
-    due = [min(k, n) for k, n in zip(every, steps)]   # next record step
-    written = [1] * len(y)
-    b, i, stacked = len(y), 0, True
-    stepper = _RK4Stepper(rhs, y, _rk4_coefficients(h.reshape(col), y), project)
+    due = [min(k, n) for k, n in zip(every, steps)]   # each active member's next record
+    written = [0] * b
+    i, last = 0, steps[-1]   # the step at which the next member retires
+    stepper = _RK4Stepper(rhs, y, coefficients(b), project)
     while b:
-        stop = min(due[:b])
+        stop = min(due)
         y = stepper.advance(y, stop - i)
         i = stop
-        for m in range(b):
-            if due[m] == i:
+        for m, when in enumerate(due):
+            if when == i:
                 ym = y[m] if stacked else y
                 _check_finite(ym)
-                times[m][written[m]] = i * h[m]
-                recs[m][written[m]] = ym if records[m] is None else records[m](ym)
-                written[m] += 1
-                due[m] = min(i + every[m], steps[m])
-        active = b
-        while b and steps[b - 1] == i:
-            b -= 1
-            finals[b] = (y[b] if stacked else y).copy()   # out of the workspace
-        if b == 1 and stacked:
-            y, stacked = stepper.narrow(0, _rk4_coefficients(h[0], y), y), False
-        elif 1 < b < active:
-            y = stepper.narrow(slice(b), _rk4_coefficients(
-                h[:b].reshape((b,) + col[1:]), y), y)
+                j = written[m] = written[m] + 1
+                recs[m][j] = ym if records[m] is None else records[m](ym)
+                nxt = i + every[m]   # min(nxt, steps[m]) without a call per record
+                due[m] = nxt if nxt < steps[m] else steps[m]
+        if i == last:
+            while b and steps[b - 1] == i:
+                b -= 1
+                finals[b] = (y[b] if stacked else y).copy()   # out of the workspace
+            del due[b:]
+            last = steps[b - 1]
+            if b == 1 and stacked:
+                y, stacked = stepper.narrow(0, coefficients(1), y), False
+            elif b > 1:
+                y = stepper.narrow(slice(b), coefficients(b), y)
     return list(zip(times, recs, finals))
 
 
@@ -564,13 +563,13 @@ def convergence_order(cfg: Config, scheme: Scheme, t_final: float = 1.0,
     propagates its 5th-order solution).  A non-finite run raises
     IntegrationError; when the step-halving differences vanish, the scheme
     is exact on this problem and ``exact`` is reported instead of an order.
-    A t_final that is not finite and positive raises ValueError.
+    A t_final or a dt that is not finite and positive raises ValueError.
     """
     if not 0.0 < t_final < math.inf:
         raise ValueError("t_final must be finite and positive")
     rhs = dynamics.make_rhs(cfg)
     y0 = dynamics.state_of(cfg)
-    n = _fixed_step_count(t_final, dt)
+    n = _fixed_step_count(t_final, IntegratorSettings(dt=dt).dt)
 
     def run(steps):
         h = t_final / steps

@@ -176,6 +176,32 @@ def test_a_group_makes_one_loop_call(k, monkeypatch):
     assert callable(rhs) and len(y0s) == len(settings) == k
 
 
+def _counted_functional():
+    calls = []
+
+    def functional(y):
+        calls.append(None)
+        return float(y[0])
+    return functional, calls
+
+
+def test_a_record_functional_is_called_once_per_record(monkeypatch):
+    # the loop evaluates the first record; its entry must not evaluate it too
+    loop = _spy_on_the_loop(monkeypatch)
+    f, calls = _counted_functional()
+    times, _, _ = integrate_functional(make_phase_config([0.1, 0.5, 1.0]),
+                                       IntegratorSettings(dt=0.1, record_every=3), 1.0, f)
+    assert len(times) == len(calls) == 5
+    assert len(loop) == 1
+    rng = np.random.default_rng(16)
+    counted = [_counted_functional() for _ in range(3)]
+    runs = [(*_phase_run(rng, Flavor.SINE, dt=1e-2, record_every=every), t_final, f)
+            for (f, _), every, t_final in zip(counted, (1, 3, 7), (0.3, 0.2, 0.1))]
+    results = integrate_batch(runs)
+    assert len(loop) == 2
+    assert [len(times) for times, _, _ in results] == [len(c) for _, c in counted] == [31, 8, 3]
+
+
 def test_dopri5_and_polar_runs_integrate_singly(monkeypatch):
     rng = np.random.default_rng(15)
     runs = [(*_phase_run(rng, Flavor.SINE, dt=1e-2, scheme=Scheme.DOPRI5), 0.2, None)
@@ -319,6 +345,20 @@ def test_convergence_order_refuses_a_horizon_that_is_not_positive(scheme, t_fina
     cfg = make_phase_config([0.1, 0.5, 1.0])
     with pytest.raises(ValueError, match="t_final must be finite and positive"):
         synclab.integrate.convergence_order(cfg, scheme, t_final=t_final)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("dt", [0.0, -0.02, math.nan, math.inf])
+def test_convergence_order_refuses_a_step_that_is_not_positive(scheme, dt):
+    cfg = make_phase_config([0.1, 0.5, 1.0])
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        synclab.integrate.convergence_order(cfg, scheme, dt=dt)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+def test_settings_refuse_a_step_that_is_not_finite_and_positive(dt):
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        IntegratorSettings(dt=dt)
 
 
 @pytest.mark.parametrize("every", [2.5, 1.0, "2"])
