@@ -137,8 +137,9 @@ def polar_factor(m: np.ndarray) -> np.ndarray:
     Newton iteration U <- (U + U^{-*})/2; quadratically convergent for the
     nearly-unitary matrices produced by one integrator step, and dimension
     here is small (<= 16), so no external decomposition is needed.  The
-    iteration stops once no entry moves by ``POLAR_TOL`` or more, and after
-    ``POLAR_MAX_ITER`` steps at the latest.  Accepts a single matrix or a
+    iteration stops once no entry moves by ``POLAR_TOL`` or more; an
+    iteration still moving after ``POLAR_MAX_ITER`` steps raises
+    IntegrationError, naming its last update.  Accepts a single matrix or a
     stack.  ``m`` is not copied: no update writes into it, and the result
     is always a new array.
     """
@@ -151,6 +152,9 @@ def polar_factor(m: np.ndarray) -> np.ndarray:
         u = nxt
         if delta < POLAR_TOL:
             break
+    else:
+        raise IntegrationError(f"the polar factor did not converge in {POLAR_MAX_ITER} "
+                               f"iterations (last update {delta:.3g})")
     return u
 
 
@@ -308,21 +312,30 @@ def _fixed_step_count(t_final: float, dt: float) -> int:
     return max(1, int(math.ceil(ratio - 1e-9)))
 
 
-def _record_grid(n_steps: int, every: int, h: float, first) -> tuple[np.ndarray, np.ndarray]:
-    """The times and empty records of an RK4 run of ``n_steps`` steps of
-    ``h`` recording every ``every`` steps and at the last, ``first`` being
-    its first record; a grid too large to allocate raises IntegrationError."""
+def _record_grid(n_steps: int, every: int, h: float, shape, dtype=None):
+    """The times of an RK4 run of ``n_steps`` steps of ``h`` recording every
+    ``every`` steps and at the last, and, given a ``dtype``, empty records
+    of ``shape`` for them (else None); a grid too large to allocate raises
+    IntegrationError."""
     n_records = 1 + n_steps // every + (n_steps % every != 0)
     try:
-        # each step returns the coefficients' dtype, y0's promoted to float;
-        # a functional's records take its own dtype, promoted the same way
-        states = np.empty((n_records,) + np.shape(first), np.result_type(first, 0.5))
+        states = None if dtype is None else np.empty((n_records,) + shape, dtype)
         # record j follows step i = min(j * every, n_steps), at i * h
         steps = np.arange(n_records) * float(min(every, n_steps))
     except (MemoryError, ValueError) as exc:  # numpy's too large, too many
         raise IntegrationError(f"cannot allocate {n_records:.4g} records of shape "
-                               f"{np.shape(first)}: {exc}") from exc
+                               f"{shape}: {exc}") from exc
     return np.minimum(steps, float(n_steps)) * h, states
+
+
+def record_times(settings: IntegratorSettings, t_final: float, shape) -> np.ndarray:
+    """The record times of an RK4 run of ``settings`` on [0, t_final],
+    t_final > 0 and finite, as :func:`integrate` returns them; their number
+    is the run's record count.  Raises the IntegrationError the run would
+    raise for a step count past the float range or for a grid of records of
+    ``shape`` too large to allocate."""
+    n = _fixed_step_count(t_final, settings.dt)
+    return _record_grid(n, settings.record_every, t_final / n, shape)[0]
 
 
 def _integrate_array(rhs, y0: np.ndarray, settings: IntegratorSettings,
@@ -430,7 +443,10 @@ def _integrate_ragged(rhs, y0s, settings, t_finals, project, records):
     for m, (n, k, record) in enumerate(zip(steps, every, records)):
         ym = y[m] if stacked else y
         first = ym if record is None else record(ym)
-        grid_times, grid = _record_grid(n, k, h[m], first)
+        # each step returns the coefficients' dtype, y0's promoted to float;
+        # a functional's records take its own dtype, promoted the same way
+        grid_times, grid = _record_grid(n, k, h[m], np.shape(first),
+                                        np.result_type(first, 0.5))
         grid[0] = first
         times.append(grid_times)
         recs.append(grid)

@@ -7,18 +7,24 @@ observables CSV, a drift-report JSON, and a run manifest JSON.  The CSVs (and
 the optional ``.dat`` mirror of the observables) are written one row at a
 time, straight to their files.  All numbers are printed with 17 significant
 digits, so two runs of the same scenario produce byte-identical files; the
-only exception is the manifest's ``duration_seconds``: the integration time
-(of the whole batch, for a scenario integrated in one) plus the time of the
-observable series and drift reports.
+only exception is the manifest's ``duration_seconds``: for a run of its own
+the wall time from the start of its integration until its drift reports are
+done, and for a scenario integrated in a batch the batch's integration time
+plus the time of its own series and drift reports.
 
-Writing the trajectory table and computing the observable series are
-independent jobs, run through :func:`_run_jobs`, which this module also
-keeps for the suites.  A table of at least ``_FORK_MIN`` numbers, such as
-the 120 600 of an N = 200 sphere run of 201 records, is formatted in a
-forked child while the calling process computes the series and writes the
-observables tables; a smaller one, or a process limited to one CPU, writes
-it in the calling process.  The bytes are the same either way, and the
-drift report and the manifest are written after both jobs.
+A fixed-step (RK4) run whose trajectory table will hold at least
+``_FORK_MIN`` numbers, such as the 120 600 of an N = 200 sphere run of 201
+records, streams where :func:`_run_jobs`, which this module also keeps for
+the suites, would fork two jobs: the calling process integrates, writing
+each record to a pipe and keeping no trajectory, while a forked consumer
+computes the observables on each record and writes its row of the
+trajectory table, and then sends the series back for the drift reports, the
+observables tables and the manifest (:meth:`ScenarioPlan.stream`).  Every
+other run integrates and then is judged in the calling process
+(:meth:`ScenarioPlan.judge`): a smaller table, a DOPRI5 run, whose record
+count is not known in advance, a run in a process limited to one CPU, and a
+scenario judged in a suite job or after a batch.  The bytes are the same
+either way, and the drift report and the manifest are written last.
 
 Random initial data comes from numpy's seeded PCG64 generator; the schema
 requires a seed wherever the initial data is random, and the seed and
@@ -35,7 +41,7 @@ import os
 import pickle
 import sys
 import time
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -45,6 +51,7 @@ import numpy as np
 import jsonschema
 
 from .errors import ScenarioError, SynclabError
+from .dynamics import state_of
 from .integrate import (
     IntegratorSettings,
     Projection,
@@ -52,6 +59,8 @@ from .integrate import (
     Trajectory,
     default_settings,
     integrate,
+    integrate_functional,
+    record_times,
 )
 from .invariants import (
     Kind,
@@ -202,28 +211,38 @@ _CSV = ("", ",", "\r\n")
 _DAT = ("# ", " ", "\n")
 
 
+def _table_header(fh, fmt, labels: list[str]) -> str:
+    """Write the header line of ``labels`` in format ``fmt``; returns the
+    template of a line of numbers, every number as "%.17g"."""
+    prefix, sep, end = fmt
+    fh.write(prefix + sep.join(labels) + end)
+    return sep.join(["%.17g"] * len(labels)) + end
+
+
 def _write_table(fh, fmt, times: np.ndarray, labels: list[str],
                  table: np.ndarray) -> None:
     """Write a header of labels, then one line per record: t and that row of
-    the table, every number as "%.17g".  Each line is formatted and written
-    before the next, so Python floats exist for one row at a time."""
-    prefix, sep, end = fmt
-    fh.write(prefix + sep.join(labels) + end)
-    tmpl = sep.join(["%.17g"] * len(labels)) + end
+    the table.  Each line is formatted and written before the next, so
+    Python floats exist for one row at a time."""
+    tmpl = _table_header(fh, fmt, labels)
     for t, row in zip(times.tolist(), table):
         fh.write(tmpl % (t, *row.tolist()))
+
+
+def _real(a: np.ndarray) -> np.ndarray:
+    """``a`` with complex entries as (re, im) pairs along its last axis; a
+    view, not a copy."""
+    return a.view(a.real.dtype) if np.iscomplexobj(a) else a
 
 
 def _trajectory_table(traj: Trajectory) -> tuple[list[str], np.ndarray]:
     """Column labels and the flattened states, complex entries as (re, im);
     a view of ``traj.states``, not a copy."""
     flat = np.ascontiguousarray(traj.states).reshape(len(traj), -1)
-    if np.iscomplexobj(flat):
-        flat = flat.view(flat.real.dtype)
-    return ["t"] + _state_columns(traj.config), flat
+    return ["t"] + _state_columns(traj.config), _real(flat)
 
 
-def _observables_table(traj: Trajectory,
+def _observables_table(n_records: int,
                        series: dict[str, np.ndarray]) -> tuple[list[str], np.ndarray]:
     """Column labels and values of the observable series; an eigenvalue
     multiset expands to ``_evK_re``/``_evK_im`` column pairs."""
@@ -237,7 +256,7 @@ def _observables_table(traj: Trajectory,
             for k in range(vals.shape[1]):
                 labels += [f"{label}_ev{k}_re", f"{label}_ev{k}_im"]
                 cols += [vals[:, k].real, vals[:, k].imag]
-    return labels, np.column_stack(cols) if cols else np.empty((len(traj), 0))
+    return labels, np.column_stack(cols) if cols else np.empty((n_records, 0))
 
 
 def _write_tables(out_dir: Path, times: np.ndarray, tables: dict) -> None:
@@ -277,9 +296,11 @@ def _run_jobs(jobs) -> list:
     the forked jobs do.  Jobs do not nest forks: while jobs are forked, a
     ``_run_jobs`` call from any of them, the first in the calling process or
     another in its child, runs its jobs inline.  So no more processes run
-    jobs than the CPUs the outermost call saw, and a large scenario judged
-    in either job of a split suite pack never puts a third process on two
-    CPUs.
+    jobs than the CPUs the outermost call saw, and a large scenario run in
+    either job of a split suite pack never streams, so never puts a third
+    process on two CPUs.  Jobs that wait on each other, as the two halves
+    of a scenario's stream do, must fork, or the first would wait forever:
+    their caller checks :func:`_forks` first.
 
     A failure is raised after every child has been reaped, the first in job
     order winning: a child's exception with its type and message, one that
@@ -298,9 +319,7 @@ def _run_jobs(jobs) -> list:
     see as multi-threaded, which a BLAS thread pool can make it.
     """
     global _forking
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    if len(jobs) < 2 or _forking or not hasattr(os, "fork") or cpus < len(jobs):
+    if not _forks(len(jobs)):
         return [job() for job in jobs]
     # buffered output would otherwise be written by the parent and every child
     sys.stdout.flush()
@@ -343,6 +362,15 @@ def _run_jobs(jobs) -> list:
             raise value
         results.append(value)
     return results
+
+
+def _forks(n_jobs: int) -> bool:
+    """Whether a :func:`_run_jobs` call made now forks ``n_jobs`` jobs: only
+    where there are two or more, ``os.fork`` exists, no jobs are forked
+    already and the process may run on at least ``n_jobs`` CPUs."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return 2 <= n_jobs <= cpus and not _forking and hasattr(os, "fork")
 
 
 def _child(job, read_fd, fd) -> None:
@@ -397,16 +425,17 @@ class RunResult:
 # the failures a scenario run reports as exit code 1 instead of raising
 RUN_ERRORS = (ScenarioError, SynclabError, OSError)
 
-# the fewest numbers in a trajectory table that :meth:`ScenarioPlan.judge`
-# formats in a forked child: at about 0.5 us a number, 2**16 take 30 ms or
-# more, against some 2 ms for ``_run_jobs`` to fork a child and reap it
+# the fewest numbers in a trajectory table that a fixed-step run streams to a
+# forked consumer: at about 0.5 us a number, 2**16 take 30 ms or more to
+# format, against some 2 ms for ``_run_jobs`` to fork a child and reap it
 _FORK_MIN = 1 << 16
 
 
 @dataclass(frozen=True)
 class ScenarioPlan:
     """A validated scenario document, resolved into what it integrates and
-    what it checks; :meth:`judge` turns the integrated run into artifacts."""
+    what it checks; :meth:`judge` turns the integrated run into artifacts,
+    and :meth:`stream` integrates and judges at once."""
 
     resolved: dict
     cfg: Config
@@ -419,61 +448,168 @@ class ScenarioPlan:
         """The run, as ``integrate_batch`` takes it: the states are kept."""
         return self.cfg, self.settings, self.t_final, None
 
+    def _name(self, suffix: str) -> str:
+        """The file name of the artifact ``suffix``, after the scenario id."""
+        return f"{self.resolved['id']}_{suffix}"
+
+    @property
+    def _observables_formats(self) -> dict:
+        """The file name and the format of each observables table."""
+        formats = {self._name("observables.csv"): _CSV}
+        if self.resolved.get("output", {}).get("dat_mirror"):
+            formats[self._name("observables.dat")] = _DAT
+        return formats
+
+    @contextmanager
+    def _no_table_on_failure(self, out_dir: Path):
+        """Remove the trajectory table when the body fails: a run that fails
+        leaves none, whole or in part."""
+        try:
+            yield
+        except BaseException:
+            with suppress(OSError):  # none written, or a directory in its place
+                (out_dir / self._name("trajectory.csv")).unlink()
+            raise
+
+    def stream_times(self) -> np.ndarray | None:
+        """The record times of the run if :meth:`stream` takes it, else None.
+
+        A fixed-step (RK4) run knows its records before it starts, and
+        streams when its trajectory table will hold at least ``_FORK_MIN``
+        numbers and :func:`_run_jobs` would fork two jobs.  A DOPRI5 run,
+        whose record count is not known in advance, never streams."""
+        if not (self.settings.scheme is Scheme.RK4 and self.t_final > 0.0 and _forks(2)):
+            return None
+        state = state_of(self.cfg)
+        times = record_times(self.settings, self.t_final, state.shape)
+        return times if times.size * _real(state).size >= _FORK_MIN else None
+
     def judge(self, traj: Trajectory, integration_s: float, out_dir,
               quiet: bool = False) -> RunResult:
         """Evaluate the observables on ``traj``, judge their drift and write
-        the artifacts.  The manifest's ``duration_seconds`` is
-        ``integration_s`` plus the time taken here by the series and drift.
-        Raises what ``run_scenario`` reports as an error.
-
-        Two independent jobs go through :func:`_run_jobs`: the series, drift
-        reports and observables tables, then the trajectory table.  A
-        trajectory table of at least ``_FORK_MIN`` numbers is formatted in a
-        forked child meanwhile; a smaller one takes less time to format than
-        a fork costs, and follows in this process.  The drift report and the
-        manifest are written once both jobs are done, so a run that fails
-        writes no manifest; it leaves no trajectory table either, as a
-        forked child may have written part of one when the series failed."""
+        the artifacts, all in this process: the observables tables, the
+        trajectory table, the drift report and the manifest, in that order.
+        The manifest's ``duration_seconds`` is ``integration_s`` plus the
+        time taken here by the series and drift.  Raises what
+        ``run_scenario`` reports as an error; a run that fails writes no
+        drift report or manifest and leaves no trajectory table."""
         out_dir = Path(out_dir)
-        resolved, checks = self.resolved, self.checks
-        sid, seed = resolved["id"], resolved.get("seed")
-        table = _trajectory_table(traj)
-        trajectory = {f"{sid}_trajectory.csv": (_CSV, table)}
-        formats = {f"{sid}_observables.csv": _CSV}
-        if resolved.get("output", {}).get("dat_mirror"):
-            formats[f"{sid}_observables.dat"] = _DAT
+        start = time.perf_counter() - integration_s
+        with self._no_table_on_failure(out_dir):
+            series = {ob.label: ob.series(traj) for ob, _ in self.checks}
+            reports, duration = self._judge_series(out_dir, traj.times, series, start)
+            _write_tables(out_dir, traj.times, {
+                self._name("trajectory.csv"): (_CSV, _trajectory_table(traj))})
+        return self._report(out_dir, reports, duration, quiet)
 
-        def observables():
-            start = time.perf_counter()
-            series = {ob.label: ob.series(traj) for ob, _ in checks}
-            reports = []
-            if len(traj) > 1:  # else every observable is a record: no verdicts
-                reports = [drift(ob, series[ob.label], tol) for ob, tol in checks]
-            duration = integration_s + (time.perf_counter() - start)
-            obs_table = _observables_table(traj, series)
-            _write_tables(out_dir, traj.times,
-                          {name: (fmt, obs_table) for name, fmt in formats.items()})
-            return reports, duration
+    def stream(self, times: np.ndarray, out_dir, quiet: bool = False) -> RunResult:
+        """Integrate the run and judge it as :meth:`judge` would, the
+        series and the trajectory table computed during the integration;
+        ``times`` are the run's record times from :meth:`stream_times`.
 
-        jobs = [observables, lambda: _write_tables(out_dir, traj.times, trajectory)]
-        try:
-            (reports, duration), _ = (_run_jobs(jobs) if table[1].size >= _FORK_MIN
-                                      else [job() for job in jobs])
-        except BaseException:
-            with suppress(OSError):  # none written, or a directory in its place
-                (out_dir / f"{sid}_trajectory.csv").unlink()
-            raise
-        texts = {f"{sid}_drift.json": drift_reports_to_json(reports) + "\n"}
+        Two jobs go through :func:`_run_jobs`, which must fork them, as
+        :meth:`stream_times` checks: the calling process integrates, writing
+        each record's bytes to a pipe as it is checked finite and keeping no
+        trajectory, while the forked consumer reads the records one at a
+        time, evaluates each observable on each through the ``fn`` that
+        ``Observable.series`` calls, writes its row of the trajectory table
+        and sends the series back.  The drift reports, the observables
+        tables and the manifest follow in this process.  The manifest's
+        ``duration_seconds`` runs from the start of the integration until
+        the drift reports are done.
 
+        An integration that fails is reported as in one process, even where
+        the consumer failed first: after a failure of its own, the consumer
+        reads the stream to its end, so that the integration never blocks
+        on a full pipe.  A consumer that ends without a result, killed by a
+        signal, stops the integration at its next record, and the run
+        reports it as :func:`_run_jobs` does.  A run that fails writes no
+        drift report or manifest and leaves no trajectory table."""
+        out_dir = Path(out_dir)
+        state = state_of(self.cfg)
+        reader, writer = (open(fd, mode) for fd, mode in zip(os.pipe(), ("rb", "wb")))
+
+        def produce():
+            # the consumer's end: closed here, so that a write to a consumer
+            # that is gone fails instead of blocking
+            reader.close()
+            with suppress(BrokenPipeError), writer:
+                # the records kept are the numbers of bytes written
+                integrate_functional(self.cfg, self.settings, self.t_final, writer.write)
+
+        def consume():
+            # this process's copy: the stream ends when the producer's closes
+            writer.close()
+            with reader:
+                try:
+                    return self._consume(reader, times, state, out_dir)
+                finally:  # to the end, whatever failed
+                    while reader.read(1 << 16):
+                        pass
+
+        start = time.perf_counter()
+        with self._no_table_on_failure(out_dir):
+            try:
+                _, series = _run_jobs([produce, consume])
+            finally:
+                reader.close()
+                writer.close()
+            reports, duration = self._judge_series(out_dir, times, series, start)
+        return self._report(out_dir, reports, duration, quiet)
+
+    def _consume(self, stream, times: np.ndarray, state: np.ndarray,
+                 out_dir: Path) -> dict[str, np.ndarray]:
+        """The series of the observables on the records read from
+        ``stream``, one of ``state``'s shape and dtype at each of ``times``,
+        writing each record's row of the trajectory table before the next
+        record is read.  The table's header is flushed before the first
+        record: the table is begun from the start."""
+        cfg = self.cfg
+        columns = [(ob.label, ob.fn, []) for ob, _ in self.checks]
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with (out_dir / self._name("trajectory.csv")).open("w") as fh:
+            tmpl = _table_header(fh, _CSV, ["t"] + _state_columns(cfg))
+            fh.flush()
+            for t in times.tolist():
+                y = np.empty(state.shape, state.dtype)
+                if stream.readinto(y) != y.nbytes:
+                    raise SynclabError("the stream of records ended early")
+                for _, fn, column in columns:
+                    column.append(fn(cfg, y))
+                fh.write(tmpl % (t, *_real(y.reshape(-1)).tolist()))
+        return {label: np.array(column) for label, _, column in columns}
+
+    def _judge_series(self, out_dir: Path, times: np.ndarray, series: dict,
+               start: float) -> tuple[list, float]:
+        """The drift reports of ``series``, the observables' values at
+        ``times``, and the seconds from ``start`` until they are done, once
+        the observables tables are written."""
+        reports = []
+        if len(times) > 1:  # else every observable is a record: no verdicts
+            reports = [drift(ob, series[ob.label], tol) for ob, tol in self.checks]
+        duration = time.perf_counter() - start
+        table = _observables_table(len(times), series)
+        _write_tables(out_dir, times, {name: (fmt, table)
+                                       for name, fmt in self._observables_formats.items()})
+        return reports, duration
+
+    def _report(self, out_dir: Path, reports: list, duration: float,
+                quiet: bool) -> RunResult:
+        """Write the drift report and the manifest, print the verdicts
+        unless ``quiet`` and return the run's result."""
+        resolved = self.resolved
+        sid = resolved["id"]
+        texts = {self._name("drift.json"): drift_reports_to_json(reports) + "\n"}
+        written = [self._name("trajectory.csv"), *self._observables_formats, *texts]
         manifest = {
             "scenario_id": sid,
             "content_hash": content_hash(resolved),
-            "prng": {"name": PRNG_NAME, "seed": seed},
+            "prng": {"name": PRNG_NAME, "seed": resolved.get("seed")},
             "resolved": resolved,
-            "outputs": sorted([*trajectory, *formats, *texts]) + [f"{sid}_manifest.json"],
+            "outputs": sorted(written) + [self._name("manifest.json")],
             "duration_seconds": duration,
         }
-        texts[f"{sid}_manifest.json"] = json.dumps(manifest, indent=2) + "\n"
+        texts[self._name("manifest.json")] = json.dumps(manifest, indent=2) + "\n"
         for name, text in texts.items():
             (out_dir / name).write_text(text)
 
@@ -533,6 +669,9 @@ def run_scenario(doc: dict, out_dir, seed_override: int | None = None,
     """
     try:
         plan = plan_scenario(doc, seed_override, dt_override)
+        times = plan.stream_times()
+        if times is not None:
+            return plan.stream(times, out_dir, quiet)
         start = time.perf_counter()
         traj = integrate(plan.cfg, plan.settings, plan.t_final)
         return plan.judge(traj, time.perf_counter() - start, out_dir, quiet)

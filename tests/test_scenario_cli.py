@@ -821,6 +821,24 @@ def test_cli_step_count_overflow_is_an_integration_error(tmp_path, capsys, dt):
     assert "overflows" in err and err.count("\n") == 1
 
 
+def test_cli_polar_factor_that_does_not_converge_exits_1(tmp_path, capsys):
+    # at dt = 3 the first step leaves the unitaries so far from U(2) that
+    # the Newton iteration is still moving by thousands after its cap;
+    # before, it returned that matrix, and the run failed only later as a
+    # non-finite state
+    doc = {"id": "polar", "seed": 1, "t_final": 30.0,
+           "model": {"kind": "matrix", "kappa": 5.0,
+                     "initial": {"random": {"n": 3, "d": 2}}},
+           "integrator": {"dt": 3.0}}
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: the polar factor did not converge in 50 iterations "
+                   "(last update 5.38e+03)\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag, value, pointer", [
     ("--seed", "-1", "$.seed: "),
     ("--dt", "-0.01", "$.integrator.dt: "),

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from synclab import invariants, reduce_sphere, scenario, suites
+from synclab import dynamics, invariants, reduce_sphere, scenario, suites
 from synclab.cli import main
 from synclab.errors import SynclabError
 from synclab.integrate import IntegratorSettings
@@ -42,6 +42,20 @@ def no_child_left():
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def no_hang():
+    """A run that blocks for 30 s raises TimeoutError in the calling
+    process, so a stream that deadlocks fails its test instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError("blocked for 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 class TakesTwo(Exception):
@@ -263,3 +277,148 @@ def test_a_failing_trajectory_job_is_an_error(tmp_path, monkeypatch, capsys, no_
         assert not table.exists()
     assert not (out / "wide_manifest.json").exists()
     assert not (out / "wide_drift.json").exists()
+
+
+def _large_n(seed):
+    """The benchmark's large-n document: an N = 200 skew-frustrated sphere
+    run of 201 records, a trajectory table of 120 600 numbers."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((3, 3))
+    quads = [sorted(rng.choice(200, 4, replace=False).tolist()) for _ in range(4)]
+    return {"id": "large-n", "seed": seed, "t_final": 2.0,
+            "model": {"kind": "sphere", "kappa": 1.0, "a": 0.0, "w": (w - w.T).tolist(),
+                      "initial": {"random": {"n": 200, "d": 2}}},
+            "integrator": {"dt": 1e-3, "record_every": 10},
+            "observables": [{"name": "pair_distance_product", "tolerance": 1e-6}]
+            + [{"name": "sphere_H", "indices": q, "tolerance": 1e-6} for q in quads]
+            + [{"name": "sphere_rho"}],
+            "output": {"dat_mirror": True}}
+
+
+def _streamed_and_inline(tmp_path, monkeypatch, doc):
+    """``doc`` run on two CPUs, then on one: the two results, the forks of
+    each run and the directories they wrote to."""
+    dirs = tmp_path / "streamed", tmp_path / "inline"
+    results, forks = [], []
+    for cpus, out in zip((2, 1), dirs):
+        _set_cpus(monkeypatch, cpus)
+        counted = _count_forks(monkeypatch)
+        results.append(scenario.run_scenario(doc, out, quiet=True))
+        forks.append(len(counted))
+    return results, forks, dirs
+
+
+@needs_fork
+@pytest.mark.parametrize("seed", [1000, 7])
+def test_a_streamed_run_writes_the_bytes_of_an_inline_run(tmp_path, monkeypatch,
+                                                          no_child_left, no_hang, seed):
+    (streamed, inline), forks, dirs = _streamed_and_inline(tmp_path, monkeypatch,
+                                                           _large_n(seed))
+    assert forks == [1, 0]
+    assert streamed == inline
+    assert streamed.error is None
+    artifacts = _artifacts(dirs[0])
+    assert sorted(artifacts) == [f"large-n_{s}" for s in (
+        "drift.json", "observables.csv", "observables.dat", "trajectory.csv")]
+    assert artifacts == _artifacts(dirs[1])
+    assert len(artifacts["large-n_trajectory.csv"].splitlines()) == 1 + 201
+
+
+@needs_fork
+def test_a_streamed_matrix_run_writes_the_bytes_of_an_inline_run(tmp_path, monkeypatch,
+                                                                 no_child_left, no_hang):
+    # complex records, (re, im) pairs in the table: 201 records of 64 2x2
+    # unitaries, 102 912 numbers
+    doc = {"id": "unitary", "seed": 3, "t_final": 0.2,
+           "model": {"kind": "matrix", "kappa": 1.0,
+                     "initial": {"random": {"n": 64, "d": 2}}},
+           "integrator": {"dt": 1e-3, "record_every": 1},
+           "observables": [{"name": "matrix_cross_ratio", "indices": [0, 1, 2, 3],
+                            "tolerance": 1e-6}, {"name": "matrix_D"}]}
+    (streamed, inline), forks, dirs = _streamed_and_inline(tmp_path, monkeypatch, doc)
+    assert forks == [1, 0]
+    assert streamed == inline
+    assert streamed.exit_code == 0
+    artifacts = _artifacts(dirs[0])
+    assert artifacts == _artifacts(dirs[1])
+    assert len(artifacts["unitary_trajectory.csv"].splitlines()) == 1 + 201
+
+
+def _nan_after(monkeypatch, calls):
+    """Make each rhs that ``integrate`` builds return NaN after ``calls``
+    calls."""
+    make_rhs = dynamics.make_rhs
+
+    def make(cfg):
+        rhs, count = make_rhs(cfg), [0]
+
+        def turning(y):
+            count[0] += 1
+            return rhs(y) if count[0] <= calls else np.full(np.shape(y), np.nan)
+
+        return turning
+
+    monkeypatch.setattr(dynamics, "make_rhs", make)
+
+
+def _nothing_judged(out_dir):
+    return not any((out_dir / f"large-n_{s}").exists()
+                   for s in ("manifest.json", "drift.json", "trajectory.csv"))
+
+
+@needs_fork
+@pytest.mark.parametrize("series_fail", [False, True], ids=["series-pass", "series-fail"])
+def test_a_streamed_integration_failure_is_reported_as_inline(
+        tmp_path, monkeypatch, no_child_left, no_hang, series_fail):
+    # the state turns NaN halfway, at step 1 000 of 2 000; with series_fail
+    # the consumer fails at the first record, long before, and must read
+    # the stream to its end, or the integration would fail to write to it
+    _nan_after(monkeypatch, 4000)
+    if series_fail:
+        monkeypatch.setattr(invariants, "sphere_order_parameter",
+                            lambda s: _raise(SynclabError("the series failed")))
+    (streamed, inline), forks, dirs = _streamed_and_inline(tmp_path, monkeypatch,
+                                                           _large_n(1000))
+    assert forks == [1, 0]
+    assert streamed == inline
+    assert streamed.exit_code == 1
+    assert streamed.error == "non-finite state detected during integration"
+    assert all(_nothing_judged(out) for out in dirs)
+
+
+@needs_fork
+def test_a_dopri5_run_with_a_large_table_forks_nothing(tmp_path, monkeypatch,
+                                                       no_child_left):
+    # 168 records of 600 numbers: a table the size of an RK4 run that
+    # streams, but DOPRI5 does not know its record count in advance
+    doc = _large_n(1000)
+    doc["integrator"] = {"scheme": "dopri5", "record_every": 1,
+                         "rtol": 1e-11, "atol": 1e-13}
+    (on_two, on_one), forks, dirs = _streamed_and_inline(tmp_path, monkeypatch, doc)
+    assert forks == [0, 0]
+    assert on_two == on_one
+    assert on_two.error is None
+    artifacts = _artifacts(dirs[0])
+    assert artifacts == _artifacts(dirs[1])
+    assert (len(artifacts["large-n_trajectory.csv"].splitlines()) - 1) * 600 >= 1 << 16
+
+
+@needs_fork
+def test_a_consumer_that_dies_ends_a_streamed_run(tmp_path, monkeypatch, no_child_left,
+                                                  no_hang):
+    # the consumer is killed at its first record: the integration stops at
+    # its next write instead of blocking, and the run reports the consumer
+    parent = os.getpid()
+
+    def rho(s):
+        assert os.getpid() != parent, "evaluated in the calling process"
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(invariants, "sphere_order_parameter", rho)
+    _set_cpus(monkeypatch, 2)
+    counted = _count_forks(monkeypatch)
+    res = scenario.run_scenario(_large_n(1000), tmp_path, quiet=True)
+    assert len(counted) == 1
+    assert res.exit_code == 1
+    assert res.error.startswith("job 1 ended without a result")
+    assert _nothing_judged(tmp_path)
