@@ -9,22 +9,25 @@ time, straight to their files.  All numbers are printed with 17 significant
 digits, so two runs of the same scenario produce byte-identical files; the
 only exception is the manifest's ``duration_seconds``: for a run of its own
 the wall time from the start of its integration until its drift reports are
-done, and for a scenario integrated in a batch the batch's integration time
-plus the time of its own series and drift reports.
+done, its trajectory table included, and for a scenario integrated in a
+batch the batch's integration time plus the time of its own table, series
+and drift reports.
 
 A fixed-step (RK4) run whose trajectory table will hold at least
 ``_FORK_MIN`` numbers, such as the 120 600 of an N = 200 sphere run of 201
 records, streams where :func:`_run_jobs`, which this module also keeps for
 the suites, would fork two jobs: the calling process integrates, writing
 each record to a pipe and keeping no trajectory, while a forked consumer
-computes the observables on each record and writes its row of the
-trajectory table, and then sends the series back for the drift reports, the
-observables tables and the manifest (:meth:`ScenarioPlan.stream`).  Every
-other run integrates and then is judged in the calling process
+takes the records (:meth:`ScenarioPlan.stream`).  Every other run
+integrates and then is judged in the calling process
 (:meth:`ScenarioPlan.judge`): a smaller table, a DOPRI5 run, whose record
 count is not known in advance, a run in a process limited to one CPU, and a
-scenario judged in a suite job or after a batch.  The bytes are the same
-either way, and the drift report and the manifest are written last.
+scenario judged in a suite job or after a batch.  Either way one loop
+writes each record's row of the trajectory table and evaluates the
+observables on it, and then come the drift, the observables tables, the
+drift report and the manifest, in that order.  So the bytes are the same,
+and so is a failure: one error, and no file left at an artifact's name nor
+an output directory that the run made and left empty.
 
 Random initial data comes from numpy's seeded PCG64 generator; the schema
 requires a seed wherever the initial data is random, and the seed and
@@ -235,13 +238,6 @@ def _real(a: np.ndarray) -> np.ndarray:
     return a.view(a.real.dtype) if np.iscomplexobj(a) else a
 
 
-def _trajectory_table(traj: Trajectory) -> tuple[list[str], np.ndarray]:
-    """Column labels and the flattened states, complex entries as (re, im);
-    a view of ``traj.states``, not a copy."""
-    flat = np.ascontiguousarray(traj.states).reshape(len(traj), -1)
-    return ["t"] + _state_columns(traj.config), _real(flat)
-
-
 def _observables_table(n_records: int,
                        series: dict[str, np.ndarray]) -> tuple[list[str], np.ndarray]:
     """Column labels and values of the observable series; an eigenvalue
@@ -259,20 +255,12 @@ def _observables_table(n_records: int,
     return labels, np.column_stack(cols) if cols else np.empty((n_records, 0))
 
 
-def _write_tables(out_dir: Path, times: np.ndarray, tables: dict) -> None:
-    """Write each ``name: (format, (labels, table))`` of ``tables`` to its
-    file in ``out_dir``, which is made if missing."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, (fmt, table) in tables.items():
-        with (out_dir / name).open("w") as fh:
-            _write_table(fh, fmt, times, *table)
-
-
 def trajectory_csv(traj: Trajectory) -> str:
     """t plus the flattened state per row, complex entries as (re, im), as
     ``run_scenario`` writes it to ``<id>_trajectory.csv``."""
     buf = io.StringIO()
-    _write_table(buf, _CSV, traj.times, *_trajectory_table(traj))
+    flat = np.ascontiguousarray(traj.states).reshape(len(traj), -1)
+    _write_table(buf, _CSV, traj.times, ["t"] + _state_columns(traj.config), _real(flat))
     return buf.getvalue()
 
 
@@ -435,7 +423,8 @@ _FORK_MIN = 1 << 16
 class ScenarioPlan:
     """A validated scenario document, resolved into what it integrates and
     what it checks; :meth:`judge` turns the integrated run into artifacts,
-    and :meth:`stream` integrates and judges at once."""
+    and :meth:`stream` integrates and judges at once, both through
+    :meth:`_consume` and :meth:`_finish`."""
 
     resolved: dict
     cfg: Config
@@ -460,15 +449,27 @@ class ScenarioPlan:
             formats[self._name("observables.dat")] = _DAT
         return formats
 
+    @property
+    def _outputs(self) -> list[str]:
+        """The file names of the run's artifacts, the manifest last."""
+        return sorted([self._name("trajectory.csv"), *self._observables_formats,
+                       self._name("drift.json")]) + [self._name("manifest.json")]
+
     @contextmanager
-    def _no_table_on_failure(self, out_dir: Path):
-        """Remove the trajectory table when the body fails: a run that fails
-        leaves none, whole or in part."""
+    def _clean_failure(self, out_dir: Path):
+        """When the body fails, remove each file at an artifact's name, and
+        each directory it made that is left empty: a failed run leaves no
+        artifact, whole or in part.  A directory in an artifact's place stays."""
+        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
         try:
             yield
         except BaseException:
-            with suppress(OSError):  # none written, or a directory in its place
-                (out_dir / self._name("trajectory.csv")).unlink()
+            for name in self._outputs:
+                with suppress(OSError):  # none written, or a directory in its place
+                    (out_dir / name).unlink()
+            for d in made:
+                with suppress(OSError):  # not empty
+                    d.rmdir()
             raise
 
     def stream_times(self) -> np.ndarray | None:
@@ -484,37 +485,31 @@ class ScenarioPlan:
         times = record_times(self.settings, self.t_final, state.shape)
         return times if times.size * _real(state).size >= _FORK_MIN else None
 
-    def judge(self, traj: Trajectory, integration_s: float, out_dir,
+    def judge(self, times: np.ndarray, states, integration_s: float, out_dir,
               quiet: bool = False) -> RunResult:
-        """Evaluate the observables on ``traj``, judge their drift and write
-        the artifacts, all in this process: the observables tables, the
-        trajectory table, the drift report and the manifest, in that order.
-        The manifest's ``duration_seconds`` is ``integration_s`` plus the
-        time taken here by the series and drift.  Raises what
-        ``run_scenario`` reports as an error; a run that fails writes no
-        drift report or manifest and leaves no trajectory table."""
+        """Write the artifacts of the integrated run, its records ``states``
+        at ``times``, in this process: :meth:`_consume`, then :meth:`_finish`.
+        The manifest's ``duration_seconds`` is ``integration_s`` plus the time
+        taken here until the drift reports are done, the trajectory table
+        included.  Raises what ``run_scenario`` reports as an error, once
+        :meth:`_clean_failure` has cleaned up."""
         out_dir = Path(out_dir)
         start = time.perf_counter() - integration_s
-        with self._no_table_on_failure(out_dir):
-            series = {ob.label: ob.series(traj) for ob, _ in self.checks}
-            reports, duration = self._judge_series(out_dir, traj.times, series, start)
-            _write_tables(out_dir, traj.times, {
-                self._name("trajectory.csv"): (_CSV, _trajectory_table(traj))})
-        return self._report(out_dir, reports, duration, quiet)
+        with self._clean_failure(out_dir):
+            series = self._consume(zip(times.tolist(), states), out_dir)
+            return self._finish(out_dir, times, series, start, quiet)
 
     def stream(self, times: np.ndarray, out_dir, quiet: bool = False) -> RunResult:
-        """Integrate the run and judge it as :meth:`judge` would, the
-        series and the trajectory table computed during the integration;
-        ``times`` are the run's record times from :meth:`stream_times`.
+        """Integrate the run and judge it as :meth:`judge` would, the table
+        and the series done during the integration; ``times`` are the run's
+        record times from :meth:`stream_times`.
 
         Two jobs go through :func:`_run_jobs`, which must fork them, as
         :meth:`stream_times` checks: the calling process integrates, writing
         each record's bytes to a pipe as it is checked finite and keeping no
         trajectory, while the forked consumer reads the records one at a
-        time, evaluates each observable on each through the ``fn`` that
-        ``Observable.series`` calls, writes its row of the trajectory table
-        and sends the series back.  The drift reports, the observables
-        tables and the manifest follow in this process.  The manifest's
+        time into :meth:`_consume` and sends the series back; then
+        :meth:`_finish` runs in this process.  The manifest's
         ``duration_seconds`` runs from the start of the integration until
         the drift reports are done.
 
@@ -523,8 +518,8 @@ class ScenarioPlan:
         reads the stream to its end, so that the integration never blocks
         on a full pipe.  A consumer that ends without a result, killed by a
         signal, stops the integration at its next record, and the run
-        reports it as :func:`_run_jobs` does.  A run that fails writes no
-        drift report or manifest and leaves no trajectory table."""
+        reports it as :func:`_run_jobs` does.  Once the consumer is reaped, a
+        run that fails is cleaned up as :meth:`judge`'s is."""
         out_dir = Path(out_dir)
         state = state_of(self.cfg)
         reader, writer = (open(fd, mode) for fd, mode in zip(os.pipe(), ("rb", "wb")))
@@ -537,81 +532,78 @@ class ScenarioPlan:
                 # the records kept are the numbers of bytes written
                 integrate_functional(self.cfg, self.settings, self.t_final, writer.write)
 
+        def records():
+            for t in times.tolist():
+                y = np.empty(state.shape, state.dtype)
+                if reader.readinto(y) != y.nbytes:
+                    raise SynclabError("the stream of records ended early")
+                yield t, y
+
         def consume():
             # this process's copy: the stream ends when the producer's closes
             writer.close()
             with reader:
                 try:
-                    return self._consume(reader, times, state, out_dir)
+                    return self._consume(records(), out_dir)
                 finally:  # to the end, whatever failed
                     while reader.read(1 << 16):
                         pass
 
         start = time.perf_counter()
-        with self._no_table_on_failure(out_dir):
+        with self._clean_failure(out_dir):
             try:
                 _, series = _run_jobs([produce, consume])
             finally:
                 reader.close()
                 writer.close()
-            reports, duration = self._judge_series(out_dir, times, series, start)
-        return self._report(out_dir, reports, duration, quiet)
+            return self._finish(out_dir, times, series, start, quiet)
 
-    def _consume(self, stream, times: np.ndarray, state: np.ndarray,
-                 out_dir: Path) -> dict[str, np.ndarray]:
-        """The series of the observables on the records read from
-        ``stream``, one of ``state``'s shape and dtype at each of ``times``,
-        writing each record's row of the trajectory table before the next
-        record is read.  The table's header is flushed before the first
-        record: the table is begun from the start."""
+    def _consume(self, records, out_dir: Path) -> dict[str, np.ndarray]:
+        """The series of the observables on ``records``, (t, state) pairs.
+        The trajectory table is begun in ``out_dir``, its header flushed,
+        before the first record is taken; each record's row is written,
+        after its observables are evaluated through the ``fn`` that
+        ``Observable.series`` calls, before the next record is taken."""
         cfg = self.cfg
         columns = [(ob.label, ob.fn, []) for ob, _ in self.checks]
         out_dir.mkdir(parents=True, exist_ok=True)
         with (out_dir / self._name("trajectory.csv")).open("w") as fh:
             tmpl = _table_header(fh, _CSV, ["t"] + _state_columns(cfg))
             fh.flush()
-            for t in times.tolist():
-                y = np.empty(state.shape, state.dtype)
-                if stream.readinto(y) != y.nbytes:
-                    raise SynclabError("the stream of records ended early")
+            for t, y in records:
                 for _, fn, column in columns:
                     column.append(fn(cfg, y))
                 fh.write(tmpl % (t, *_real(y.reshape(-1)).tolist()))
         return {label: np.array(column) for label, _, column in columns}
 
-    def _judge_series(self, out_dir: Path, times: np.ndarray, series: dict,
-               start: float) -> tuple[list, float]:
-        """The drift reports of ``series``, the observables' values at
-        ``times``, and the seconds from ``start`` until they are done, once
-        the observables tables are written."""
+    def _finish(self, out_dir: Path, times: np.ndarray, series: dict,
+                start: float, quiet: bool) -> RunResult:
+        """Judge the drift of ``series``, the observables at ``times``, and
+        write the observables tables, the drift report and the manifest, in
+        that order; print the verdicts unless ``quiet`` and return the run's
+        result.  ``duration_seconds`` runs from ``start`` to the drift reports."""
+        resolved = self.resolved
+        sid = resolved["id"]
         reports = []
         if len(times) > 1:  # else every observable is a record: no verdicts
             reports = [drift(ob, series[ob.label], tol) for ob, tol in self.checks]
         duration = time.perf_counter() - start
         table = _observables_table(len(times), series)
-        _write_tables(out_dir, times, {name: (fmt, table)
-                                       for name, fmt in self._observables_formats.items()})
-        return reports, duration
-
-    def _report(self, out_dir: Path, reports: list, duration: float,
-                quiet: bool) -> RunResult:
-        """Write the drift report and the manifest, print the verdicts
-        unless ``quiet`` and return the run's result."""
-        resolved = self.resolved
-        sid = resolved["id"]
-        texts = {self._name("drift.json"): drift_reports_to_json(reports) + "\n"}
-        written = [self._name("trajectory.csv"), *self._observables_formats, *texts]
+        for name, fmt in self._observables_formats.items():
+            with (out_dir / name).open("w") as fh:
+                _write_table(fh, fmt, times, *table)
+        (out_dir / self._name("drift.json")).write_text(
+            drift_reports_to_json(reports) + "\n")
         manifest = {
             "scenario_id": sid,
             "content_hash": content_hash(resolved),
             "prng": {"name": PRNG_NAME, "seed": resolved.get("seed")},
             "resolved": resolved,
-            "outputs": sorted(written) + [self._name("manifest.json")],
+            "outputs": self._outputs,
             "duration_seconds": duration,
         }
-        texts[self._name("manifest.json")] = json.dumps(manifest, indent=2) + "\n"
-        for name, text in texts.items():
-            (out_dir / name).write_text(text)
+        (out_dir / self._name("manifest.json")).write_text(
+            json.dumps(manifest, indent=2) + "\n")
 
         failed = [r.name for r in reports if not r.verdict]
         if not quiet:
@@ -665,6 +657,8 @@ def run_scenario(doc: dict, out_dir, seed_override: int | None = None,
     Exit code contract: 0 on success, 2 if any invariant verdict failed,
     1 on scenario, I/O, or integration errors.  An error is returned in
     ``RunResult.error``, not printed; ``quiet`` drops the per-check lines.
+    Once the document is valid, a run that fails leaves no file at any of
+    its artifacts' names.
     A NaN or an infinity in the document or an override is a scenario error.
     """
     try:
@@ -673,7 +667,9 @@ def run_scenario(doc: dict, out_dir, seed_override: int | None = None,
         if times is not None:
             return plan.stream(times, out_dir, quiet)
         start = time.perf_counter()
-        traj = integrate(plan.cfg, plan.settings, plan.t_final)
-        return plan.judge(traj, time.perf_counter() - start, out_dir, quiet)
+        with plan._clean_failure(Path(out_dir)):  # as in a streamed run
+            traj = integrate(plan.cfg, plan.settings, plan.t_final)
+        return plan.judge(traj.times, traj.states, time.perf_counter() - start,
+                          out_dir, quiet)
     except RUN_ERRORS as exc:
         return RunResult(exit_code=1, failed_checks=[], error=str(exc))

@@ -36,8 +36,9 @@ largest, the matrix cross-ratio scenario's, being 40 x 301 = 12 040
 numbers.  Every random input is drawn before the jobs
 start, in one order, so the checks, their details and every artifact are
 byte for byte the same either way, and a scenario's ``duration_seconds`` is
-still the time of its own integration (or of its batch's), series and drift
-reports.  ``equilibria`` takes milliseconds and is one job.
+still the time of its own integration (or of its batch's), then of its
+trajectory table, series and drift reports.  ``equilibria`` takes
+milliseconds and is one job.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from . import equilibria, reduce_kuramoto, reduce_sphere
-from .integrate import IntegratorSettings, Trajectory, integrate_batch
+from .integrate import IntegratorSettings, integrate_batch
 from .invariants import matrix_diameter
 from .scenario import RUN_ERRORS, RunResult, _run_jobs, plan_scenario, run_scenario
 from .state import (
@@ -97,9 +98,8 @@ def _batched(checks, out_dir, plans):
         try:
             if isinstance(plan, Exception):
                 raise plan
-            times, states, final = _outcome(next(runs))
-            res = plan.judge(Trajectory(times, states, plan.cfg), seconds, out_dir,
-                             quiet=True)
+            times, states, _ = _outcome(next(runs))
+            res = plan.judge(times, states, seconds, out_dir, quiet=True)
         except RUN_ERRORS as exc:
             res = RunResult(exit_code=1, failed_checks=[], error=str(exc))
         results.append(_check_result(name, res))

@@ -246,9 +246,9 @@ def test_a_large_trajectory_table_keeps_its_bytes_with_or_without_a_fork(
 @pytest.mark.parametrize("failing", ["table", "series"])
 def test_a_failing_trajectory_job_is_an_error(tmp_path, monkeypatch, capsys, no_child_left,
                                               failing, cpus, forks):
-    # the table's path is a directory, or the series fail: forked, once the
-    # child has begun the table, which must then be removed; inline, the
-    # series come first and no table is begun
+    # the table's path is a directory, or the series fail: either way the
+    # table is begun before the first record's series, and a failed run
+    # removes it; forked, the series fail only once the child has begun it
     path, out = tmp_path / "wide.json", tmp_path / "out"
     path.write_text(json.dumps(_phase_scenario(0.255)))
     table = out / "wide_trajectory.csv"
@@ -384,6 +384,75 @@ def test_a_streamed_integration_failure_is_reported_as_inline(
     assert streamed.exit_code == 1
     assert streamed.error == "non-finite state detected during integration"
     assert all(_nothing_judged(out) for out in dirs)
+
+
+def _listing(out_dir):
+    """Every path under ``out_dir``, relative to it, or None if it is gone."""
+    if not out_dir.exists():
+        return None
+    return sorted(str(p.relative_to(out_dir)) for p in out_dir.rglob("*"))
+
+
+_IS_DIR = "[Errno 21] Is a directory: '<out>/large-n_{}'"
+
+
+@needs_fork
+@pytest.mark.parametrize("blocked, series_fail, nan_after, error", [
+    ("trajectory.csv", False, None, _IS_DIR),
+    (None, True, None, "the series failed"),
+    ("trajectory.csv", True, None, _IS_DIR),
+    (None, True, 4000, "non-finite state detected during integration"),
+    ("observables.dat", False, None, _IS_DIR),
+    ("drift.json", False, None, _IS_DIR),
+    ("manifest.json", False, None, _IS_DIR),
+], ids=["table", "series", "table-and-series", "nan-and-series", "dat", "drift",
+        "manifest"])
+def test_a_failed_run_leaves_the_same_files_streamed_or_inline(
+        tmp_path, monkeypatch, no_child_left, no_hang, blocked, series_fail, nan_after,
+        error):
+    # a directory in an artifact's place, a series that fails at the first
+    # record and a state that turns NaN at step 1 000 of 2 000: on two CPUs
+    # and on one the run reports one error and leaves only the directories
+    # that were there before it
+    for out in (tmp_path / "streamed", tmp_path / "inline"):
+        if blocked:
+            (out / f"large-n_{blocked}").mkdir(parents=True)
+    if series_fail:
+        monkeypatch.setattr(invariants, "sphere_order_parameter",
+                            lambda s: _raise(SynclabError("the series failed")))
+    if nan_after:
+        _nan_after(monkeypatch, nan_after)
+    results, forks, dirs = _streamed_and_inline(tmp_path, monkeypatch, _large_n(1000))
+    assert forks == [1, 0]
+    assert [dataclasses.replace(res, error=res.error.replace(str(out), "<out>"))
+            for res, out in zip(results, dirs)] == [
+        scenario.RunResult(1, [], error.format(blocked))] * 2
+    assert [_listing(out) for out in dirs] == [
+        [f"large-n_{blocked}"] if blocked else None] * 2
+
+
+@needs_fork
+@pytest.mark.parametrize("failing", ["integration", "series"])
+def test_a_failed_run_removes_an_earlier_runs_artifacts(
+        tmp_path, monkeypatch, no_child_left, no_hang, failing):
+    # each directory holds the five artifacts of a run that passed: a run
+    # that fails there, on two CPUs or on one, leaves none and keeps the
+    # directory
+    doc = _large_n(1000)
+    _set_cpus(monkeypatch, 1)
+    for out in (tmp_path / "streamed", tmp_path / "inline"):
+        assert scenario.run_scenario(doc, out, quiet=True).exit_code == 0
+        assert len(_listing(out)) == 5
+    if failing == "integration":
+        _nan_after(monkeypatch, 4000)
+    else:
+        monkeypatch.setattr(invariants, "sphere_order_parameter",
+                            lambda s: _raise(SynclabError("the series failed")))
+    (streamed, inline), forks, dirs = _streamed_and_inline(tmp_path, monkeypatch, doc)
+    assert forks == [1, 0]
+    assert streamed == inline
+    assert streamed.exit_code == 1
+    assert [_listing(out) for out in dirs] == [[], []]
 
 
 @needs_fork
