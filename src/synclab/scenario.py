@@ -29,6 +29,11 @@ drift report and the manifest, in that order.  So the bytes are the same,
 and so is a failure: one error, and no file left at an artifact's name nor
 an output directory that the run made and left empty.
 
+jsonschema is imported, and the schema's validator built, on a process's
+first validation (:func:`validate_scenario`), not when this module is
+imported: library integration and the ``equilibria`` and ``reductions``
+packs validate no document and never load it.
+
 Random initial data comes from numpy's seeded PCG64 generator; the schema
 requires a seed wherever the initial data is random, and the seed and
 generator name are recorded in the manifest.  There is no unseeded
@@ -37,6 +42,7 @@ randomness anywhere.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -50,8 +56,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-
-import jsonschema
 
 from .errors import ScenarioError, SynclabError
 from .dynamics import state_of
@@ -93,7 +97,14 @@ def _load_schema() -> dict:
 
 
 _SCHEMA = _load_schema()
-_VALIDATOR = jsonschema.Draft202012Validator(_SCHEMA)
+
+
+@functools.cache
+def _validator():
+    """The schema's validator, built once, on a process's first validation."""
+    import jsonschema
+
+    return jsonschema.Draft202012Validator(_SCHEMA)
 
 
 def encode_complex(m: np.ndarray) -> list:
@@ -115,8 +126,11 @@ _SHOWN = 40  # characters of an offending value that an error message shows
 def validate_scenario(doc: dict) -> None:
     """Schema validation; the raised message carries a JSON pointer and
     what the schema expects there, with the offending value cut to
-    ``_SHOWN`` characters, so that a huge value cannot flood the line."""
-    errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: e.json_path)
+    ``_SHOWN`` characters, so that a huge value cannot flood the line.
+    A process's first call imports jsonschema and builds the validator;
+    library integration and the ``equilibria`` and ``reductions`` packs
+    never call it, so they never load jsonschema."""
+    errors = sorted(_validator().iter_errors(doc), key=lambda e: e.json_path)
     if errors:
         e = errors[0]
         message, shown = e.message, repr(e.instance)  # as e.message renders it

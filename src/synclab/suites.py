@@ -39,6 +39,13 @@ byte for byte the same either way, and a scenario's ``duration_seconds`` is
 still the time of its own integration (or of its batch's), then of its
 trajectory table, series and drift reports.  ``equilibria`` takes
 milliseconds and is one job.
+
+jsonschema loads on a process's first scenario validation
+(:func:`synclab.scenario.validate_scenario`), so each forked job that plans
+a scenario loads it itself: the second jobs of ``kuramoto-invariants``,
+``sphere-invariants`` and ``matrix``.  The calling process, whose first jobs
+and whose ``reductions`` and ``equilibria`` packs plan none, does not load
+it while the jobs fork; run inline, the suite loads it once.
 """
 
 from __future__ import annotations

@@ -5,12 +5,15 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import synclab
 from synclab import invariants, scenario, suites
 from synclab.cli import main
 from synclab.errors import ScenarioError, SynclabError
@@ -54,6 +57,52 @@ def test_complex_codec_roundtrip():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     np.testing.assert_array_equal(decode_complex(encode_complex(m)), m)
+
+
+def _fresh_python(args):
+    """Run ``python args`` in a new interpreter that imports this synclab."""
+    src = str(Path(synclab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+_LAZY_SCHEMA = """
+import json, sys
+import numpy as np
+import synclab.cli
+from synclab.errors import ScenarioError
+from synclab.integrate import IntegratorSettings, Projection, integrate_batch
+from synclab.scenario import validate_scenario
+from synclab.state import random_sphere_config
+from synclab.suites import run_suite
+
+seen = {"import": "jsonschema" in sys.modules}
+seen["suite"] = all(r.passed for r in run_suite("equilibria", sys.argv[1]))
+rng = np.random.default_rng(5)
+settings = IntegratorSettings(dt=0.01, projection=Projection.NORMALIZE)
+runs = [(random_sphere_config(rng, 4, 2), settings, 0.1, None) for _ in range(2)]
+seen["batch"] = [bool(np.isfinite(states).all()) for _, states, _ in integrate_batch(runs)]
+seen["library"] = "jsonschema" in sys.modules
+try:
+    validate_scenario({"id": 1})
+except ScenarioError as exc:
+    seen["error"] = str(exc)
+seen["validated"] = "jsonschema" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_jsonschema_loads_on_a_process_first_validation(tmp_path):
+    # importing the command line, a library pack and a batch integration
+    # validate no document, so they never import jsonschema; the first
+    # validation imports it and reports what an eager validator reported
+    run = _fresh_python(["-c", _LAZY_SCHEMA, str(tmp_path / "out")])
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {
+        "import": False, "suite": True, "batch": [True, True], "library": False,
+        "error": "$: 'model' is a required property", "validated": True}
 
 
 def test_schema_rejects_bad_scenarios():
@@ -912,6 +961,12 @@ def test_a_huge_offending_value_is_cut_in_the_error(tmp_path, capsys, theta0, sh
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {want}\n")
     assert len(err) < 200
+    assert not (tmp_path / "out").exists()
+    # the same message from a fresh process's first validation, which
+    # builds the validator: the cut does not depend on import order
+    run = _fresh_python(["-m", "synclab.cli", "--scenario", str(path),
+                         "--out", str(tmp_path / "out")])
+    assert (run.returncode, run.stdout, run.stderr) == (1, "", f"error: {want}\n")
     assert not (tmp_path / "out").exists()
 
 
