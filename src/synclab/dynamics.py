@@ -10,9 +10,14 @@ settles everything that does not change during an integration -- the model's
 constants, kappa/N, the flavor, whether Omega or H is shared, and which terms
 drop: a zero shared drive, a zero nu, the product by V = I and, on the
 sphere, the multiply by kappa = 1 -- so each stage makes only the numpy calls
-its configuration needs, through the ufuncs and ``np.dot`` directly.
+its configuration needs, through the ufuncs, ``np.add.accumulate`` and
+``np.dot`` directly.  The sphere kernel sums its rows into the centroid as
+the last row of a running sum, ``np.add.accumulate`` down the rows: the
+sequential sum ``np.add.reduce`` makes down them, without the reduction's
+inner-loop call per row (2.2 µs against 3.6 µs at N = 200).
 
-Binding also allocates the kernel's scratch: the centroid, the phase sum,
+Binding also allocates the kernel's scratch: the running row sums and the
+centroid, the phase sum,
 the complex rows and the products the formula passes through.  A call
 writes its intermediates there, each output passed positionally (an
 ``out=`` keyword costs numpy some 40 ns to parse, a tenth of a ufunc call
@@ -28,13 +33,15 @@ at 2 to 8 elements.  So a complex product or exponential writes only into a
 buffer that is none of its inputs.
 
 Bitwise contract: the kernels perform the same floating-point operations in
-the same order as the plain formulas (``x.mean(axis=0)``, ``@`` on 2-d
-operands, ``np.imag``/``np.real``) less the dropped terms, which change no
-nonzero number but may flip the sign of a zero (or of a zero real or
-imaginary part).  A step adds the tangent to the state, so a trajectory
-differs only where a state entry is -0.0, which no step creates but by
-underflow.  ``tests/test_hotpath_identity.py`` holds the plain formulas as
-the oracle; a rewrite that changes any other bit is a behaviour change.
+the same order as the plain formulas (``x.mean(axis=0)``, whose row sum is
+sequential down the rows of the C-ordered states the integrators pass, as
+the running sum is; ``@`` on 2-d operands; ``np.imag``/``np.real``) less
+the dropped terms, which change no nonzero number but may flip the sign of
+a zero (or of a zero real or imaginary part).  A step adds the tangent to
+the state, so a trajectory differs only where a state entry is -0.0, which
+no step creates but by underflow.  ``tests/test_hotpath_identity.py`` holds
+the plain formulas as the oracle; a rewrite that changes any other bit is a
+behaviour change.
 
 :func:`make_batch_rhs` binds a batch of circle or sphere configurations of
 one shape into a kernel on their stacked states, the same kernel bound
@@ -143,7 +150,7 @@ def _bind_sphere(cfgs: list[SphereConfig], stacked: bool):
     gain = None if (kappa == 1.0).all() else kappa
     product = np.matmul if stacked else np.dot
     multiply, divide, subtract = np.multiply, np.divide, np.subtract
-    add_reduce, axis = np.add.reduce, int(stacked)
+    accumulate, axis = np.add.accumulate, int(stacked)
     drive = None
     if not cfgs[0].shared_omega:
         omega, d = stack([c.omega for c in cfgs]), np.empty(size)
@@ -156,11 +163,14 @@ def _bind_sphere(cfgs: list[SphereConfig], stacked: bool):
 
         def drive(x):
             return product(x, omega_t, d)
-    # scratch: the centroid, V times it, <x_i, V x_c> and the coupling; a
-    # call's last operation allocates the tangent it returns.  Stacked, the
-    # centroid enters the products as a (B, d+1, 1) column and <x_i, V x_c>
-    # leaves them as a (B, N, 1) one
-    xc, dx = np.empty(shape[:1] + size[-1:]), np.empty(size)
+    # scratch: the running sums of the rows, whose last row is the sum of
+    # all (the sequential sum np.add.reduce makes down the rows, without its
+    # inner-loop call per row), the centroid, V times it, <x_i, V x_c> and
+    # the coupling; a call's last operation allocates the tangent it
+    # returns.  Stacked, the centroid enters the products as a (B, d+1, 1)
+    # column and <x_i, V x_c> leaves them as a (B, N, 1) one
+    running, xc, dx = np.empty(size), np.empty(shape[:1] + size[-1:]), np.empty(size)
+    total = running[:, -1] if stacked else running[-1]
     if stacked:
         c, p = xc[..., None], np.empty(size[:-1] + (1,))
     else:
@@ -172,7 +182,8 @@ def _bind_sphere(cfgs: list[SphereConfig], stacked: bool):
 
     def rhs(x):
         # sum_k V x_k = N * V x_c, so the coupling costs one small matvec
-        divide(add_reduce(x, axis, None, xc), n, xc)
+        accumulate(x, axis, None, running)
+        divide(total, n, xc)
         if v is not None:
             product(v, c, vxc)
         product(x, vxc, p)

@@ -16,9 +16,12 @@ The fixed-step loop is the hot path at small N, where each numpy call costs
 more in dispatch than in arithmetic.  The rhs kernel is bound once (see
 ``dynamics``), the RK4 coefficients once per integration and DOPRI5's
 tableau times h once per step size, as 0-d arrays of the state's dtype; the
-row normalization calls the ufuncs that ``np.linalg.norm`` runs for real
-input, and the polar factor and the finiteness check skip the wrappers
-around their reductions.  DOPRI5 evaluates f once per point: its last stage
+row normalization makes the operations ``np.linalg.norm`` makes for real
+input, bound once per run into the stepper's accumulators, with rows of 2
+to 7 entries summed as column adds over bound views of the squares (the
+order ``np.add.reduce`` sums them in, without its inner-loop call per row),
+and the polar factor and the finiteness check skip the wrappers around
+their reductions.  DOPRI5 evaluates f once per point: its last stage
 is f at the step's solution, so an unprojected run starts the next step
 from it, and a rejected step's retry reuses its first stage (6 rhs calls per
 attempted step, plus 1).  None of this changes an operation or its order, so
@@ -31,9 +34,9 @@ run is its one-member case.  It steps through one :class:`_RK4Stepper`
 bound per run, which runs the steps between two records as an inner loop.
 The stepper owns the loop's workspace: a stage buffer and two accumulators,
 which take turns as the current state and as the next sum, NORMALIZE's row
-squares and its result.  The kernel owns its own scratch.  A step therefore
-allocates only the four tangents the kernel returns and, under NORMALIZE,
-the column of row norms (a POLAR or a caller's projection returns a new
+squares and its result, and under NORMALIZE a buffer of row norms.  The
+kernel owns its own scratch.  A step therefore allocates only the four
+tangents the kernel returns (a POLAR or a caller's projection returns a new
 state).  Records are copies, and each member's final state is copied out of
 the workspace when it retires, so no array a run returns is written again.  A complex product rounds differently
 when written into one of its inputs (see ``dynamics``), so each one writes
@@ -129,6 +132,7 @@ class Trajectory:
 
 POLAR_TOL = 1e-14
 POLAR_MAX_ITER = 50
+_NON_FINITE = "non-finite state detected during integration"
 
 
 def polar_factor(m: np.ndarray) -> np.ndarray:
@@ -139,9 +143,11 @@ def polar_factor(m: np.ndarray) -> np.ndarray:
     here is small (<= 16), so no external decomposition is needed.  The
     iteration stops once no entry moves by ``POLAR_TOL`` or more; an
     iteration still moving after ``POLAR_MAX_ITER`` steps raises
-    IntegrationError, naming its last update.  Accepts a single matrix or a
-    stack.  ``m`` is not copied: no update writes into it, and the result
-    is always a new array.
+    IntegrationError, naming its last update, and one whose update is NaN,
+    which only a non-finite iterate gives, raises the IntegrationError of a
+    non-finite state at once.  Accepts a single matrix or a stack.  ``m``
+    is not copied: no update writes into it, and the result is always a new
+    array.
     """
     u = np.asarray(m, dtype=m.dtype if np.iscomplexobj(m) else float)
     (half,) = dynamics._scalars(u.dtype, 0.5)
@@ -152,19 +158,52 @@ def polar_factor(m: np.ndarray) -> np.ndarray:
         u = nxt
         if delta < POLAR_TOL:
             break
+        if delta != delta:
+            raise IntegrationError(_NON_FINITE)
     else:
         raise IntegrationError(f"the polar factor did not converge in {POLAR_MAX_ITER} "
                                f"iterations (last update {delta:.3g})")
     return u
 
 
+def _bind_normalize(out: np.ndarray, norms: np.ndarray):
+    """NORMALIZE into ``out``: a function that divides each row of an array
+    of out's shape, not ``out`` itself, by its norm, writing the squares and
+    then the result into ``out``, the row sums into ``norms``, a buffer of
+    out's shape less its last axis, and returning ``out``.
+
+    The norm takes the operations ``np.linalg.norm(x, axis=-1,
+    keepdims=True)`` runs on real x.  ``np.add.reduce`` sums a row of fewer
+    than 8 entries in column order, one inner-loop call per row, so rows of
+    2 to 7 entries are summed by adding the columns of ``out``, views bound
+    here, which gives the same bits in a few calls at any row count; from 8
+    entries on numpy sums pairwise, and the reduction stays."""
+    multiply, add, sqrt, divide = np.multiply, np.add, np.sqrt, np.divide
+    add_reduce = np.add.reduce
+    column, by_columns = norms[..., None], 2 <= out.shape[-1] < 8
+    if by_columns:
+        first, second, *rest = (out[..., k] for k in range(out.shape[-1]))
+
+    def normalize(x):
+        multiply(x, x, out)
+        if by_columns:
+            add(first, second, norms)
+            for col in rest:
+                add(norms, col, norms)
+        else:
+            add_reduce(out, -1, None, column, keepdims=True)
+        sqrt(norms, norms)
+        return divide(x, column, out)
+    return normalize
+
+
 def _normalize_rows(x: np.ndarray, out=None) -> np.ndarray:
-    """Each row of ``x`` divided by its norm, which is taken with the
-    operations ``np.linalg.norm(x, axis=-1, keepdims=True)`` runs on real x.
-    With ``out``, an array of x's shape that is not x, the squares and then
-    the result are written there."""
-    norms = np.add.reduce(np.multiply(x, x, out), -1, keepdims=True)
-    return np.divide(x, np.sqrt(norms, norms), out)
+    """Each row of ``x`` divided by its norm, as :func:`_bind_normalize`
+    takes it.  With ``out``, an array of x's shape that is not x, the
+    squares and then the result are written there."""
+    if out is None:
+        out = np.empty(np.shape(x), np.result_type(x, 0.5))
+    return _bind_normalize(out, np.empty(out.shape[:-1], out.dtype))(x)
 
 
 # each projection with the configuration class it fits, that class's name
@@ -230,28 +269,36 @@ class _RK4Stepper:
     order, each output passed positionally as in ``dynamics``.  A complex
     product may round differently in place, so each writes into a buffer
     that is none of its inputs.  ``project`` follows each step: given as
-    :func:`_normalize_rows` itself, it writes the squares and then the
-    projected state into the other accumulator, which the step has freed;
-    any other projection returns a new state.  ``f`` must return a new
-    array.  The stepper never writes into a state it is given.
+    :func:`_normalize_rows` itself, it is bound into each accumulator with
+    a buffer of row norms (:func:`_bind_normalize`) and writes the squares
+    and then the projected state into the other accumulator, which the step
+    has freed; any other projection returns a new state.  ``f`` must return
+    a new array.  The stepper never writes into a state it is given.
     """
 
     def __init__(self, f, y: np.ndarray, coef, project=None):
         self.f, self.coef, self.project = f, coef, project
-        self.in_place = project is _normalize_rows
         dtype = np.result_type(y, coef[0])
         self.stage, self.a, self.b = (np.empty(np.shape(y), dtype) for _ in range(3))
+        self.norms = np.empty(np.shape(y)[:-1], dtype) if project is _normalize_rows else None
+        self._bind()
+
+    def _bind(self):
+        """NORMALIZE into each accumulator, or None for both."""
+        self.into_a = self.into_b = None
+        if self.norms is not None:
+            self.into_a, self.into_b = (_bind_normalize(w, self.norms) for w in (self.a, self.b))
 
     def advance(self, y: np.ndarray, count: int) -> np.ndarray:
         """The state ``count`` steps after ``y``.  It lives in the workspace
         when it is not a projection's new array, so the next call may
         overwrite it."""
-        f, project, in_place = self.f, self.project, self.in_place
+        f, project = self.f, self.project
         half_h, h, sixth_h, two = self.coef
-        stage, a, b = self.stage, self.a, self.b
+        stage, a, b, into_a, into_b = self.stage, self.a, self.b, self.into_a, self.into_b
         multiply, add = np.multiply, np.add
         for _ in range(count):
-            acc, spare = (b, a) if y is a else (a, b)
+            acc, into_spare = (b, into_a) if y is a else (a, into_b)
             k1 = f(y)
             k2 = f(add(y, multiply(half_h, k1, stage), stage))
             k3 = f(add(y, multiply(half_h, k2, stage), stage))
@@ -260,8 +307,8 @@ class _RK4Stepper:
             add(acc, multiply(two, k3, stage), acc)
             add(acc, k4, acc)
             add(y, multiply(sixth_h, acc, stage), acc)
-            if in_place:
-                y = project(acc, spare)
+            if into_spare is not None:
+                y = into_spare(acc)
             else:
                 y = acc if project is None else project(acc)
         return y
@@ -272,6 +319,9 @@ class _RK4Stepper:
         state."""
         held = y is self.a, y is self.b
         self.stage, self.a, self.b = (w[members] for w in (self.stage, self.a, self.b))
+        if self.norms is not None:
+            self.norms = self.norms[members]
+        self._bind()
         self.coef = coef
         return self.a if held[0] else self.b if held[1] else y[members]
 
@@ -299,7 +349,7 @@ def _dopri5_step(f, y, h, k1=None):
 
 def _check_finite(y):
     if not np.logical_and.reduce(np.isfinite(y), None):
-        raise IntegrationError("non-finite state detected during integration")
+        raise IntegrationError(_NON_FINITE)
 
 
 def _fixed_step_count(t_final: float, dt: float) -> int:

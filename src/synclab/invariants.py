@@ -118,15 +118,18 @@ def _chords(x: np.ndarray) -> np.ndarray:
     is the order numpy's norm sums fewer than 8 coordinates in, so the result
     equals ``_pairwise_distances(x)[np.triu_indices(n, 1)]`` bit for bit
     there; from 8 coordinates on numpy sums in pairwise blocks and the last
-    bit may differ.
+    bit may differ.  Each coordinate's first gather holds its differences
+    and their squares, and the first of those holds the sum and the
+    lengths, so a call holds about four arrays of N(N-1)/2 at once.
     """
     i, j = _triu_indices(x.shape[0])
+    subtract, multiply, add = np.subtract, np.multiply, np.add
     total = None
     for col in x.T:
-        diff = col.take(i) - col.take(j)
-        sq = diff * diff
-        total = sq if total is None else total + sq
-    return np.sqrt(total)
+        diff = col.take(i)
+        multiply(subtract(diff, col.take(j), diff), diff, diff)
+        total = diff if total is None else add(total, diff, total)
+    return np.sqrt(total, total)
 
 
 def sphere_cross_ratio_H(x: np.ndarray, a: int, b: int, c: int, d: int) -> float:
@@ -187,7 +190,8 @@ def skew_frustration_product(x: np.ndarray) -> float:
 def skew_frustration_log_product(x: np.ndarray) -> float:
     """sum_{i<j} log ||x_i - x_j||, the logarithm of
     :func:`skew_frustration_product`, finite at any N."""
-    return float(np.sum(np.log(_nonzero_chords(np.asarray(x, dtype=float)))))
+    factors = _nonzero_chords(np.asarray(x, dtype=float))
+    return float(np.sum(np.log(factors, factors)))
 
 
 def max_pairwise_distance(x: np.ndarray) -> float:

@@ -17,6 +17,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synclab import dynamics
 from synclab.integrate import (
@@ -356,6 +358,47 @@ def _oracle_integrate(cfg, dt, t_final, project):
     for _ in range(n_steps):
         y = project(_oracle_rk4_step(rhs, y, h))
     return y
+
+
+def _oracle_records(cfg, dt, t_final, every, project):
+    """The times and states a fixed-step run records every ``every`` steps
+    and at the last, each step the oracle's step and then ``project``."""
+    rhs = _oracle_rhs(cfg)
+    n_steps = max(1, int(np.ceil(t_final / dt - 1e-9)))
+    h = t_final / n_steps
+    y = np.array(dynamics.state_of(cfg), copy=True)
+    times, states = [0.0], [y]
+    for i in range(1, n_steps + 1):
+        y = project(_oracle_rk4_step(rhs, y, h))
+        if i % every == 0 or i == n_steps:
+            times.append(i * h)
+            states.append(y)
+    return np.array(times), np.array(states)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 300), d=st.integers(1, 8),
+       steps=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+       every=st.integers(1, 3), shared=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_ragged_normalized_batch_is_bitwise_identical(n, d, steps, every, shared, seed):
+    # members that retire at different steps narrow the stepper's stack and
+    # its NORMALIZE buffers, down to one member; rows of 2 to 7 entries take
+    # NORMALIZE's column adds, rows of 8 or more its reduction
+    rng = np.random.default_rng(seed)
+    steps = sorted(steps, reverse=True)
+    cfgs = [_sphere_cfg(rng, n, d, shared, rng.uniform(-1.0, 2.0)) for _ in steps]
+    dt = 0.05
+    t_finals = [k * dt for k in steps]
+    run = IntegratorSettings(dt=dt, record_every=every, projection=Projection.NORMALIZE)
+    results = _integrate_array(dynamics.make_batch_rhs(cfgs), [c.x for c in cfgs],
+                               [run] * len(cfgs), t_finals, _normalize_rows,
+                               [None] * len(cfgs))
+    for cfg, t_final, (times, states, final) in zip(cfgs, t_finals, results):
+        want_times, want_states = _oracle_records(cfg, dt, t_final, every,
+                                                  _oracle_normalize_rows)
+        assert times.tobytes() == want_times.tobytes()
+        _assert_same_bits(states, want_states)
+        _assert_same_bits(final, want_states[-1])
 
 
 @pytest.mark.parametrize("seed", [1000, 1001])

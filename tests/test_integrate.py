@@ -251,6 +251,18 @@ def test_polar_factor_restores_unitarity():
     assert np.linalg.norm(pf - u) < 1e-2
 
 
+@pytest.mark.parametrize("m", [
+    np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex),
+    np.stack([np.eye(3), np.full((3, 3), np.nan)]),
+], ids=["complex", "real-stack"])
+def test_polar_factor_of_a_nan_matrix_raises_the_non_finite_error(m):
+    # its first update is NaN; the Newton loop used to run all 50
+    # iterations on it and report that it did not converge
+    with pytest.raises(IntegrationError,
+                       match="^non-finite state detected during integration$"):
+        polar_factor(m)
+
+
 def test_package_attribute_is_the_integrate_module():
     assert importlib.import_module("synclab.integrate") is synclab.integrate
 

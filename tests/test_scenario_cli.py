@@ -888,6 +888,22 @@ def test_cli_polar_factor_that_does_not_converge_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_polar_run_that_turns_non_finite_is_an_integration_error(tmp_path):
+    # at kappa = 1e300 the first step's stages overflow, and the polar
+    # factor of the NaN state it leaves used to run its 50 Newton
+    # iterations and report "did not converge (last update nan)"
+    doc = {"id": "polar-nan", "seed": 1, "t_final": 5.0,
+           "model": {"kind": "matrix", "kappa": 1e300,
+                     "initial": {"random": {"n": 5, "d": 2}}},
+           "integrator": {"dt": 1.0},
+           "observables": [{"name": "matrix_D"}]}
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = run_scenario(doc, tmp_path / "out", quiet=True)
+    assert res.exit_code == 1
+    assert res.error == "non-finite state detected during integration"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag, value, pointer", [
     ("--seed", "-1", "$.seed: "),
     ("--dt", "-0.01", "$.integrator.dt: "),
