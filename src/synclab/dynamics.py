@@ -14,14 +14,26 @@ its configuration needs, through the ufuncs, ``np.add.accumulate`` and
 ``np.dot`` directly.  The sphere kernel sums its rows into the centroid as
 the last row of a running sum, ``np.add.accumulate`` down the rows: the
 sequential sum ``np.add.reduce`` makes down them, without the reduction's
-inner-loop call per row (2.2 µs against 3.6 µs at N = 200).
+inner-loop call per row (2.2 µs against 3.6 µs at N = 200).  The matrix
+kernel sums its d x d matrices the same way from d = 2 on; at d = 1 numpy
+sums the one column of a U(1) stack pairwise, so it keeps the reduction.
+
+The circle kernel forms its exponents without a complex product.  It binds
+two complex rows whose real parts stay 0, writes i theta into the first
+one's imaginary view with one copy, and writes i(alpha - theta) (sine), or
+-i(alpha + theta) as i((-alpha) - theta) (cosine), into the second one's
+with one subtract.  ``1j * theta`` makes the same imaginary part, 0 + theta,
+with a real part 0 * theta - 0, and -(alpha + theta) rounds as (-alpha) -
+theta does up to the sign of a zero; exp(+-0 + iy) does not depend on the
+sign of the zero, so the exponentials differ at most in the sign of a zero
+imaginary part, where an exponent's imaginary part is a zero.
 
 Binding also allocates the kernel's scratch: the running row sums and the
-centroid, the phase sum,
-the complex rows and the products the formula passes through.  A call
-writes its intermediates there, each output passed positionally (an
-``out=`` keyword costs numpy some 40 ns to parse, a tenth of a ufunc call
-at N = 8), and allocates only the tangent it returns, so ``rhs(y)`` still returns a new array that no later call
+centroid, the phase sum, the exponents, the complex rows and the products
+the formula passes through.  A call writes its intermediates there, each
+output passed positionally (an ``out=`` keyword costs numpy some 40 ns to
+parse, a tenth of a ufunc call at N = 8), and allocates only the tangent it
+returns, so ``rhs(y)`` still returns a new array that no later call
 touches, which a caller may keep or wrap.  A bound kernel therefore takes
 only states of its configuration's shape (a batch kernel the stack of its
 bound size), and it is not reentrant: two threads must not share one.  Real
@@ -33,13 +45,15 @@ at 2 to 8 elements.  So a complex product or exponential writes only into a
 buffer that is none of its inputs.
 
 Bitwise contract: the kernels perform the same floating-point operations in
-the same order as the plain formulas (``x.mean(axis=0)``, whose row sum is
-sequential down the rows of the C-ordered states the integrators pass, as
-the running sum is; ``@`` on 2-d operands; ``np.imag``/``np.real``) less
-the dropped terms, which change no nonzero number but may flip the sign of
-a zero (or of a zero real or imaginary part).  A step adds the tangent to
-the state, so a trajectory differs only where a state entry is -0.0, which
-no step creates but by underflow.  ``tests/test_hotpath_identity.py`` holds
+the same order as the plain formulas (``np.exp(1j * theta).sum()`` and
+``np.exp(+-1j * (alpha -/+ theta))``, whose exponents the circle kernel
+forms as above; ``x.mean(axis=0)`` and ``u.mean(axis=0)``, whose sums are
+sequential down the rows or matrices of the C-ordered states the
+integrators pass, as the running sums are; ``@`` on 2-d operands;
+``np.imag``/``np.real``) less the dropped terms, which change no nonzero
+number but may flip the sign of a zero (or of a zero real or imaginary
+part).  A step adds the tangent to the state, so a trajectory differs only
+where a state entry is -0.0, which no step creates but by underflow.  ``tests/test_hotpath_identity.py`` holds
 the plain formulas as the oracle; a rewrite that changes any other bit is a
 behaviour change.
 
@@ -109,26 +123,25 @@ def _bind_phase(cfgs: list[PhaseConfig], stacked: bool):
     sine = cfgs[0].flavor is Flavor.SINE
     shape = (len(cfgs), 1) if stacked else ()
     column = lambda values: np.array(values, dtype=float).reshape(shape)
-    alpha, k_n = column([c.alpha for c in cfgs]), column([c.kappa / c.n for c in cfgs])
-    i, minus_i = _scalars(complex, 1j, -1j)
-    # scratch: the phase sum, two complex rows for each exponent and its
-    # exponential, and a real row for alpha -/+ theta, then k/N times the
-    # coupling when nu is added to it
+    # the cosine exponent -i(alpha + theta) is formed as i((-alpha) - theta)
+    offset = column([c.alpha if sine else -c.alpha for c in cfgs])
+    k_n = column([c.kappa / c.n for c in cfgs])
+    # scratch: the phase sum, the two exponents, whose real parts stay 0,
+    # their exponentials, the coupling's complex row and, when nu is added
+    # to it, a real row for k/N times the coupling
     size = shape[:1] + (cfgs[0].n,)
-    s, z, w, r = (np.empty(shape, complex), np.empty(size, complex),
-                  np.empty(size, complex), np.empty(size))
-    part = z.imag if sine else z.real
-    scaled = None if nu is None else r
-    multiply, subtract, add, exp = np.multiply, np.subtract, np.add, np.exp
+    s, phase, lag = np.empty(shape, complex), np.zeros(size, complex), np.zeros(size, complex)
+    w, z = np.empty(size, complex), np.empty(size, complex)
+    theta_i, lag_i, part = phase.imag, lag.imag, z.imag if sine else z.real
+    scaled = None if nu is None else np.empty(size)
+    multiply, subtract, exp = np.multiply, np.subtract, np.exp
     add_reduce = np.add.reduce
 
     def rhs(theta):
-        add_reduce(exp(multiply(i, theta, z), w), -1, None, s, keepdims=stacked)
-        if sine:
-            multiply(i, subtract(alpha, theta, r), z)
-        else:
-            multiply(minus_i, add(alpha, theta, r), z)
-        multiply(exp(z, w), s, z)
+        theta_i[...] = theta
+        add_reduce(exp(phase, w), -1, None, s, keepdims=stacked)
+        subtract(offset, theta, lag_i)
+        multiply(exp(lag, w), s, z)
         dtheta = multiply(k_n, part, scaled)
         return dtheta if nu is None else nu + dtheta
     return rhs
@@ -248,9 +261,14 @@ def _bind_unitary(cfg: UnitaryConfig):
 
         def drive(u):
             return multiply(minus_i, np.einsum("ab,jbc->jac", h, u, out=hu), d)
-    # scratch: the sum of the U_k, U_c, V U_c and its conjugate, U_j (V U_c)^*
-    # and the coupling
-    total, uc, star = (np.empty(size[1:], complex) for _ in range(3))
+    # scratch: the running sums of the U_k, whose last is the sum of all,
+    # U_c, V U_c and its conjugate, U_j (V U_c)^* and the coupling.  Down
+    # the stack np.add.reduce adds whole d x d matrices in order, as the
+    # running sum does; at d = 1 it sums the one column pairwise, so U(1)
+    # keeps the reduction
+    by_rows, running = cfg.d > 1, np.empty(size, complex)
+    total, uc, star = running[-1], np.empty(size[1:], complex), np.empty(size[1:], complex)
+    accumulate, add_reduce = np.add.accumulate, np.add.reduce
     vuc = uc if v is None else np.empty_like(uc)
     star_t, left, du = star.T, np.empty(size, complex), np.empty(size, complex)
     scaled = None if drive is None else left
@@ -258,7 +276,11 @@ def _bind_unitary(cfg: UnitaryConfig):
     def rhs(u):
         # dU_j = -i H_j U_j + (kappa/2N) sum_k (V U_k - U_j (V U_k)^* U_j)
         # with sum_k V U_k = N * V U_c.
-        divide(np.add.reduce(u, 0, None, total), n, uc)
+        if by_rows:
+            accumulate(u, 0, None, running)
+        else:
+            add_reduce(u, 0, None, total)
+        divide(total, n, uc)
         if v is not None:
             np.dot(v, uc, vuc)
         np.conjugate(vuc, star)

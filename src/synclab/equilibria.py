@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dynamics
 from .integrate import IntegratorSettings, integrate_functional, natural_projection
-from .invariants import matrix_diameter
+from .invariants import _bind_matrix_diameter, matrix_diameter
 from .state import UnitaryConfig, hermitian_part
 
 EQUILIBRIUM_TOL = 1e-10
@@ -167,7 +167,8 @@ def matrix_aggregation_check(cfg: UnitaryConfig, t_final: float,
     settings = replace(settings, projection=natural_projection(cfg))
 
     v_dist = float(np.linalg.norm(cfg.v - np.eye(cfg.d)))
-    times, diam, _ = integrate_functional(cfg, settings, t_final, matrix_diameter)
+    times, diam, _ = integrate_functional(cfg, settings, t_final,
+                                          _bind_matrix_diameter(cfg.u.shape))
     d0 = diam[0]
     hypothesis = v_dist < 2.0 / 3.0 and d0 < np.sqrt(2.0 - 3.0 * v_dist)
     dts = np.diff(times)

@@ -19,9 +19,12 @@ tableau times h once per step size, as 0-d arrays of the state's dtype; the
 row normalization makes the operations ``np.linalg.norm`` makes for real
 input, bound once per run into the stepper's accumulators, with rows of 2
 to 7 entries summed as column adds over bound views of the squares (the
-order ``np.add.reduce`` sums them in, without its inner-loop call per row),
-and the polar factor and the finiteness check skip the wrappers around
-their reductions.  DOPRI5 evaluates f once per point: its last stage
+order ``np.add.reduce`` sums them in, without its inner-loop call per row);
+the polar factor is bound the same way, and it inverts through the gufunc
+that ``np.linalg.inv`` wraps (:data:`_inverse`), under the error state that
+``np.linalg.inv`` sets, without the wrapper's checks, conversions and
+allocations; the finiteness check skips the wrappers around its
+reduction.  DOPRI5 evaluates f once per point: its last stage
 is f at the step's solution, so an unprojected run starts the next step
 from it, and a rejected step's retry reuses its first stage (6 rhs calls per
 attempted step, plus 1).  None of this changes an operation or its order, so
@@ -34,14 +37,18 @@ run is its one-member case.  It steps through one :class:`_RK4Stepper`
 bound per run, which runs the steps between two records as an inner loop.
 The stepper owns the loop's workspace: a stage buffer and two accumulators,
 which take turns as the current state and as the next sum, NORMALIZE's row
-squares and its result, and under NORMALIZE a buffer of row norms.  The
-kernel owns its own scratch.  A step therefore allocates only the four
-tangents the kernel returns (a POLAR or a caller's projection returns a new
-state).  Records are copies, and each member's final state is copied out of
-the workspace when it retires, so no array a run returns is written again.  A complex product rounds differently
-when written into one of its inputs (see ``dynamics``), so each one writes
-into a buffer that is none of them.  DOPRI5 and :func:`polar_factor`
-allocate as before.
+squares and its result, or POLAR's Newton iterates, and under NORMALIZE a
+buffer of row norms, under POLAR two arrays of POLAR's scratch.  The kernel
+owns its own scratch.  A step therefore allocates only the four tangents
+the kernel returns (a caller's projection returns a new state).  Records
+are copies, and each member's final state is copied out of the workspace
+when it retires, so no array a run returns is written again.  A complex
+product rounds differently when written into one of its inputs (see
+``dynamics``), so each one writes into a buffer that is none of them.
+DOPRI5 allocates as before, and :func:`polar_factor`, POLAR bound for one
+call, allocates its four arrays per call.  A singular matrix in POLAR
+raises IntegrationError, a named error that a scenario run reports, where
+``np.linalg.inv`` raises numpy's LinAlgError.
 
 Runs that share a model shape integrate together through
 :func:`integrate_batch`: RK4 members advance in one ragged lockstep loop on
@@ -58,6 +65,7 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import dynamics
 from .errors import IntegrationError, StepSizeUnderflow
@@ -143,27 +151,70 @@ def polar_factor(m: np.ndarray) -> np.ndarray:
     here is small (<= 16), so no external decomposition is needed.  The
     iteration stops once no entry moves by ``POLAR_TOL`` or more; an
     iteration still moving after ``POLAR_MAX_ITER`` steps raises
-    IntegrationError, naming its last update, and one whose update is NaN,
+    IntegrationError, naming its last update, one whose update is NaN,
     which only a non-finite iterate gives, raises the IntegrationError of a
-    non-finite state at once.  Accepts a single matrix or a stack.  ``m``
-    is not copied: no update writes into it, and the result is always a new
-    array.
+    non-finite state at once, and a singular iterate raises IntegrationError
+    too.  Accepts a single matrix or a stack.  ``m`` is not copied: no
+    update writes into it, and the result is always a new array.  This is
+    :func:`_bind_polar` bound for one call.
     """
     u = np.asarray(m, dtype=m.dtype if np.iscomplexobj(m) else float)
-    (half,) = dynamics._scalars(u.dtype, 0.5)
-    inv, max_reduce = np.linalg.inv, np.maximum.reduce
-    for _ in range(POLAR_MAX_ITER):
-        nxt = half * (u + inv(u.swapaxes(-1, -2).conj()))
-        delta = max_reduce(abs(nxt - u), None)
-        u = nxt
-        if delta < POLAR_TOL:
-            break
-        if delta != delta:
-            raise IntegrationError(_NON_FINITE)
-    else:
+    work = np.empty((4,) + u.shape, u.dtype)
+    return _bind_polar(work[0], work[1], work[2], work[3])(u)
+
+
+def _singular(err, flag):
+    raise IntegrationError("the polar factor met a singular matrix")
+
+
+# the inverse gufunc np.linalg.inv calls, under the error state it sets: the
+# gufunc flags a singular matrix as an invalid operation, and the handler
+# raises IntegrationError where np.linalg.inv raises LinAlgError
+_inverse = np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")(_umath_linalg.inv)
+
+
+def _bind_polar(first: np.ndarray, second: np.ndarray, star: np.ndarray,
+                total: np.ndarray):
+    """POLAR through ``first`` and ``second``: a function that returns the
+    polar factor of an array of their shape and dtype, as
+    :func:`polar_factor` describes it, writing its Newton iterates into
+    ``first`` and ``second`` in turn, the first one into ``first``, and
+    returning the last.  Its argument may be ``second``, which is read only
+    before the second iterate is written, but not ``first``.  ``star`` and
+    ``total``, two more arrays of their shape and dtype, are its scratch,
+    which functions bound here that never run at once may share.
+
+    An iteration makes the operations of ``(u + inv(u^*)) / 2`` in their
+    order, ``inv`` being the inverse gufunc of ``np.linalg.inv``
+    (:data:`_inverse`), which computes in double precision as
+    ``np.linalg.inv`` does.  u^* goes to ``star``, its inverse, then the sum
+    and then the update to ``total``, and the update's magnitudes to
+    ``star``; the product by 1/2, which rounds differently in place, writes
+    into the next iterate, none of its inputs."""
+    half = np.array(0.5, first.dtype)
+    signature = "D->D" if first.dtype.kind == "c" else "d->d"
+    size = star.real
+    iterates = ((first, first.swapaxes(-1, -2)), (second, second.swapaxes(-1, -2)))
+    conjugate, add, multiply, subtract, absolute = (
+        np.conjugate, np.add, np.multiply, np.subtract, np.absolute)
+    max_reduce = np.maximum.reduce
+
+    def polar(x):
+        u, u_t = x, x.swapaxes(-1, -2)
+        for k in range(POLAR_MAX_ITER):
+            nxt, nxt_t = iterates[k & 1]
+            _inverse(conjugate(u_t, star), total, signature=signature)
+            multiply(half, add(u, total, total), nxt)
+            delta = max_reduce(absolute(subtract(nxt, u, total), size), None)
+            u, u_t = nxt, nxt_t
+            if delta < POLAR_TOL:
+                return u
+            if delta != delta:
+                raise IntegrationError(_NON_FINITE)
         raise IntegrationError(f"the polar factor did not converge in {POLAR_MAX_ITER} "
                                f"iterations (last update {delta:.3g})")
-    return u
+    return polar
 
 
 def _bind_normalize(out: np.ndarray, norms: np.ndarray):
@@ -272,8 +323,12 @@ class _RK4Stepper:
     :func:`_normalize_rows` itself, it is bound into each accumulator with
     a buffer of row norms (:func:`_bind_normalize`) and writes the squares
     and then the projected state into the other accumulator, which the step
-    has freed; any other projection returns a new state.  ``f`` must return
-    a new array.  The stepper never writes into a state it is given.
+    has freed; given as :func:`polar_factor` itself, it is bound with its
+    scratch (:func:`_bind_polar`) and writes its Newton iterates into the
+    other accumulator and the one it projects in turn, so the projected
+    state is whichever holds the last; any other projection returns a new
+    state.  ``f`` must return a new array.  The stepper never writes into a
+    state it is given.
     """
 
     def __init__(self, f, y: np.ndarray, coef, project=None):
@@ -284,10 +339,14 @@ class _RK4Stepper:
         self._bind()
 
     def _bind(self):
-        """NORMALIZE into each accumulator, or None for both."""
+        """NORMALIZE or POLAR into each accumulator, or None for both."""
         self.into_a = self.into_b = None
         if self.norms is not None:
             self.into_a, self.into_b = (_bind_normalize(w, self.norms) for w in (self.a, self.b))
+        elif self.project is polar_factor:
+            star, total = np.empty_like(self.a), np.empty_like(self.a)
+            self.into_a, self.into_b = (_bind_polar(self.a, self.b, star, total),
+                                        _bind_polar(self.b, self.a, star, total))
 
     def advance(self, y: np.ndarray, count: int) -> np.ndarray:
         """The state ``count`` steps after ``y``.  It lives in the workspace

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,11 +222,37 @@ def affine_fit_residual(x: np.ndarray, m: int) -> float:
 
 
 def matrix_diameter(u: np.ndarray) -> float:
-    """D(U) = max Frobenius distance over pairs."""
+    """D(U) = max Frobenius distance over pairs; :func:`_bind_matrix_diameter`
+    bound for one call."""
     u = np.asarray(u, dtype=complex)
-    diff = u[:, None] - u[None, :]
-    squares = np.add.reduce((diff.conj() * diff).real, axis=(2, 3))  # as np.linalg.norm
-    return float(np.sqrt(np.maximum.reduce(squares, None)))  # the root is monotone
+    return _bind_matrix_diameter(u.shape)(u)
+
+
+def _bind_matrix_diameter(shape):
+    """:func:`matrix_diameter` of complex (N, d, d) stacks of ``shape``, its
+    operands, differences, products and squared distances written into
+    scratch bound here.
+
+    Entry [i, j] of the (N, N, d, d) operands holds U_i and U_j, copied in
+    (a ufunc buffers an operand it broadcasts, a copy of the whole (N, N,
+    d, d) table at every call); the difference is written over the first,
+    its conjugate over the second and their product, which rounds
+    differently in place, into a third.  Each squared distance sums the
+    real parts of one (d, d) block, as ``np.linalg.norm`` does, and the root
+    of the largest is taken last, since the root is monotone."""
+    n, block = shape[0], tuple(shape[1:])
+    diff, other, prod = (np.empty((n, n) + block, complex) for _ in range(3))
+    squares, real = np.empty((n, n)), prod.real
+    subtract, conjugate, multiply = np.subtract, np.conjugate, np.multiply
+    add_reduce, max_reduce, sqrt = np.add.reduce, np.maximum.reduce, math.sqrt
+
+    def diameter(u):
+        diff[...] = u[:, None]
+        other[...] = u
+        subtract(diff, other, diff)
+        multiply(conjugate(diff, other), diff, prod)
+        return sqrt(max_reduce(add_reduce(real, (2, 3), None, squares), None))
+    return diameter
 
 
 def matrix_cross_ratio_spectrum(u: np.ndarray, i: int, j: int, k: int,

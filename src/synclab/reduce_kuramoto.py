@@ -9,6 +9,14 @@ collapses to two scalar functions (f, g) with x_j(t) = g(t) + f(t) x_j(0).
 Oscillators coincident with theta_N at t = 0 stay coincident and are moved to
 the trailing positions; the permutation is recorded so reconstruction reports
 errors in the caller's original indexing.
+
+:func:`integrate_fg` steps the (f, g) system through the fixed-step loop of
+``integrate`` with its rhs bound once per run (:func:`_bind_fg_rhs`): the
+constants of the coefficients A and B and the buffers of the transported
+points and of every intermediate are bound, so a call allocates only the
+(f', g') it returns.  It makes the operations of the plain formulas, kept as
+the oracle in ``tests/test_hotpath_identity.py``, in their order, so every
+record equals theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _scalars
 from .errors import CoincidentPhase, IntegrationError
 from .integrate import (
     IntegratorSettings,
@@ -105,21 +114,46 @@ def ab_coefficients(x: np.ndarray, m: int, kappa: float,
     blow-up of the reduced flow.
     """
     x = np.asarray(x, dtype=float)
-    a, b = _bind_ab(x.size + m, m, kappa, alpha)(x)
+    a, b = _bind_ab(x.size + m, m, kappa, alpha, x.shape)(x)
     return float(a), float(b)
 
 
-def _bind_ab(n: int, m: int, kappa: float, alpha: float):
-    """x -> (A, B) of :func:`ab_coefficients`, with cos alpha, sin alpha and
-    kappa/n bound once."""
-    c, s, k_n, add_reduce = np.cos(alpha), np.sin(alpha), kappa / n, np.add.reduce
+def _bind_ab(n: int, m: int, kappa: float, alpha: float, shape):
+    """x -> (A, B) of :func:`ab_coefficients` for x of ``shape``, with
+    cos alpha, sin alpha, their multiples by m, kappa/n and the scratch of
+    the intermediates bound once."""
+    c, s, one, two = _scalars(float, np.cos(alpha), np.sin(alpha), 1.0, 2.0)
+    m_s, m_c, k_n = float(m * s), float(m * c), kappa / n
+    x2, den, t1, t2, p, q = (np.empty(shape) for _ in range(6))
+    multiply, add, subtract, divide, negative = (
+        np.multiply, np.add, np.subtract, np.divide, np.negative)
+    add_reduce = np.add.reduce
 
     def ab(x):
-        x2 = x * x
-        t1, t2 = 2.0 * x / (x2 + 1.0), (x2 - 1.0) / (x2 + 1.0)
-        return (k_n * (m * s + add_reduce(t1 * c + t2 * s)),
-                k_n * (m * c + add_reduce(-t1 * s + t2 * c)))
+        multiply(x, x, x2)
+        add(x2, one, den)
+        divide(multiply(two, x, t1), den, t1)
+        divide(subtract(x2, one, t2), den, t2)
+        a_sum = add_reduce(add(multiply(t1, c, p), multiply(t2, s, q), p))
+        b_sum = add_reduce(add(multiply(negative(t1, p), s, p), multiply(t2, c, q), p))
+        return k_n * (m_s + a_sum), k_n * (m_c + b_sum)
     return ab
+
+
+def _bind_fg_rhs(data: ProjectedPhaseData):
+    """(f, g) -> (f', g') = (B f, A + B g), the coefficients taken at the
+    transported points f x0 + g, with :func:`_bind_ab` and the points'
+    buffer bound once; each call returns a new array."""
+    x0 = data.x0
+    ab = _bind_ab(data.n, data.m, data.kappa, data.alpha, x0.shape)
+    x = np.empty(x0.shape)
+    multiply, add = np.multiply, np.add
+
+    def rhs(fg):
+        f, g = fg[0], fg[1]
+        a, b = ab(add(multiply(f, x0, x), g, x))
+        return np.array([b * f, a + b * g])
+    return rhs
 
 
 @dataclass
@@ -139,14 +173,9 @@ def integrate_fg(data: ProjectedPhaseData, settings: IntegratorSettings,
     verified at record points; violation beyond 10% signals integrator
     failure.
     """
-    x0, kappa = data.x0, data.kappa
-    ab = _bind_ab(data.n, data.m, kappa, data.alpha)
-
-    def rhs(fg):
-        a, b = ab(fg[0] * x0 + fg[1])
-        return np.array([b * fg[0], a + b * fg[1]])
-
-    times, states, _ = _integrate_array(rhs, np.array([1.0, 0.0]), settings, t_final)
+    kappa = data.kappa
+    times, states, _ = _integrate_array(_bind_fg_rhs(data), np.array([1.0, 0.0]),
+                                        settings, t_final)
     f, g = states[:, 0], states[:, 1]
     envelope = np.exp(abs(kappa) * times)
     if np.any(np.abs(f) > envelope * 1.1) or np.any(np.abs(g) > (envelope - 1.0) * 1.1 + 1e-9):

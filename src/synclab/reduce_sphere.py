@@ -12,24 +12,38 @@ orthogonal matrix M(t), with
 The reduction is implemented for V = I only (the stated reduced systems
 carry no frustration) and for pairwise-distinct initial data (multiplicity
 m = 1 at the reference).
+
+:func:`integrate_stereo_full` and :func:`integrate_abM` step through the
+fixed-step loop of ``integrate`` with their rhs and projection bound once
+per run (``_bind_stereo_rhs``, ``_bind_stereo_project``, ``_bind_abm_rhs``
+and ``_bind_abm_project``): constants and the buffers of every intermediate
+are bound, the chart centroid's row sums are column adds and a running sum
+(see :func:`_bind_chart_centroid`), and the (a, b, M) projection takes M's
+polar factor through POLAR bound with its scratch
+(``integrate._bind_polar``), so a call allocates only the state it returns.
+They make the operations of the plain formulas, kept as the oracle in
+``tests/test_hotpath_identity.py``, in their order, so every record equals
+theirs bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from dataclasses import replace as _replace
 
 import numpy as np
 
+from .dynamics import _scalars
 from .errors import CoincidentPoint, IntegrationError, PassedThroughProjectionPoint
 from .integrate import (
     IntegratorSettings,
     Trajectory,
+    _bind_polar,
     _integrate_array,
     integrate,
     integrate_functional,
     natural_projection,
-    polar_factor,
 )
 from .invariants import (aggregation_diameter, max_pairwise_distance,
                          min_pairwise_distance, sphere_order_parameter)
@@ -112,24 +126,97 @@ class StereoTrajectory:
     x_n: np.ndarray    # (T, d+1)
 
 
-def _chart_centroid(ys: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """N times the centroid of the points behind ``ys`` and the reference x_N,
+def _bind_chart_centroid(shape):
+    """ys -> (drift, radial, w) for (N-1, d+1) points ``ys`` of ``shape``:
+    N times the centroid of the points behind them and the reference x_N,
     as (sum_j 2 y_j/(1+|y_j|^2), 1 + sum_j (|y_j|^2-1)/(1+|y_j|^2)), its
-    components in the hyperplane and along x_N, then the weights 1/(1+|y_j|^2)."""
-    norm2 = np.add.reduce(ys * ys, 1)
-    w = 1.0 / (1.0 + norm2)
-    return 2.0 * np.add.reduce(w[:, None] * ys, 0), 1.0 + np.add.reduce((norm2 - 1.0) * w), w
+    components in the hyperplane and along x_N, then the weights
+    1/(1+|y_j|^2).
+
+    drift and w are scratch bound here, which the next call overwrites.
+    Each |y_j|^2 adds its row's squares in column order, as
+    ``np.add.reduce`` adds a row of fewer than 8: by column adds over views
+    bound here up to 7 entries, by that reduction from 8 on (see
+    ``integrate._bind_normalize``).  The weighted rows are summed as the last
+    row of their running sum, the sequential sum ``np.add.reduce`` makes
+    down them (see ``dynamics``)."""
+    squares, weighted, running = np.empty(shape), np.empty(shape), np.empty(shape)
+    norm2, w, drift = np.empty(shape[:1]), np.empty(shape[:1]), np.empty(shape[1:])
+    total, w_column = running[-1], w[:, None]
+    by_columns = shape[1] < 8
+    if by_columns:
+        first, second, *rest = squares.T
+    one, two = _scalars(float, 1.0, 2.0)
+    multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
+    add_reduce, accumulate = np.add.reduce, np.add.accumulate
+
+    def centroid(ys):
+        multiply(ys, ys, squares)
+        if by_columns:
+            add(first, second, norm2)
+            for col in rest:
+                add(norm2, col, norm2)
+        else:
+            add_reduce(squares, 1, None, norm2)
+        divide(one, add(one, norm2, w), w)
+        accumulate(multiply(w_column, ys, weighted), 0, None, running)
+        multiply(two, total, drift)
+        return drift, 1.0 + add_reduce(multiply(subtract(norm2, one, norm2), w, norm2)), w
+    return centroid
 
 
-def _stereo_rhs(state: np.ndarray, kappa: float, n: int) -> np.ndarray:
-    ys, x_n = state[:-1], state[-1]
-    drift, radial, _ = _chart_centroid(ys)
-    inner = ys @ drift / 2.0                          # sum_j <y_i,y_j>/(1+|y_j|^2)
-    k_n = kappa / n
-    out = np.empty_like(state)
-    out[:-1] = k_n * (drift[None, :] + radial * ys - 2.0 * inner[:, None] * x_n[None, :])
-    out[-1] = k_n * drift
-    return out
+def _bind_stereo_rhs(shape, kappa: float, n: int):
+    """The rhs of the coupled (y, x_N) system on states of ``shape``, the
+    rows y_j above the reference x_N, with kappa/N and the scratch of its
+    intermediates bound here; each call returns a new array."""
+    rows = (shape[0] - 1,) + tuple(shape[1:])
+    centroid = _bind_chart_centroid(rows)
+    inner, twice, lhs, outer = np.empty(rows[:1]), np.empty(rows[:1]), np.empty(rows), np.empty(rows)
+    twice_column = twice[:, None]
+    k_n, two = _scalars(float, kappa / n, 2.0)
+    multiply, add, subtract, divide, matmul = (
+        np.multiply, np.add, np.subtract, np.divide, np.matmul)
+
+    def rhs(state):
+        ys, x_n = state[:-1], state[-1]
+        drift, radial, _ = centroid(ys)
+        # sum_j <y_i,y_j>/(1+|y_j|^2)
+        divide(matmul(ys, drift, inner), two, inner)
+        # k/N (drift + radial y_i - 2 inner_i x_N), then k/N drift
+        add(drift, multiply(radial, ys, lhs), lhs)
+        multiply(two, inner, twice)
+        subtract(lhs, multiply(twice_column, x_n, outer), lhs)
+        out = np.empty(shape)
+        multiply(k_n, lhs, out[:-1])
+        multiply(k_n, drift, out[-1])
+        return out
+    return rhs
+
+
+def _bind_stereo_project(shape):
+    """The projection of the (y, x_N) system on states of ``shape``: x_N
+    onto the unit sphere, then each y_i onto the hyperplane orthogonal to
+    it, with the scratch of its intermediates bound here; each call returns
+    a new array, and a projected point past ``BLOWUP_LIMIT`` raises
+    PassedThroughProjectionPoint."""
+    rows = (shape[0] - 1,) + tuple(shape[1:])
+    along, outer = np.empty(rows[:1]), np.empty(rows)
+    along_column = along[:, None]
+    multiply, subtract, divide, absolute, matmul = (
+        np.multiply, np.subtract, np.divide, np.absolute, np.matmul)
+    dot, sqrt, max_reduce = np.dot, math.sqrt, np.maximum.reduce
+
+    def project(state):
+        out = np.empty(shape)
+        top, last, ys, x_n = state[:-1], state[-1], out[:-1], out[-1]
+        divide(last, sqrt(dot(last, last)), x_n)
+        matmul(top, x_n, along)
+        subtract(top, multiply(along_column, x_n, outer), ys)
+        if max_reduce(absolute(ys, outer), None) > BLOWUP_LIMIT:
+            raise PassedThroughProjectionPoint(
+                "a projected point exceeded 1e12; the chart broke down")
+        return out
+    return project
 
 
 def integrate_stereo_full(data: ProjectedSphereData, settings: IntegratorSettings,
@@ -140,20 +227,10 @@ def integrate_stereo_full(data: ProjectedSphereData, settings: IntegratorSetting
     projected point running past 1e12 in norm aborts the run (the particle
     passed through the projection point of the chart).
     """
-    kappa, n = data.kappa, data.n
     state0 = np.vstack([data.y0, data.x_n0[None, :]])
-
-    def project(state):
-        out = np.empty_like(state)
-        x_n = out[-1] = state[-1] / np.sqrt(np.dot(state[-1], state[-1]))
-        ys = out[:-1] = state[:-1] - (state[:-1] @ x_n)[:, None] * x_n
-        if np.maximum.reduce(abs(ys), None) > BLOWUP_LIMIT:
-            raise PassedThroughProjectionPoint(
-                "a projected point exceeded 1e12; the chart broke down")
-        return out
-
     times, states, _ = _integrate_array(
-        lambda s: _stereo_rhs(s, kappa, n), state0, settings, t_final, project=project)
+        _bind_stereo_rhs(state0.shape, data.kappa, data.n), state0, settings, t_final,
+        project=_bind_stereo_project(state0.shape))
     return StereoTrajectory(times=times, y=states[:, :-1], x_n=states[:, -1])
 
 
@@ -170,30 +247,55 @@ class ReducedSphereTrajectory:
     data: ProjectedSphereData
 
 
-def _abm_rhs(state: np.ndarray, data: ProjectedSphereData) -> np.ndarray:
-    """(a', b', M') at state (a, b, M); (a', b') do not involve M."""
-    dim = data.dim
-    a, b = state[0], state[1:1 + dim]
-    tangential, radial, w = _chart_centroid(a * data.y0 + b[None, :])
-    kappa, k_n, x_n0 = data.kappa, data.kappa / data.n, data.x_n0
-    out = np.empty_like(state)
-    out[0] = k_n * radial * a
-    out[1:1 + dim] = kappa * b + k_n * 2.0 * a * np.add.reduce(w[:, None] * data.y0, 0)
-    m = state[1 + dim:].reshape(dim, dim)
-    z = k_n * tangential
-    ell = z[:, None] * x_n0 - x_n0[:, None] * z
-    out[1 + dim:] = (m @ ell).ravel()
-    return out
+def _bind_abm_rhs(data: ProjectedSphereData):
+    """(a, b, M) -> (a', b', M') of the system of ``data``, with kappa/N and
+    the scratch of its intermediates bound here; each call returns a new
+    array.  (a', b') do not involve M."""
+    dim, y0, x_n0 = data.dim, data.y0, data.x_n0
+    centroid = _bind_chart_centroid(y0.shape)
+    k_n = data.kappa / data.n
+    twice_k_n = k_n * 2.0
+    kappa, gain = _scalars(float, data.kappa, k_n)
+    ys, weighted, running = np.empty(y0.shape), np.empty(y0.shape), np.empty(y0.shape)
+    total, size = running[-1], 1 + dim + dim * dim
+    kb, shift, z = np.empty(dim), np.empty(dim), np.empty(dim)
+    left, right = np.empty((dim, dim)), np.empty((dim, dim))
+    z_column, x_n0_column = z[:, None], x_n0[:, None]
+    multiply, add, subtract, matmul = np.multiply, np.add, np.subtract, np.matmul
+    accumulate = np.add.accumulate
+
+    def rhs(state):
+        a, b = state[0], state[1:1 + dim]
+        tangential, radial, w = centroid(add(multiply(a, y0, ys), b, ys))
+        out = np.empty(size)
+        out[0] = k_n * radial * a
+        accumulate(multiply(w[:, None], y0, weighted), 0, None, running)
+        add(multiply(kappa, b, kb), multiply(twice_k_n * a, total, shift), out[1:1 + dim])
+        # ell = z x_N(0)^T - x_N(0) z^T with z = k/N times the tangential part
+        multiply(gain, tangential, z)
+        subtract(multiply(z_column, x_n0, left), multiply(x_n0_column, z, right), left)
+        matmul(state[1 + dim:].reshape(dim, dim), left, out[1 + dim:].reshape(dim, dim))
+        return out
+    return rhs
 
 
-def _abm_project(state: np.ndarray, data: ProjectedSphereData) -> np.ndarray:
-    """b onto the hyperplane orthogonal to x_N(0), M onto its polar factor."""
-    dim = data.dim
-    out = state.copy()
-    b = out[1:1 + dim]
-    out[1:1 + dim] = b - (b @ data.x_n0) * data.x_n0
-    out[1 + dim:] = polar_factor(out[1 + dim:].reshape(dim, dim)).ravel()
-    return out
+def _bind_abm_project(data: ProjectedSphereData):
+    """(a, b, M) -> the state with b projected onto the hyperplane
+    orthogonal to x_N(0) and M replaced by its polar factor, through
+    :func:`integrate._bind_polar` with its iterates and scratch bound here;
+    each call returns a new array."""
+    dim, x_n0 = data.dim, data.x_n0
+    polar = _bind_polar(*np.empty((4, dim, dim)))
+    along = np.empty(dim)
+    multiply, subtract = np.multiply, np.subtract
+
+    def project(state):
+        out = state.copy()
+        b, m = out[1:1 + dim], out[1 + dim:].reshape(dim, dim)
+        subtract(b, multiply(b @ x_n0, x_n0, along), b)
+        m[...] = polar(m)
+        return out
+    return project
 
 
 def integrate_abM(data: ProjectedSphereData, settings: IntegratorSettings,
@@ -207,15 +309,16 @@ def integrate_abM(data: ProjectedSphereData, settings: IntegratorSettings,
     """
     dim = data.dim
     state0 = np.concatenate([[1.0], np.zeros(dim), np.eye(dim).ravel()])
+    abm_project = _bind_abm_project(data)
 
     def project(state):
-        state = _abm_project(state, data)
+        state = abm_project(state)
         if state[0] <= 0.0:
             raise IntegrationError("scaling factor a lost positivity")
         return state
 
     times, states, _ = _integrate_array(
-        lambda s: _abm_rhs(s, data), state0, settings, t_final, project=project)
+        _bind_abm_rhs(data), state0, settings, t_final, project=project)
     return ReducedSphereTrajectory(
         times=times, a=states[:, 0], b=states[:, 1:1 + dim],
         m=states[:, 1 + dim:].reshape(-1, dim, dim), data=data)
@@ -235,7 +338,7 @@ def reconstruct_abM(reduced: ReducedSphereTrajectory) -> tuple[np.ndarray, np.nd
 def rho_squared_reduced(a: float, b: np.ndarray, data: ProjectedSphereData) -> float:
     """Squared order parameter from the reduced variables alone: M drops out
     of every Euclidean quantity."""
-    tangential, radial, _ = _chart_centroid(a * data.y0 + b[None, :])
+    tangential, radial, _ = _bind_chart_centroid(data.y0.shape)(a * data.y0 + b[None, :])
     return float((tangential @ tangential + radial ** 2) / data.n ** 2)
 
 

@@ -9,8 +9,11 @@ names: where the oracle's result holds an exact zero (a real number, or a
 real or imaginary part), the kernel that skips a zero drive, a zero nu or a
 product by the identity may return the zero of the other sign.
 
-The kernels and the RK4 stepper write into buffers bound once; the last
-section checks that what they return is never one of those buffers.
+The kernels and the RK4 stepper write into buffers bound once; a later
+section checks that what they return is never one of those buffers.  The
+last sections hold the inverse that the polar factor calls, the matrix
+diameter the matrix certificate records, and the reduced systems of the two
+stereographic reductions, each against its plain formula.
 """
 
 import itertools
@@ -21,18 +24,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synclab import dynamics
+from synclab import reduce_kuramoto as rk
+from synclab import reduce_sphere as rs
+from synclab.errors import PassedThroughProjectionPoint
 from synclab.integrate import (
     IntegratorSettings,
     Projection,
     Scheme,
     _dopri5_step,
     _integrate_array,
+    _inverse,
     _normalize_rows,
     _RK4Stepper,
     _rk4_coefficients,
     integrate,
     polar_factor,
 )
+from synclab.invariants import _bind_matrix_diameter, matrix_diameter
 from synclab.state import (
     Flavor,
     PhaseConfig,
@@ -40,6 +48,8 @@ from synclab.state import (
     make_phase_config,
     make_sphere_config,
     make_unitary_config,
+    random_phase_config,
+    random_sphere_config,
     random_unitary,
 )
 
@@ -558,3 +568,298 @@ def test_the_final_state_shares_no_memory_with_the_records(scheme, t_final, proj
     assert not np.shares_memory(final, states)
     assert not np.shares_memory(final, cfg.x)
     _assert_same_bits(final, states[-1])
+
+
+# ---------------------------------------------------------------------------
+# the circle kernel on any N, with the phases where exp(i theta) is exact or
+# far from the origin
+
+_SPECIAL_PHASES = np.array([0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi,
+                            1e6, -1e6, 318309 * np.pi, -318309 * np.pi])
+
+
+def _phases(rng, n, scale, special):
+    """n phases uniform in [-scale, scale], each replaced with probability
+    ``special`` by +-0.0, a multiple k pi (|k| up to 318 309, so |k pi| up to
+    1e6) or one of ``_SPECIAL_PHASES``."""
+    theta = rng.uniform(-scale, scale, n)
+    hit = rng.random(n) < special
+    picks = np.where(rng.random(n) < 0.5, rng.choice(_SPECIAL_PHASES, n),
+                     rng.integers(-318309, 318310, n) * np.pi)
+    return np.where(hit, picks, theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), flavor=st.sampled_from(list(Flavor)),
+       members=st.integers(1, 4), nus=st.lists(st.booleans(), min_size=4, max_size=4),
+       scale=st.sampled_from([10.0, 1e3, 1e6]), special=st.sampled_from([0.0, 0.2, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_the_circle_kernel_equals_the_oracle_at_any_n(n, flavor, members, nus, scale,
+                                                       special, seed):
+    # single kernels and stacks of 2 to 4 members of one flavor, each
+    # member's nu zero or not; every tangent equals the oracle's up to the
+    # sign of a zero
+    rng = np.random.default_rng(seed)
+    cfgs = [make_phase_config(_phases(rng, n, scale, special),
+                              rng.standard_normal(n) if nus[k] else 0.0,
+                              rng.uniform(-3.0, 3.0), rng.uniform(-1.5, 1.5), flavor)
+            for k in range(members)]
+    if members == 1:
+        got = dynamics.make_rhs(cfgs[0])(cfgs[0].theta)[None]
+    else:
+        got = dynamics.make_batch_rhs(cfgs)(np.stack([c.theta for c in cfgs]))
+    for cfg, row in zip(cfgs, got):
+        _assert_same_bits(row, _oracle_rhs(cfg)(cfg.theta))
+
+
+# ---------------------------------------------------------------------------
+# the inverse the polar factor calls: np.linalg.inv's gufunc, under its
+# error state.  A numpy release that changes what np.linalg.inv computes
+# around it fails here rather than changing a bit silently
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_the_inverse_gufunc_is_np_linalg_inv(dtype):
+    rng = np.random.default_rng(1300)
+    signature = "D->D" if dtype is complex else "d->d"
+    for d in range(1, 17):
+        for stack in ((), (1,), (5,)):
+            a = rng.standard_normal(stack + (d, d))
+            if dtype is complex:
+                a = a + 1j * rng.standard_normal(a.shape)
+            # the polar factor inverts the contiguous conjugate transpose,
+            # the plain formula the strided view np.linalg.inv was given
+            star = np.conjugate(a.swapaxes(-1, -2), np.empty_like(a))
+            want = np.linalg.inv(np.conj(np.swapaxes(a, -1, -2)))
+            got = np.empty_like(a)
+            _inverse(star, got, signature=signature)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the matrix certificate's record and its POLAR steps
+
+
+def _oracle_matrix_diameter(u):
+    u = np.asarray(u, dtype=complex)
+    diff = u[:, None] - u[None, :]
+    squares = np.add.reduce((diff.conj() * diff).real, axis=(2, 3))  # as np.linalg.norm
+    return float(np.sqrt(np.maximum.reduce(squares, None)))  # the root is monotone
+
+
+@pytest.mark.parametrize("n", (1, 2, 5, 20))
+def test_matrix_diameter_is_bitwise_identical(n):
+    rng = np.random.default_rng(1400 + n)
+    for d in (1, 2, 3, 4):
+        u = np.array([random_unitary(rng, d) for _ in range(n)])
+        bound = _bind_matrix_diameter(u.shape)
+        for state in (u, u + 1e-3 * rng.standard_normal(u.shape),
+                      np.broadcast_to(u[0], u.shape).copy()):
+            want = _oracle_matrix_diameter(state)
+            assert np.float64(matrix_diameter(state)).tobytes() == np.float64(want).tobytes()
+            assert np.float64(bound(state)).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-h", "stacked-h"])
+def test_polar_projected_records_are_bitwise_identical(d, shared):
+    # the bound POLAR leaves its result in either accumulator, after an odd
+    # or an even number of Newton iterations; every record must hold it
+    rng = np.random.default_rng(1500 + d)
+    cfg = _unitary_cfg(rng, 4, d, shared)
+    run = IntegratorSettings(dt=0.05, record_every=1, projection=Projection.POLAR)
+    times, states, final = _integrate_array(dynamics.make_rhs(cfg), cfg.u, run, 1.0,
+                                            polar_factor)
+    want_times, want_states = _oracle_records(cfg, 0.05, 1.0, 1, _oracle_polar_factor)
+    assert times.tobytes() == want_times.tobytes()
+    _assert_same_bits(states, want_states)
+    _assert_same_bits(final, want_states[-1])
+
+
+# ---------------------------------------------------------------------------
+# oracle: the reduced systems of the stereographic reductions, as plain
+# formulas
+
+
+def _oracle_chart_centroid(ys):
+    norm2 = np.add.reduce(ys * ys, 1)
+    w = 1.0 / (1.0 + norm2)
+    return 2.0 * np.add.reduce(w[:, None] * ys, 0), 1.0 + np.add.reduce((norm2 - 1.0) * w), w
+
+
+def _oracle_reduced_stereo_rhs(state, kappa, n):
+    ys, x_n = state[:-1], state[-1]
+    drift, radial, _ = _oracle_chart_centroid(ys)
+    inner = ys @ drift / 2.0                          # sum_j <y_i,y_j>/(1+|y_j|^2)
+    k_n = kappa / n
+    out = np.empty_like(state)
+    out[:-1] = k_n * (drift[None, :] + radial * ys - 2.0 * inner[:, None] * x_n[None, :])
+    out[-1] = k_n * drift
+    return out
+
+
+def _oracle_reduced_stereo_project(state):
+    out = np.empty_like(state)
+    x_n = out[-1] = state[-1] / np.sqrt(np.dot(state[-1], state[-1]))
+    ys = out[:-1] = state[:-1] - (state[:-1] @ x_n)[:, None] * x_n
+    if np.maximum.reduce(abs(ys), None) > rs.BLOWUP_LIMIT:
+        raise PassedThroughProjectionPoint(
+            "a projected point exceeded 1e12; the chart broke down")
+    return out
+
+
+def _oracle_reduced_abm_rhs(state, data):
+    """(a', b', M') at state (a, b, M); (a', b') do not involve M."""
+    dim = data.dim
+    a, b = state[0], state[1:1 + dim]
+    tangential, radial, w = _oracle_chart_centroid(a * data.y0 + b[None, :])
+    kappa, k_n, x_n0 = data.kappa, data.kappa / data.n, data.x_n0
+    out = np.empty_like(state)
+    out[0] = k_n * radial * a
+    out[1:1 + dim] = kappa * b + k_n * 2.0 * a * np.add.reduce(w[:, None] * data.y0, 0)
+    m = state[1 + dim:].reshape(dim, dim)
+    z = k_n * tangential
+    ell = z[:, None] * x_n0 - x_n0[:, None] * z
+    out[1 + dim:] = (m @ ell).ravel()
+    return out
+
+
+def _oracle_reduced_abm_project(state, data):
+    """b onto the hyperplane orthogonal to x_N(0), M onto its polar factor."""
+    dim = data.dim
+    out = state.copy()
+    b = out[1:1 + dim]
+    out[1:1 + dim] = b - (b @ data.x_n0) * data.x_n0
+    out[1 + dim:] = _oracle_polar_factor(out[1 + dim:].reshape(dim, dim)).ravel()
+    return out
+
+
+def _oracle_ab(n, m, kappa, alpha):
+    c, s, k_n, add_reduce = np.cos(alpha), np.sin(alpha), kappa / n, np.add.reduce
+
+    def ab(x):
+        x2 = x * x
+        t1, t2 = 2.0 * x / (x2 + 1.0), (x2 - 1.0) / (x2 + 1.0)
+        return (k_n * (m * s + add_reduce(t1 * c + t2 * s)),
+                k_n * (m * c + add_reduce(-t1 * s + t2 * c)))
+    return ab
+
+
+def _oracle_fg_rhs(data):
+    x0 = data.x0
+    ab = _oracle_ab(data.n, data.m, data.kappa, data.alpha)
+
+    def rhs(fg):
+        a, b = ab(fg[0] * x0 + fg[1])
+        return np.array([b * fg[0], a + b * fg[1]])
+    return rhs
+
+
+def _oracle_run(rhs, y0, dt, t_final, every, project):
+    """The times and states of a fixed-step run of the oracle's RK4 step and
+    then ``project``, recorded every ``every`` steps and at the last."""
+    n_steps = max(1, int(np.ceil(t_final / dt - 1e-9)))
+    h = t_final / n_steps
+    y = np.array(y0, copy=True)
+    times, states = [0.0], [y]
+    for i in range(1, n_steps + 1):
+        y = project(_oracle_rk4_step(rhs, y, h))
+        if i % every == 0 or i == n_steps:
+            times.append(i * h)
+            states.append(y)
+    return np.array(times), np.array(states)
+
+
+def _sphere_data(seed, n, dim, kappa):
+    rng = np.random.default_rng(seed)
+    cfg = random_sphere_config(rng, n, dim - 1, kappa=kappa)
+    return rng, rs.project_sphere_config(cfg)
+
+
+def _phase_data(seed, n, kappa, coincident):
+    """Projected data of n phases, ``coincident`` of them (besides the
+    reference) on the reference."""
+    rng = np.random.default_rng(seed)
+    cfg = random_phase_config(rng, n, kappa=kappa, alpha=rng.uniform(-1.5, 1.5))
+    theta = cfg.theta.copy()
+    theta[:coincident] = theta[-1]
+    return rng, rk.project_phase_config(make_phase_config(theta, 0.0, kappa, cfg.alpha))
+
+
+KAPPA = st.floats(0.1, 3.0).flatmap(lambda k: st.sampled_from([k, -k]))
+REDUCED = dict(n=st.integers(2, 40), dim=st.integers(2, 5), kappa=KAPPA,
+               seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**REDUCED)
+def test_the_stereo_kernels_are_bitwise_identical(n, dim, kappa, seed):
+    rng, data = _sphere_data(seed, n, dim, kappa)
+    state = np.vstack([data.y0, data.x_n0[None, :]])
+    rhs = rs._bind_stereo_rhs(state.shape, kappa, n)
+    project = rs._bind_stereo_project(state.shape)
+    for y in (state, state + 0.1 * rng.standard_normal(state.shape)):
+        _assert_same_bits(rhs(y), _oracle_reduced_stereo_rhs(y, kappa, n))
+        _assert_same_bits(project(y), _oracle_reduced_stereo_project(y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**REDUCED)
+def test_the_abm_kernels_are_bitwise_identical(n, dim, kappa, seed):
+    rng, data = _sphere_data(seed, n, dim, kappa)
+    rhs, project = rs._bind_abm_rhs(data), rs._bind_abm_project(data)
+    for _ in range(2):
+        m = rng.standard_normal((dim, dim))
+        state = np.concatenate([[rng.uniform(0.1, 3.0)], rng.standard_normal(dim), m.ravel()])
+        near = state.copy()
+        near[1 + dim:] = (polar_factor(m) + 1e-4 * rng.standard_normal((dim, dim))).ravel()
+        for y in (state, near):
+            _assert_same_bits(rhs(y), _oracle_reduced_abm_rhs(y, data))
+            _assert_same_bits(project(y), _oracle_reduced_abm_project(y, data))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 40), kappa=KAPPA, coincident=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_the_fg_kernel_is_bitwise_identical(n, kappa, coincident, seed):
+    rng, data = _phase_data(seed, n, kappa, min(coincident, n - 1))
+    rhs, oracle = rk._bind_fg_rhs(data), _oracle_fg_rhs(data)
+    for fg in (np.array([1.0, 0.0]), np.array([rng.uniform(0.1, 3.0), rng.standard_normal()])):
+        _assert_same_bits(rhs(fg), oracle(fg))
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(2, 12), dim=st.integers(2, 5), kappa=KAPPA, every=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_the_reduced_sphere_runs_are_bitwise_identical(n, dim, kappa, every, seed):
+    _, data = _sphere_data(seed, n, dim, kappa)
+    run = IntegratorSettings(dt=0.02, record_every=every)
+    stereo = rs.integrate_stereo_full(data, run, 0.4)
+    state0 = np.vstack([data.y0, data.x_n0[None, :]])
+    times, states = _oracle_run(lambda y: _oracle_reduced_stereo_rhs(y, kappa, n), state0,
+                                0.02, 0.4, every, _oracle_reduced_stereo_project)
+    assert stereo.times.tobytes() == times.tobytes()
+    _assert_same_bits(stereo.y, states[:, :-1])
+    _assert_same_bits(stereo.x_n, states[:, -1])
+
+    reduced = rs.integrate_abM(data, run, 0.4)
+    state0 = np.concatenate([[1.0], np.zeros(dim), np.eye(dim).ravel()])
+    times, states = _oracle_run(lambda y: _oracle_reduced_abm_rhs(y, data), state0, 0.02, 0.4,
+                                every, lambda y: _oracle_reduced_abm_project(y, data))
+    assert reduced.times.tobytes() == times.tobytes()
+    _assert_same_bits(reduced.a, states[:, 0])
+    _assert_same_bits(reduced.b, states[:, 1:1 + dim])
+    _assert_same_bits(reduced.m, states[:, 1 + dim:].reshape(-1, dim, dim))
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(2, 40), kappa=KAPPA, coincident=st.integers(0, 3),
+       every=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_the_fg_run_is_bitwise_identical(n, kappa, coincident, every, seed):
+    _, data = _phase_data(seed, n, kappa, min(coincident, n - 1))
+    reduced = rk.integrate_fg(data, IntegratorSettings(dt=0.02, record_every=every), 0.4)
+    times, states = _oracle_run(_oracle_fg_rhs(data), np.array([1.0, 0.0]), 0.02, 0.4,
+                                every, lambda y: y)
+    assert reduced.times.tobytes() == times.tobytes()
+    _assert_same_bits(reduced.f, states[:, 0])
+    _assert_same_bits(reduced.g, states[:, 1])

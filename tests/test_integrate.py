@@ -263,6 +263,19 @@ def test_polar_factor_of_a_nan_matrix_raises_the_non_finite_error(m):
         polar_factor(m)
 
 
+@pytest.mark.parametrize("m", [
+    np.zeros((2, 2)),
+    np.zeros((3, 2, 2), dtype=complex),
+    np.stack([np.eye(3), np.ones((3, 3))]),
+    np.stack([np.eye(2, dtype=complex), np.array([[1.0, 1j], [1j, -1.0]])]),
+], ids=["real", "complex-stack", "real-stack-one-singular", "complex-stack-one-singular"])
+def test_polar_factor_of_a_singular_matrix_raises_an_integration_error(m):
+    # np.linalg.inv raised numpy's LinAlgError here, which is none of the
+    # toolkit's named errors and which no scenario run catches
+    with pytest.raises(IntegrationError, match="^the polar factor met a singular matrix$"):
+        polar_factor(m)
+
+
 def test_package_attribute_is_the_integrate_module():
     assert importlib.import_module("synclab.integrate") is synclab.integrate
 

@@ -108,7 +108,7 @@ def test_abm_run_with_nonpositive_scale_aborts(monkeypatch):
     rng = np.random.default_rng(1)
     data = rs.project_sphere_config(make_sphere_config(rng.standard_normal((4, 3)),
                                                        kappa=1.0))
-    monkeypatch.setattr(rs, "_abm_rhs", falling)
+    monkeypatch.setattr(rs, "_bind_abm_rhs", lambda data: lambda state: falling(state, data))
     with pytest.raises(IntegrationError, match="scaling factor a lost positivity"):
         rs.integrate_abM(data, IntegratorSettings(dt=3e-2, record_every=50), 0.3)
 
@@ -147,9 +147,8 @@ def test_hierarchy_ab_entries_do_not_depend_on_m():
         for _ in range(5):
             m = polar_factor(rng.standard_normal((dim, dim)))
             state = np.concatenate([ab, m.ravel()])
-            for fn in (rs._abm_rhs, rs._abm_project):
-                assert np.array_equal(fn(state, data)[:1 + dim],
-                                      fn(at_identity, data)[:1 + dim])
+            for fn in (rs._bind_abm_rhs(data), rs._bind_abm_project(data)):
+                assert np.array_equal(fn(state)[:1 + dim], fn(at_identity)[:1 + dim])
 
 
 def test_reduction_chain_consistency():
@@ -251,7 +250,7 @@ def test_stereo_rhs_matches_gram_formula(n, d):
         cfg = random_sphere_config(np.random.default_rng(seed), n, d, kappa=1.3)
         data = rs.project_sphere_config(cfg)
         state = np.vstack([data.y0, data.x_n0[None, :]])
-        got = rs._stereo_rhs(state, cfg.kappa, n)
+        got = rs._bind_stereo_rhs(state.shape, cfg.kappa, n)(state)
         want = _gram_stereo_rhs(state, cfg.kappa, n)
         # relative to the largest entry: single entries cancel to near zero
         np.testing.assert_allclose(got, want, rtol=0,
@@ -353,7 +352,7 @@ def test_reduction_chain_report_memory_at_n60():
 
 
 def _oracle_stereo_rhs(state, kappa, n):
-    # _stereo_rhs with the chart centroid written out in place
+    # the stereo rhs with the chart centroid written out in place
     ys = state[:-1]
     x_n = state[-1]
     norm2 = np.sum(ys * ys, axis=1)
@@ -367,7 +366,7 @@ def _oracle_stereo_rhs(state, kappa, n):
 
 
 def _oracle_abm_rhs(state, data):
-    # _abm_rhs with the chart centroid written out in place
+    # the (a, b, M) rhs with the chart centroid written out in place
     dim = data.dim
     a = state[0]
     b = state[1:1 + dim]
@@ -406,13 +405,13 @@ def test_chart_centroid_callers_equal_the_inline_oracles(n, d):
         data = rs.project_sphere_config(cfg)
         stereo = np.vstack([data.y0 + 0.3 * rng.standard_normal(data.y0.shape),
                             data.x_n0[None, :]])
-        assert np.array_equal(rs._stereo_rhs(stereo, cfg.kappa, n),
+        assert np.array_equal(rs._bind_stereo_rhs(stereo.shape, cfg.kappa, n)(stereo),
                               _oracle_stereo_rhs(stereo, cfg.kappa, n))
         a = rng.uniform(0.1, 3.0)
         b = rng.standard_normal(data.dim)
         m = rng.standard_normal((data.dim, data.dim))
         abm = np.concatenate([[a], b, m.ravel()])
-        assert np.array_equal(rs._abm_rhs(abm, data), _oracle_abm_rhs(abm, data))
+        assert np.array_equal(rs._bind_abm_rhs(data)(abm), _oracle_abm_rhs(abm, data))
         assert rs.rho_squared_reduced(a, b, data) == _oracle_rho_squared_reduced(a, b, data)
 
 
